@@ -42,8 +42,9 @@
 // reference, and the exit gates require (a) seed/fork parity (the PR-2
 // invariant), (b) parity for the arm matching the EquivConfig defaults
 // (the configuration the svc funnel actually ships — portfolio), (c) the
-// shared-learnt propagation overhead actually removed by cone projection,
-// (d) the parallel cell dispatch bit-identical across worker counts
+// shared-learnt propagation overhead actually removed by cone projection
+// (SKIPPED, and out of the exit code, when the shared arms did no stage-4
+// work — always under --quick), (d) the parallel cell dispatch bit-identical across worker counts
 // (portfolio_par2 == portfolio_par8 record-for-record, and fork_par8 ==
 // fork), and (e) the portfolio's splitting stage costing exactly the
 // sound fork's SAT work (the adaptive probe gate retires the fast arm
@@ -628,18 +629,18 @@ int main(int argc, char **argv) {
 
   // Cone projection must remove the shared-learnt propagation overhead:
   // >= 1.5x fewer propagations than the plain shared-learnt baseline.
-  // Vacuously OK when the splitting stage did no SAT work in either arm
-  // (nothing reached stage 4): there is no overhead to remove.
-  bool NoSharedWork = SharedA && SharedConeA &&
-                      SharedA->T.SplitWork.Propagations == 0 &&
-                      SharedConeA->T.SplitWork.Propagations == 0;
+  // The gate is SKIPPED — printed as such, and kept out of the exit code
+  // and the JSON verdict — when its arms did not run (--quick has no
+  // shared arms) or the splitting stage did no SAT work in either arm:
+  // there is then nothing to measure, and a ratio of 0 must not read OK.
+  bool ConeGateRan = SharedA && SharedConeA &&
+                     (SharedA->T.SplitWork.Propagations != 0 ||
+                      SharedConeA->T.SplitWork.Propagations != 0);
   double ConePropRatio =
-      SharedA && SharedConeA
-          ? ratio(SharedA->T.SplitWork.Propagations,
-                  SharedConeA->T.SplitWork.Propagations)
-          : 0.0;
-  bool ConeGateOk = !SharedA || !SharedConeA || NoSharedWork ||
-                    ConePropRatio >= 1.5;
+      ConeGateRan ? ratio(SharedA->T.SplitWork.Propagations,
+                          SharedConeA->T.SplitWork.Propagations)
+                  : 0.0;
+  bool ConeGateOk = ConeGateRan && ConePropRatio >= 1.5;
 
   // Parallel cell dispatch: bit-identical results at every worker count.
   // portfolio_par2 == portfolio_par8 checks the fan-out is schedule-free;
@@ -780,9 +781,13 @@ int main(int argc, char **argv) {
   std::printf("  seed->fork splitting reduction (>=2x sat or >=1.5x wall): "
               "%s (%.2fx sat, %.2fx wall)\n",
               SpeedupOk ? "OK" : "MISMATCH", SeedSatRatio, SeedWallRatio);
-  std::printf("  >=1.5x shared-learnt propagation cut from cone: %s "
-              "(%.2fx)\n",
-              ConeGateOk ? "OK" : "MISMATCH", ConePropRatio);
+  if (ConeGateRan)
+    std::printf("  >=1.5x shared-learnt propagation cut from cone: %s "
+                "(%.2fx)\n",
+                ConeGateOk ? "OK" : "MISMATCH", ConePropRatio);
+  else
+    std::printf("  >=1.5x shared-learnt propagation cut from cone: "
+                "SKIPPED (no shared-learnt splitting work ran)\n");
   std::printf("  parallel cell dispatch bit-identical at 1/2/8 workers: "
               "%s\n",
               ParCellBitOk ? "OK" : "MISMATCH");
@@ -924,7 +929,10 @@ int main(int argc, char **argv) {
   }
   appendf(J, "  \"seed_sat_ratio\": %.3f,\n  \"seed_wall_ratio\": %.3f,\n",
           SeedSatRatio, SeedWallRatio);
-  appendf(J, "  \"cone_prop_ratio\": %.3f,\n", ConePropRatio);
+  if (ConeGateRan)
+    appendf(J, "  \"cone_prop_ratio\": %.3f,\n", ConePropRatio);
+  else
+    appendf(J, "  \"cone_prop_ratio\": null,\n");
   appendf(J, "  \"portfolio_split_wall_x\": %.3f,\n", PortSplitWallX);
   appendf(J, "  \"total_mismatches\": %d,\n", TotalMismatches);
   appendf(J,
@@ -941,7 +949,8 @@ int main(int argc, char **argv) {
           "  \"portfolio_split_ok\": %s,\n",
           ShapeOk ? "true" : "false", SeedParityOk ? "true" : "false",
           DefaultParityOk ? "true" : "false", SpeedupOk ? "true" : "false",
-          ConeGateOk ? "true" : "false", ParCellBitOk ? "true" : "false",
+          ConeGateRan ? (ConeGateOk ? "true" : "false") : "null",
+          ParCellBitOk ? "true" : "false",
           PortfolioSplitOk ? "true" : "false");
   appendf(J,
           "  \"span_parity_ok\": %s,\n  \"wall_parity_ok\": %s,\n"
@@ -992,9 +1001,10 @@ int main(int argc, char **argv) {
                  StoreArmParityOk && PersistOk;
 
   return ShapeOk && SeedParityOk && DefaultParityOk && SpeedupOk &&
-                 ConeGateOk && ParCellBitOk && PortfolioSplitOk &&
-                 SpanParityOk && WallParityOk && CounterParityOk &&
-                 TraceJsonOk && MetricsJsonOk && StoreOk && JsonOk && ObsOk
+                 (ConeGateOk || !ConeGateRan) && ParCellBitOk &&
+                 PortfolioSplitOk && SpanParityOk && WallParityOk &&
+                 CounterParityOk && TraceJsonOk && MetricsJsonOk && StoreOk &&
+                 JsonOk && ObsOk
              ? 0
              : 1;
 }

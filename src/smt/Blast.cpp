@@ -16,11 +16,20 @@ BitBlaster::BitBlaster(const TermTable &TT, SatSolver &S) : TT(TT), S(S) {
 // Gates
 //===----------------------------------------------------------------------===//
 
+// Gate keys pack the op tag and the operand literal codes into disjoint
+// bit fields, so a key identifies its gate exactly while every operand
+// fits its field. An operand past its field would alias another gate's
+// key, so such a gate is built without the memo. Below 2^20 variables
+// every operand fits, and the CNF is exactly the fully memoized encoding.
+static constexpr int BinField = 30; ///< and/xor: Op<<60 | A<<30 | B.
+static constexpr int MuxField = 21; ///< mux: 1<<63 | Sel<<42 | T<<21 | E.
+
+static uint64_t code(Lit L) { return static_cast<uint32_t>(L.X); }
+static bool fits(Lit L, int Bits) { return code(L) < (1ULL << Bits); }
+
 static uint64_t gateKey(int Op, Lit A, Lit B) {
   // Commutative ops are normalized by the callers (sorted operands).
-  return (static_cast<uint64_t>(Op) << 60) ^
-         (static_cast<uint64_t>(static_cast<uint32_t>(A.X)) << 30) ^
-         static_cast<uint64_t>(static_cast<uint32_t>(B.X));
+  return (static_cast<uint64_t>(Op) << 60) | (code(A) << BinField) | code(B);
 }
 
 Lit BitBlaster::gAnd(Lit A, Lit B) {
@@ -35,15 +44,19 @@ Lit BitBlaster::gAnd(Lit A, Lit B) {
     return falseLit();
   if (B.X < A.X)
     std::swap(A, B);
-  uint64_t Key = gateKey(1, A, B);
-  Lit Z;
-  if (GateCache.find(Key, Z))
-    return Z;
-  Z = freshLit();
+  Lit *Memo = nullptr;
+  if (fits(A, BinField) && fits(B, BinField)) {
+    bool Fresh;
+    Memo = &GateCache.findOrInsert(gateKey(1, A, B), Fresh);
+    if (!Fresh)
+      return *Memo;
+  }
+  Lit Z = freshLit();
   S.addClause(~Z, A);
   S.addClause(~Z, B);
   S.addClause(~A, ~B, Z);
-  GateCache.insert(Key, Z);
+  if (Memo)
+    *Memo = Z;
   return Z;
 }
 
@@ -69,16 +82,20 @@ Lit BitBlaster::gXor(Lit A, Lit B) {
   }
   if (B.X < A.X)
     std::swap(A, B);
-  uint64_t Key = gateKey(2, A, B);
-  Lit Z;
-  if (!GateCache.find(Key, Z)) {
-    Z = freshLit();
-    S.addClause(~Z, A, B);
-    S.addClause(~Z, ~A, ~B);
-    S.addClause(Z, ~A, B);
-    S.addClause(Z, A, ~B);
-    GateCache.insert(Key, Z);
+  Lit *Memo = nullptr;
+  if (fits(A, BinField) && fits(B, BinField)) {
+    bool Fresh;
+    Memo = &GateCache.findOrInsert(gateKey(2, A, B), Fresh);
+    if (!Fresh)
+      return Flip ? ~*Memo : *Memo;
   }
+  Lit Z = freshLit();
+  S.addClause(~Z, A, B);
+  S.addClause(~Z, ~A, ~B);
+  S.addClause(Z, ~A, B);
+  S.addClause(Z, A, ~B);
+  if (Memo)
+    *Memo = Z;
   return Flip ? ~Z : Z;
 }
 
@@ -90,21 +107,22 @@ Lit BitBlaster::gMux(Lit Sel, Lit T, Lit E) {
     return T;
   if (T == ~E) // mux(s, ~e, e) = s XOR e
     return gXor(Sel, E);
-  // Three disjoint 21-bit fields: collision-free up to ~1M variables.
-  assert(Sel.X < (1 << 21) && T.X < (1 << 21) && E.X < (1 << 21));
-  uint64_t Key = (3ULL << 63) |
-                 (static_cast<uint64_t>(static_cast<uint32_t>(Sel.X)) << 42) |
-                 (static_cast<uint64_t>(static_cast<uint32_t>(T.X)) << 21) |
-                 static_cast<uint64_t>(static_cast<uint32_t>(E.X));
-  Lit Z;
-  if (GateCache.find(Key, Z))
-    return Z;
-  Z = freshLit();
+  Lit *Memo = nullptr;
+  if (fits(Sel, MuxField) && fits(T, MuxField) && fits(E, MuxField)) {
+    uint64_t Key = (1ULL << 63) | (code(Sel) << (2 * MuxField)) |
+                   (code(T) << MuxField) | code(E);
+    bool Fresh;
+    Memo = &GateCache.findOrInsert(Key, Fresh);
+    if (!Fresh)
+      return *Memo;
+  }
+  Lit Z = freshLit();
   S.addClause(~Sel, ~T, Z);
   S.addClause(~Sel, T, ~Z);
   S.addClause(Sel, ~E, Z);
   S.addClause(Sel, E, ~Z);
-  GateCache.insert(Key, Z);
+  if (Memo)
+    *Memo = Z;
   return Z;
 }
 

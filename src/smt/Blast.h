@@ -26,36 +26,54 @@ namespace smt {
 
 /// Structural-hash gate memo: open-addressing so a fork is two flat vector
 /// copies instead of a node-based hash-map rebuild. Keys are gate
-/// signatures (never 0), values the defined output literal.
+/// signatures (never 0), values the defined output literal. The slot is a
+/// mixed hash of the key: the key's low bits are an operand literal, and
+/// fresh literals are sequential, so slotting by the raw low bits builds
+/// long linear-probe clusters. Where a key lands never changes the value
+/// it maps to, so the hash is invisible in the emitted CNF.
 class GateTable {
 public:
   GateTable() : Keys(1024, 0), Vals(1024) {}
 
-  bool find(uint64_t Key, Lit &Out) const {
+  /// Probes once for \p Key. On a hit returns its value's slot and clears
+  /// \p Fresh. On a miss inserts \p Key, sets \p Fresh, and returns the
+  /// new value slot, which the caller must fill before the next call.
+  Lit &findOrInsert(uint64_t Key, bool &Fresh) {
     size_t Mask = Keys.size() - 1;
-    for (size_t I = Key & Mask;; I = (I + 1) & Mask) {
-      if (Keys[I] == 0)
-        return false;
+    size_t I = slot(Key, Mask);
+    for (; Keys[I] != 0; I = (I + 1) & Mask) {
       if (Keys[I] == Key) {
-        Out = Vals[I];
-        return true;
+        Fresh = false;
+        return Vals[I];
       }
     }
+    Fresh = true;
+    if (Count * 10 >= Keys.size() * 7) {
+      grow();
+      Mask = Keys.size() - 1;
+      I = slot(Key, Mask);
+      while (Keys[I] != 0)
+        I = (I + 1) & Mask;
+    }
+    Keys[I] = Key;
+    ++Count;
+    return Vals[I];
   }
 
-  void insert(uint64_t Key, Lit Val) {
-    if (Count * 10 >= Keys.size() * 7)
-      grow();
-    size_t Mask = Keys.size() - 1;
-    size_t I = Key & Mask;
-    while (Keys[I] != 0)
-      I = (I + 1) & Mask;
-    Keys[I] = Key;
-    Vals[I] = Val;
-    ++Count;
-  }
+  size_t size() const { return Count; }
+  size_t capacity() const { return Keys.size(); } ///< Slots (power of 2).
 
 private:
+  /// murmur3's 64-bit finalizer: every key bit reaches the masked slot.
+  static size_t slot(uint64_t Key, size_t Mask) {
+    Key ^= Key >> 33;
+    Key *= 0xff51afd7ed558ccdULL;
+    Key ^= Key >> 33;
+    Key *= 0xc4ceb9fe1a85ec53ULL;
+    Key ^= Key >> 33;
+    return static_cast<size_t>(Key) & Mask;
+  }
+
   void grow() {
     std::vector<uint64_t> OldK = std::move(Keys);
     std::vector<Lit> OldV = std::move(Vals);
@@ -65,7 +83,7 @@ private:
     for (size_t I = 0; I < OldK.size(); ++I) {
       if (OldK[I] == 0)
         continue;
-      size_t J = OldK[I] & Mask;
+      size_t J = slot(OldK[I], Mask);
       while (Keys[J] != 0)
         J = (J + 1) & Mask;
       Keys[J] = OldK[I];

@@ -137,14 +137,14 @@ void SatSolver::bumpVar(Var V) {
 // Clause arena
 //===----------------------------------------------------------------------===//
 
-SatSolver::CRef SatSolver::allocClause(const std::vector<Lit> &Lits,
+SatSolver::CRef SatSolver::allocClause(const Lit *Lits, size_t N,
                                        bool Learnt, uint32_t Lbd) {
   CRef C = static_cast<CRef>(Arena.size());
-  Arena.push_back((static_cast<uint32_t>(Lits.size()) << 2) |
+  Arena.push_back((static_cast<uint32_t>(N) << 2) |
                   (Learnt ? LearntBit : 0u));
   Arena.push_back(Lbd);
-  for (Lit L : Lits)
-    Arena.push_back(static_cast<uint32_t>(L.X));
+  for (size_t I = 0; I < N; ++I)
+    Arena.push_back(static_cast<uint32_t>(Lits[I].X));
   (Learnt ? Learnts : ProblemClauses).push_back(C);
   Stats.ArenaWords = Arena.size();
   return C;
@@ -159,40 +159,39 @@ void SatSolver::attachClause(CRef C) {
   watchInsert((~L1).X, C, L0, Flags);
 }
 
-bool SatSolver::addClause(std::vector<Lit> Lits) {
+bool SatSolver::addClause(Lit *Lits, size_t N) {
   if (!OkFlag)
     return false;
   assert(decisionLevel() == 0);
-  // Normalize: sort, dedupe, drop false lits, detect tautology/satisfied.
-  std::sort(Lits.begin(), Lits.end(),
-            [](Lit A, Lit B) { return A.X < B.X; });
-  std::vector<Lit> Out;
-  Lit Prev;
-  for (Lit L : Lits) {
+  // Normalize in place: sort, dedupe, drop false lits, detect
+  // tautology/satisfied. Kept literals compact to the front of Lits.
+  std::sort(Lits, Lits + N, [](Lit A, Lit B) { return A.X < B.X; });
+  size_t Kept = 0;
+  for (size_t I = 0; I < N; ++I) {
+    Lit L = Lits[I];
     if (value(L) == LBool::True)
       return true; // already satisfied at level 0
     if (value(L) == LBool::False)
       continue; // drop
-    if (!Out.empty() && L == Prev)
+    if (Kept && L == Lits[Kept - 1])
       continue;
-    if (!Out.empty() && L == ~Prev)
+    if (Kept && L == ~Lits[Kept - 1])
       return true; // tautology
-    Out.push_back(L);
-    Prev = L;
+    Lits[Kept++] = L;
   }
-  if (Out.empty()) {
+  if (Kept == 0) {
     OkFlag = false;
     return false;
   }
-  if (Out.size() == 1) {
-    enqueue(Out[0], NoReason);
+  if (Kept == 1) {
+    enqueue(Lits[0], NoReason);
     if (propagate() != NoReason) {
       OkFlag = false;
       return false;
     }
     return true;
   }
-  CRef C = allocClause(Out, /*Learnt=*/false, /*Lbd=*/0);
+  CRef C = allocClause(Lits, Kept, /*Learnt=*/false, /*Lbd=*/0);
   attachClause(C);
   return true;
 }
@@ -851,7 +850,8 @@ SatResult SatSolver::solve(const std::vector<Lit> &Assumps,
         enqueue(Learnt[0], NoReason);
         Lbd = 1;
       } else {
-        CRef C = allocClause(Learnt, /*Learnt=*/true, Lbd);
+        CRef C = allocClause(Learnt.data(), Learnt.size(), /*Learnt=*/true,
+                             Lbd);
         attachClause(C);
         enqueue(Learnt[0], C);
         Stats.LearntLive = Learnts.size();

@@ -146,14 +146,26 @@ public:
 
   int numVars() const { return static_cast<int>(Activity.size()); }
 
-  /// Adds a clause; returns false if the formula became trivially UNSAT.
-  bool addClause(std::vector<Lit> Lits);
+  /// Adds the clause \p Lits[0..N); returns false if the formula became
+  /// trivially UNSAT. Normalizes in place (sorts, drops duplicate and
+  /// level-0-false literals, detects tautologies and satisfied clauses), so
+  /// the caller's buffer is scratch afterwards. Allocation-free apart from
+  /// the clause arena and watch pool themselves.
+  bool addClause(Lit *Lits, size_t N);
 
-  /// Convenience for small clauses.
-  bool addClause(Lit A) { return addClause(std::vector<Lit>{A}); }
-  bool addClause(Lit A, Lit B) { return addClause(std::vector<Lit>{A, B}); }
+  /// Forwarders: the vector's copy and the small clauses' stack arrays are
+  /// the scratch buffer the normalization runs in.
+  bool addClause(std::vector<Lit> Lits) {
+    return addClause(Lits.data(), Lits.size());
+  }
+  bool addClause(Lit A) { return addClause(&A, 1); }
+  bool addClause(Lit A, Lit B) {
+    Lit Ls[2] = {A, B};
+    return addClause(Ls, 2);
+  }
   bool addClause(Lit A, Lit B, Lit C) {
-    return addClause(std::vector<Lit>{A, B, C});
+    Lit Ls[3] = {A, B, C};
+    return addClause(Ls, 3);
   }
 
   /// Solves under the given budget.
@@ -221,6 +233,16 @@ public:
 
   /// True unless a level-0 conflict proved the clause DB UNSAT outright.
   bool ok() const { return OkFlag; }
+
+  /// Read-only views for CNF-identity checks: the clause arena (per clause
+  /// a header word [size:30][learnt:1][deleted:1], an LBD word, then the
+  /// literal codes), the arena offsets of the problem clauses in the order
+  /// they were added, and the assignment trail.
+  const std::vector<uint32_t> &arenaWords() const { return Arena; }
+  const std::vector<uint32_t> &problemClauseRefs() const {
+    return ProblemClauses;
+  }
+  const std::vector<Lit> &trail() const { return Trail; }
 
 private:
   /// Offset of a clause in the arena; header word, LBD word, literals.
@@ -356,7 +378,7 @@ private:
   void setLitAt(CRef C, uint32_t I, Lit L) {
     Arena[C + 2 + I] = static_cast<uint32_t>(L.X);
   }
-  CRef allocClause(const std::vector<Lit> &Lits, bool Learnt, uint32_t Lbd);
+  CRef allocClause(const Lit *Lits, size_t N, bool Learnt, uint32_t Lbd);
 
   void watchInsert(int LitX, CRef C, Lit Blocker, uint32_t Flags) {
     int32_t N;

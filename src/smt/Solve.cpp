@@ -2,10 +2,18 @@
 
 #include "smt/Solve.h"
 
+#include "obs/Trace.h"
 #include "support/Format.h"
 
 using namespace lv;
 using namespace lv::smt;
+
+/// Blasts \p T under an "smt.blast" span, so a trace separates encoding
+/// from SAT search.
+static Lit blastTraced(BitBlaster &B, TermId T) {
+  obs::Span Blast("smt", "smt.blast");
+  return B.blastBool(T);
+}
 
 void IncrementalSolver::assertAlways(TermId T) {
   if (RootUnsat || TT.isTrue(T))
@@ -15,7 +23,7 @@ void IncrementalSolver::assertAlways(TermId T) {
     return;
   }
   AssertedRoots.push_back(T); // every query's cone includes the context
-  Lit Root = B.blastBool(T);
+  Lit Root = blastTraced(B, T);
   if (!S.addClause(Root))
     RootUnsat = true;
 }
@@ -81,7 +89,7 @@ SmtResult IncrementalSolver::check(TermId Query, const SatBudget &Budget) {
   const uint64_t R0 = St.Restarts;
   const uint64_t T0 = St.TrailReused;
 
-  Lit Root = B.blastBool(Query);
+  Lit Root = blastTraced(B, Query);
   Out.ClauseCount = S.numClauses();
   Out.VarCount = static_cast<uint64_t>(S.numVars());
   if (S.numClauses() > Budget.MaxClauses) {

@@ -123,6 +123,8 @@ public:
   const SatStats &stats() const { return S.stats(); }
   uint64_t numClauses() const { return S.numClauses(); }
   int numVars() const { return S.numVars(); }
+  /// The underlying solver (read-only), e.g. to fingerprint the CNF.
+  const SatSolver &solver() const { return S; }
 
 private:
   const TermTable &TT;

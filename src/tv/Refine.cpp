@@ -111,8 +111,11 @@ struct RefinementSession::Impl {
       : Opts(O), In(T), IS(T) {
     IS.setOptions(Opts.Solver); // forks inherit via copy/assignFrom
     T.reserve(Opts.MaxTerms);
-    SS = executeSymbolic(Src, T, In, Opts.SrcExec);
-    ST = executeSymbolic(Tgt, T, In, Opts.TgtExec);
+    {
+      obs::Span Exec("tv", "tv.symexec");
+      SS = executeSymbolic(Src, T, In, Opts.SrcExec);
+      ST = executeSymbolic(Tgt, T, In, Opts.TgtExec);
+    }
     if (!SS.ok() || !ST.ok()) {
       Immediate.V = TVVerdict::Unsupported;
       Immediate.Detail = !SS.ok() ? SS.Error : ST.Error;

@@ -18,6 +18,8 @@
 #include "obs/Trace.h"
 #include "svc/Service.h"
 #include "tsvc/Suite.h"
+#include "tv/Refine.h"
+#include "vir/Compile.h"
 
 #include <gtest/gtest.h>
 
@@ -233,6 +235,60 @@ TEST(Trace, EventMultisetIdenticalAcrossWorkerCounts) {
   EXPECT_GE(One.size(), 2 * N);
   EXPECT_EQ(One, Two) << "1-vs-2 worker span divergence";
   EXPECT_EQ(One, Eight) << "1-vs-8 worker span divergence";
+}
+
+TEST(Trace, RefinementSplitsEncodingFromSolving) {
+  // One symbolic-execution span per session, and smt.blast spans for the
+  // base blast (outside any query) and the query's own blast (inside
+  // tv.query), so a trace separates encoding from SAT search.
+  vir::CompileResult Src = vir::compileFunction(
+      "void f(int n, int *a, int *b) { for (int i = 0; i < n; i++) "
+      "a[i] = b[i] + 1; }");
+  vir::CompileResult Tgt = vir::compileFunction(R"(
+    void f(int n, int *a, int *b) {
+      __m256i one = _mm256_set1_epi32(1);
+      for (int i = 0; i < n; i += 8) {
+        __m256i v = _mm256_loadu_si256((__m256i *)&b[i]);
+        _mm256_storeu_si256((__m256i *)&a[i], _mm256_add_epi32(v, one));
+      }
+    })");
+  ASSERT_TRUE(Src.ok() && Tgt.ok()) << Src.Error << Tgt.Error;
+  tv::RefineOptions O;
+  O.ScalarMax = 8;
+  O.SrcExec = tv::ExecOptions{10, 16};
+  O.TgtExec = tv::ExecOptions{3, 16};
+  O.CompareWindow = 16;
+  O.Divs.push_back(tv::DivAssumption{"n", 0, 8});
+
+  ScopedTracing On(true);
+  tv::TVResult R = tv::checkRefinement(*Src.Fn, *Tgt.Fn, O);
+  ASSERT_EQ(R.V, tv::TVVerdict::Equivalent) << R.Detail;
+  std::vector<obs::TraceEvent> Events = obs::snapshotTrace();
+  auto Named = [&](const char *Name) {
+    std::vector<const obs::TraceEvent *> Out;
+    for (const obs::TraceEvent &E : Events)
+      if (std::string(E.Name) == Name)
+        Out.push_back(&E);
+    std::sort(Out.begin(), Out.end(),
+              [](const obs::TraceEvent *A, const obs::TraceEvent *B) {
+                return A->StartNs < B->StartNs;
+              });
+    return Out;
+  };
+  auto Inside = [](const obs::TraceEvent &In, const obs::TraceEvent &Out) {
+    return In.StartNs >= Out.StartNs &&
+           In.StartNs + In.DurNs <= Out.StartNs + Out.DurNs;
+  };
+  std::vector<const obs::TraceEvent *> Exec = Named("tv.symexec");
+  std::vector<const obs::TraceEvent *> Blast = Named("smt.blast");
+  std::vector<const obs::TraceEvent *> Query = Named("tv.query");
+  ASSERT_EQ(Exec.size(), 1u);
+  ASSERT_EQ(Query.size(), 1u);
+  ASSERT_EQ(Blast.size(), 2u);
+  EXPECT_FALSE(Inside(*Exec[0], *Query[0]));
+  EXPECT_FALSE(Inside(*Blast[0], *Query[0])) << "base blast";
+  EXPECT_TRUE(Inside(*Blast[1], *Query[0])) << "query blast";
+  EXPECT_LE(Exec[0]->StartNs + Exec[0]->DurNs, Blast[0]->StartNs);
 }
 
 //===----------------------------------------------------------------------===//

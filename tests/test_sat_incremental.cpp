@@ -147,6 +147,93 @@ TEST(SatIncremental, ContradictoryAssumptionsAreUnsatNotFatal) {
 }
 
 //===----------------------------------------------------------------------===//
+// addClause overload parity
+//===----------------------------------------------------------------------===//
+
+/// One clause-normalization case: \p Setup clauses go in first, then
+/// \p Clause through the overload under test. \p Stored is the normalized
+/// clause expected in the arena (empty: none stored).
+struct AddClauseCase {
+  const char *Name;
+  std::vector<std::vector<Lit>> Setup;
+  std::vector<Lit> Clause;
+  bool WantReturn;
+  bool WantOk;
+  std::vector<Lit> Stored;
+  std::vector<Lit> Trail;
+};
+
+TEST(AddClauseParity, FixedArityMatchesVectorOverload) {
+  const Lit A(0, false), B(1, false), C(2, false);
+  const std::vector<AddClauseCase> Cases = {
+      {"duplicate literal", {}, {B, A, B}, true, true, {A, B}, {}},
+      {"tautology", {}, {A, ~A, B}, true, true, {}, {}},
+      {"literal true at level 0", {{C}}, {A, C, B}, true, true, {}, {C}},
+      {"literal false at level 0", {{~C}}, {C, B, A}, true, true, {A, B},
+       {~C}},
+      {"unit clause propagates", {{~A, B}}, {A}, true, true, {}, {A, B}},
+      {"unit after dropping false literals", {{~C}, {~A, B}}, {C, A},
+       true, true, {}, {~C, A, B}},
+      {"empty clause", {{~C}}, {C}, false, false, {}, {~C}},
+      {"empty after dropping false literals", {{~C}, {~B}}, {C, B, C},
+       false, false, {}, {~C, ~B}},
+  };
+  for (const AddClauseCase &K : Cases) {
+    SCOPED_TRACE(K.Name);
+    SatSolver Fixed, Vec;
+    for (SatSolver *S : {&Fixed, &Vec}) {
+      for (int I = 0; I < 3; ++I)
+        S->newVar();
+      for (const std::vector<Lit> &Cl : K.Setup)
+        S->addClause(Cl);
+    }
+    size_t Before = Fixed.problemClauseRefs().size();
+    bool FixedRet = false;
+    switch (K.Clause.size()) {
+    case 1:
+      FixedRet = Fixed.addClause(K.Clause[0]);
+      break;
+    case 2:
+      FixedRet = Fixed.addClause(K.Clause[0], K.Clause[1]);
+      break;
+    case 3:
+      FixedRet = Fixed.addClause(K.Clause[0], K.Clause[1], K.Clause[2]);
+      break;
+    default:
+      FAIL() << "no fixed-arity overload for " << K.Clause.size();
+    }
+    bool VecRet = Vec.addClause(K.Clause);
+
+    EXPECT_EQ(FixedRet, K.WantReturn);
+    EXPECT_EQ(VecRet, K.WantReturn);
+    EXPECT_EQ(Fixed.ok(), K.WantOk);
+    EXPECT_EQ(Vec.ok(), K.WantOk);
+    EXPECT_EQ(Fixed.arenaWords(), Vec.arenaWords());
+    EXPECT_EQ(Fixed.problemClauseRefs(), Vec.problemClauseRefs());
+    EXPECT_EQ(Fixed.trail(), K.Trail);
+    EXPECT_EQ(Vec.trail(), K.Trail);
+
+    const std::vector<uint32_t> &Arena = Fixed.arenaWords();
+    const std::vector<uint32_t> &Refs = Fixed.problemClauseRefs();
+    ASSERT_EQ(Refs.size(), Before + (K.Stored.empty() ? 0 : 1));
+    if (K.Stored.empty())
+      continue;
+    std::vector<uint32_t> Want = {
+        static_cast<uint32_t>(K.Stored.size()) << 2, 0u};
+    for (Lit L : K.Stored)
+      Want.push_back(static_cast<uint32_t>(L.X));
+    std::vector<uint32_t> Got(Arena.begin() + Refs.back(), Arena.end());
+    EXPECT_EQ(Got, Want);
+  }
+
+  // The vector overload also takes the literally empty clause.
+  SatSolver S;
+  EXPECT_FALSE(S.addClause(std::vector<Lit>{}));
+  EXPECT_FALSE(S.ok());
+  EXPECT_TRUE(S.arenaWords().empty());
+}
+
+//===----------------------------------------------------------------------===//
 // Luby restart schedule
 //===----------------------------------------------------------------------===//
 

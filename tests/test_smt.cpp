@@ -4,6 +4,8 @@
 // bit-blaster. The property suites cross-validate: (1) random term DAGs are
 // solved and any model is re-evaluated against the term semantics; (2) UNSAT
 // answers on small-domain queries are checked by exhaustive enumeration.
+// The CNF-identity tests pin the gate memo and a golden stage-2 encoding,
+// so a change to how clauses are emitted cannot move the CNF unnoticed.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,6 +14,9 @@
 #include "smt/Solve.h"
 #include "smt/Term.h"
 #include "support/Rng.h"
+#include "tv/Refine.h"
+#include "tv/SymExec.h"
+#include "vir/Compile.h"
 
 #include <gtest/gtest.h>
 
@@ -445,5 +450,188 @@ TEST_P(SmtExhaustiveTest, UnsatMeansNoWitness) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, SmtExhaustiveTest, ::testing::Range(0, 50));
+
+//===----------------------------------------------------------------------===//
+// CNF identity
+//===----------------------------------------------------------------------===//
+
+TEST(GateTable, AdversarialKeysRoundTripAcrossGrowth) {
+  // Two families that cluster under slot = key & mask: keys sharing their
+  // low 20 bits, and and-gate-shaped keys whose second operand (the low
+  // field) runs sequentially, as fresh literals do.
+  std::vector<uint64_t> Keys;
+  for (uint64_t I = 1; I <= 3000; ++I)
+    Keys.push_back((I << 20) | 0xABCDEu);
+  for (uint64_t I = 0; I < 3000; ++I)
+    Keys.push_back((1ULL << 60) | (7ULL << 30) | (2 * I + 2));
+  auto valueOf = [](size_t I) {
+    Lit L;
+    L.X = static_cast<int>(I * 2 + 1);
+    return L;
+  };
+
+  GateTable G;
+  size_t Slots = G.capacity();
+  int Grows = 0;
+  for (size_t I = 0; I < Keys.size(); ++I) {
+    bool Fresh = false;
+    G.findOrInsert(Keys[I], Fresh) = valueOf(I);
+    ASSERT_TRUE(Fresh) << "key " << I << " reported as already present";
+    if (G.capacity() != Slots) {
+      ++Grows;
+      Slots = G.capacity();
+    }
+  }
+  EXPECT_GE(Grows, 3);
+  EXPECT_EQ(G.size(), Keys.size());
+  for (size_t I = 0; I < Keys.size(); ++I) {
+    bool Fresh = true;
+    Lit Got = G.findOrInsert(Keys[I], Fresh);
+    ASSERT_FALSE(Fresh) << "key " << I << " lost across growth";
+    EXPECT_EQ(Got, valueOf(I)) << "key " << I;
+  }
+  EXPECT_EQ(G.size(), Keys.size()) << "lookups must not insert";
+}
+
+TEST(GateMemo, WideMuxOperandsNeverShareAGate) {
+  // The mux key packs three 21-bit literal fields. Operand literals past
+  // 2^21 would overflow into the neighbouring field: here E2's code is
+  // E1's plus 2^21, and the then-operand is negated (odd), so a packed key
+  // could not tell ite(s, ~t, e1) from ite(s, ~t, e2). The two muxes must
+  // stay distinct gates.
+  TermTable T;
+  SatSolver S;
+  BitBlaster B(T, S);
+  TermId Sel = T.mkBVar("s"), Th = T.mkBVar("t");
+  TermId E1 = T.mkBVar("e1"), E2 = T.mkBVar("e2");
+  B.blastBool(Sel);
+  B.blastBool(Th);
+  Lit L1 = B.blastBool(E1);
+  while (S.numVars() < L1.var() + (1 << 20))
+    S.newVar();
+  Lit L2 = B.blastBool(E2);
+  ASSERT_EQ(L2.X - L1.X, 1 << 21);
+
+  Lit M1 = B.blastBool(T.mkBIte(Sel, T.mkNot(Th), E1));
+  Lit M2 = B.blastBool(T.mkBIte(Sel, T.mkNot(Th), E2));
+  ASSERT_NE(M1, M2);
+  // s = 0 and e1 != e2 separate them.
+  S.addClause(M1, M2);
+  S.addClause(~M1, ~M2);
+  EXPECT_EQ(S.solve(), SatResult::Sat);
+}
+
+/// FNV-1a over the problem clauses in order: each clause's size, then its
+/// literal codes, as little-endian 32-bit words.
+uint64_t problemCnfHash(const SatSolver &S) {
+  uint64_t H = 0xcbf29ce484222325ULL;
+  auto Word = [&H](uint32_t W) {
+    for (int B = 0; B < 4; ++B) {
+      H ^= (W >> (8 * B)) & 0xFFu;
+      H *= 0x100000001b3ULL;
+    }
+  };
+  const std::vector<uint32_t> &Arena = S.arenaWords();
+  for (uint32_t C : S.problemClauseRefs()) {
+    uint32_t N = Arena[C] >> 2;
+    Word(N);
+    for (uint32_t I = 0; I < N; ++I)
+      Word(Arena[C + 2 + I]);
+  }
+  return H;
+}
+
+vir::VFunctionPtr mustCompile(const char *Src) {
+  vir::CompileResult R = vir::compileFunction(Src);
+  if (!R.ok())
+    throw std::runtime_error("compile failed: " + R.Error);
+  return std::move(R.Fn);
+}
+
+TEST(CnfGolden, VpvStage2EncodingIsUnchanged) {
+  // vpv against a fixed AVX2 candidate under the stage-2 options at the
+  // benchmark's Base budgets (ScalarMax 8: unroll 8/1+2 and 8/8+2, memory
+  // and compare windows 16, n % 8 == 0, 500 conflicts). The refinement
+  // query is built exactly as tv::checkRefinement builds it, so the
+  // checkRefinement statistics below must agree with this encoding.
+  vir::VFunctionPtr Src = mustCompile(R"(
+void vpv(int n, int *a, int *b) {
+  for (int i = 0; i < n; i++) {
+    a[i] = a[i] + b[i];
+  }
+})");
+  vir::VFunctionPtr Tgt = mustCompile(R"(
+void vpv(int n, int *a, int *b) {
+  for (int i = 0; i < n; i += 8) {
+    __m256i va = _mm256_loadu_si256((__m256i *)&a[i]);
+    __m256i vb = _mm256_loadu_si256((__m256i *)&b[i]);
+    _mm256_storeu_si256((__m256i *)&a[i], _mm256_add_epi32(va, vb));
+  }
+})");
+  tv::RefineOptions RO;
+  RO.ScalarMax = 8;
+  RO.SrcExec = tv::ExecOptions{10, 16};
+  RO.TgtExec = tv::ExecOptions{3, 16};
+  RO.CompareWindow = 16;
+  RO.Divs.push_back(tv::DivAssumption{"n", 0, 8});
+  RO.Budget.MaxConflicts = 500;
+  RO.MaxTerms = 120'000;
+
+  TermTable T;
+  tv::SharedInputs In(T);
+  tv::SymState SS = tv::executeSymbolic(*Src, T, In, RO.SrcExec);
+  tv::SymState ST = tv::executeSymbolic(*Tgt, T, In, RO.TgtExec);
+  ASSERT_TRUE(SS.ok() && ST.ok()) << SS.Error << ST.Error;
+  TermId A = T.mkAnd(SS.Assum, ST.Assum);
+  for (const tv::SymMemory &M : SS.Mems)
+    A = T.mkAnd(A, M.sizeDomain());
+  for (const tv::SymMemory &M : ST.Mems)
+    A = T.mkAnd(A, M.sizeDomain());
+  for (const std::string &Name : In.scalarNames()) {
+    TermId P = In.scalar(Name);
+    A = T.mkAnd(A, T.mkAnd(T.mkSge(P, T.mkConst(0)),
+                           T.mkSle(P, T.mkConstS(RO.ScalarMax))));
+  }
+  TermId N = T.mkAdd(In.scalar("n"), T.mkConstS(0));
+  A = T.mkAnd(A, T.mkAnd(T.mkSge(N, T.mkConst(0)),
+                         T.mkEq(T.mkSRem(N, T.mkConstS(8)), T.mkConst(0))));
+  IncrementalSolver IS(T);
+  IS.assertAlways(T.mkAnd(A, T.mkNot(SS.UB)));
+  // Both regions are parameters in the same order on both sides.
+  TermId Viol = ST.UB;
+  ASSERT_EQ(SS.Mems.size(), ST.Mems.size());
+  for (size_t M = 0; M < SS.Mems.size(); ++M) {
+    int Hi = std::min(RO.CompareWindow, SS.Mems[M].capacity());
+    for (int J = 0; J < Hi; ++J) {
+      TermId Off = T.mkConst(static_cast<uint32_t>(J));
+      tv::SymVal CS = SS.Mems[M].read(Off), CT = ST.Mems[M].read(Off);
+      if (CS.Val == CT.Val && CS.Poison == CT.Poison)
+        continue;
+      Viol = T.mkOr(Viol, T.mkAnd(T.mkNot(CS.Poison),
+                                  T.mkOr(CT.Poison, T.mkNe(CS.Val, CT.Val))));
+    }
+  }
+  SmtResult R = IS.check(Viol, RO.Budget);
+  const SatSolver &S = IS.solver();
+
+  // Golden values, recorded before the gate memo was rehashed and clause
+  // emission made allocation-free; the CNF must not move.
+  const int GoldenVars = 25782;
+  const size_t GoldenProblemClauses = 91006;
+  const uint64_t GoldenCnfHash = 0x34614a1b68681febULL;
+  const uint64_t GoldenConflicts = 500;
+  const uint64_t GoldenPropagations = 507244;
+  EXPECT_EQ(S.numVars(), GoldenVars);
+  EXPECT_EQ(S.problemClauseRefs().size(), GoldenProblemClauses);
+  EXPECT_EQ(problemCnfHash(S), GoldenCnfHash);
+  EXPECT_EQ(R.ConflictsUsed, GoldenConflicts);
+  EXPECT_EQ(R.PropagationsUsed, GoldenPropagations);
+
+  tv::TVResult TV = tv::checkRefinement(*Src, *Tgt, RO);
+  EXPECT_EQ(TV.SatVars, R.VarCount);
+  EXPECT_EQ(TV.Clauses, R.ClauseCount);
+  EXPECT_EQ(TV.Conflicts, R.ConflictsUsed);
+  EXPECT_EQ(TV.Propagations, R.PropagationsUsed);
+}
 
 } // namespace

@@ -84,7 +84,6 @@ struct ArmSpec {
   svc::ServiceConfig::AdmissionPolicy Admission =
       svc::ServiceConfig::AdmissionPolicy::Shed;
   support::BreakerConfig Breaker;
-  uint64_t HedgeAfterCalls = 0;
   std::string JournalPath;
   bool UsePriorities = false; ///< Priority = submit index % 3.
 };
@@ -104,7 +103,6 @@ svc::ServiceConfig makeConfig(const ArmSpec &Spec) {
   SC.MaxQueueDepth = Spec.MaxQueueDepth;
   SC.Admission = Spec.Admission;
   SC.Breaker = Spec.Breaker;
-  SC.HedgeAfterCalls = Spec.HedgeAfterCalls;
   SC.JournalPath = Spec.JournalPath;
   return SC;
 }
@@ -403,7 +401,7 @@ int main(int argc, char **argv) {
     gate(Identical, "overload-block: results bit-identical to baseline");
   }
 
-  printHeader("arm 5: circuit breaker + hedging");
+  printHeader("arm 5: circuit breaker");
   ArmResult Tripped;
   {
     // Fault rates high enough that consecutive failures trip the breaker;
@@ -421,20 +419,6 @@ int main(int argc, char **argv) {
     gate(Tripped.Breaker.Trips > 0, "breaker: tripped under sustained faults");
     gate(Tripped.Breaker.Rejected > 0,
          "breaker: open state rejected calls without touching the backend");
-  }
-  {
-    // Hedging with a fault-free backend: both arms return identical bytes
-    // (index-pure completions), so racing them changes latency only.
-    ArmSpec S;
-    S.Workers = 2;
-    S.HedgeAfterCalls = 1;
-    ArmResult R = runArm(Tests, S, Equiv, MaxAttempts);
-    gateClassified("hedged", R);
-    bool Identical = true;
-    for (size_t I = 0; I < R.Outcomes.size(); ++I)
-      Identical = Identical && svc::debugString(R.Outcomes[I]) ==
-                                   svc::debugString(Baseline.Outcomes[I]);
-    gate(Identical, "hedged: results bit-identical to unhedged baseline");
   }
 
   printHeader("arm 6: kill/resume — crash-recovery batch journal");

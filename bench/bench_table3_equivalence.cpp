@@ -15,18 +15,15 @@
 // statistics showing *why* the domain-specific techniques scale better
 // (the paper's §3 argument).
 //
-// The funnel then runs as a *mode matrix* over the query-scoped-solving
-// configurations of the SAT backend:
+// The funnel then runs once per arm, one fixed list for --quick and the
+// full corpus:
 //
-//   seed              frozen copy of the seed smt stack (bench/seedref/),
+//   seed              frozen copy of the seed smt stack (bench/seedref/)
+//                     driven per stage-4 cell through SplitCellOverride:
 //                     scratch solver + full re-blast per cell — the fixed
-//                     "before" baseline
-//   fork              PR-3 behaviour: per-query forks of a pristine base
-//   fork_cone / _reuse / _cone_reuse
-//   shared            shared-learnt: queries solve directly on the base
-//                     (learnt clauses persist; heuristics rewound per
-//                     query), no per-query fork
-//   shared_cone / _reuse / _cone_reuse
+//                     "before" baseline and an independent reference
+//   fork              per-query forks of a pristine base (the portfolio's
+//                     sound arm alone)
 //   portfolio         sound fast-path racing (the EquivConfig default):
 //                     every stage-3/4 query probes a shared-learnt
 //                     cone+reuse fast arm first and falls back to the
@@ -35,20 +32,19 @@
 //   fork_par8         plain fork + 8-worker cell fan-out (isolates the
 //                     dispatch machinery from the racing)
 //
-// Because cone projection, trail reuse, and racing perturb search order —
-// and budget-bound verdicts are sensitive to search order — the matrix is
-// a verdict-parity harness first and a speedup report second: it counts,
-// for every arm, tests whose (Final, DecidedBy) differ from the fork
-// reference, and the exit gates require (a) seed/fork parity (the PR-2
-// invariant), (b) parity for the arm matching the EquivConfig defaults
-// (the configuration the svc funnel actually ships — portfolio), (c) the
-// shared-learnt propagation overhead actually removed by cone projection
-// (SKIPPED, and out of the exit code, when the shared arms did no stage-4
-// work — always under --quick), (d) the parallel cell dispatch bit-identical across worker counts
-// (portfolio_par2 == portfolio_par8 record-for-record, and fork_par8 ==
-// fork), and (e) the portfolio's splitting stage costing exactly the
-// sound fork's SAT work (the adaptive probe gate retires the fast arm
-// before stage 4, so any extra conflicts there are a racing bug).
+// Racing perturbs search order, and budget-bound verdicts are sensitive to
+// search order, so the arms are a verdict-parity harness first and a
+// speedup report second: each counts tests whose (Final, DecidedBy)
+// differ from the fork reference, and the exit gates require (a)
+// seed/fork parity, (b) parity for the arm matching the EquivConfig
+// defaults (the configuration the svc funnel actually ships — portfolio;
+// the gate fails if no arm matches), (c) the parallel cell dispatch
+// bit-identical across worker counts (portfolio_par2 == portfolio_par8
+// record-for-record, and fork_par8 == fork), (d) the portfolio's
+// splitting stage costing exactly the sound fork's SAT work (the adaptive
+// probe gate retires the fast arm before stage 4, so any extra conflicts
+// there are a racing bug), and (e) the seed->fork splitting win, SKIPPED
+// — and out of the exit code — when neither arm did stage-4 work.
 // Everything is mirrored to BENCH_table3.json for CI tracking.
 //
 //===----------------------------------------------------------------------===//
@@ -176,15 +172,12 @@ double ratio(uint64_t Before, uint64_t After) {
   return static_cast<double>(Before) / static_cast<double>(After);
 }
 
-/// One matrix arm: a query-scoped-solving configuration of the funnel.
+/// One arm: a stage-3/4 solving configuration of the funnel.
 struct Arm {
   const char *Name;
-  bool Seed = false;     ///< Frozen seedref backend (fixed baseline).
-  bool Shared = false;   ///< SharedLearntSolving.
-  bool Cone = false;     ///< ConeProjection.
-  bool Reuse = false;    ///< TrailReuse.
+  bool Seed = false;      ///< Frozen seedref backend (fixed baseline).
   bool Portfolio = false; ///< PortfolioSolving (sound fast-path racing).
-  int CellWorkers = 1;   ///< SplitCellWorkers (stage-4 fan-out width).
+  int CellWorkers = 1;    ///< SplitCellWorkers (stage-4 fan-out width).
 
   std::vector<FunnelRecord> Records;
   FunnelTally T;
@@ -295,7 +288,7 @@ const char *QuickTests[] = {
 
 int main(int argc, char **argv) {
   BenchOptions Opt = parseBenchArgs(argc, argv);
-  bool Quick = false; // --quick: flip-pair test subset + 5 arms
+  bool Quick = false; // --quick: flip-pair test subset
   for (int I = 1; I < argc; ++I)
     if (std::strcmp(argv[I], "--quick") == 0)
       Quick = true;
@@ -339,7 +332,7 @@ int main(int argc, char **argv) {
   // stages. Gates: serialized EquivResults bit-identical across the two
   // runs (the store's replay contract), the cold run persisted records,
   // the warm run was pure hits, and the combined checksum+splitting span
-  // wall collapsed by >= 5x. Runs before the mode matrix so the traced
+  // wall collapsed by >= 5x. Runs before the arms so the traced
   // portfolio arm still owns the trace buffers at artifact-write time.
   struct StoreRun {
     std::string Bits;    ///< Concatenated serializeEquivResult records.
@@ -394,35 +387,22 @@ int main(int argc, char **argv) {
     PersistOk = PersistRun.Summary == ColdRun.Summary;
   }
 
-  // Name, Seed, Shared, Cone, Reuse, Portfolio, CellWorkers. Every arm
-  // pins PortfolioSolving and SplitCellWorkers explicitly (the EquivConfig
-  // defaults now enable racing, and the historical arms must keep
-  // measuring exactly the configuration they are named after).
+  // Name, Seed, Portfolio, CellWorkers: the same list for --quick and the
+  // full corpus. Every arm pins PortfolioSolving and SplitCellWorkers, so
+  // each keeps measuring exactly the configuration it is named after.
+  enum { SeedArm, ForkArm, PortArm, Par2Arm, Par8Arm, ForkPar8Arm };
   std::vector<Arm> Arms = {
-      {"seed", /*Seed=*/true},
+      {"seed", true},
       {"fork"},
-      {"fork_cone", false, false, true, false},
-      {"fork_reuse", false, false, false, true},
-      {"fork_cone_reuse", false, false, true, true},
-      {"shared", false, true, false, false},
-      {"shared_cone", false, true, true, false},
-      {"shared_reuse", false, true, false, true},
-      {"shared_cone_reuse", false, true, true, true},
-      {"portfolio", false, false, false, false, true, 1},
-      {"portfolio_par2", false, false, false, false, true, 2},
-      {"portfolio_par8", false, false, false, false, true, 8},
-      {"fork_par8", false, false, false, false, false, 8},
+      {"portfolio", false, true, 1},
+      {"portfolio_par2", false, true, 2},
+      {"portfolio_par8", false, true, 8},
+      {"fork_par8", false, false, 8},
   };
-  if (Quick)
-    Arms = {{"seed", true},
-            {"fork"},
-            {"portfolio", false, false, false, false, true, 1},
-            {"portfolio_par2", false, false, false, false, true, 2},
-            {"portfolio_par8", false, false, false, false, true, 8}};
 
-  // The arm that matches the EquivConfig defaults — the configuration the
-  // svc funnel actually runs with. Its parity is a hard gate.
-  core::EquivConfig Defaults;
+  // The arm whose config hash equals Base's (the EquivConfig defaults
+  // under the bench budgets) — the configuration the svc funnel actually
+  // runs with. Its parity is a hard gate; no matching arm fails it.
   int DefaultArm = -1;
 
   // The fork arm is the verdict-parity reference; the portfolio arm (the
@@ -430,11 +410,7 @@ int main(int argc, char **argv) {
   // traced (fresh trace + metrics), and its span/counter sums — including
   // the portfolio win/fallback tallies — are gated against the
   // StageSatWork/StageInterpWork tallies below.
-  const size_t ForkArm = 1;
-  size_t TracedArm = ForkArm;
-  for (size_t I = 0; I < Arms.size(); ++I)
-    if (std::strcmp(Arms[I].Name, "portfolio") == 0)
-      TracedArm = I;
+  const size_t TracedArm = PortArm;
   std::vector<obs::TraceEvent> Events;
   std::vector<obs::CounterSample> Counters;
   std::string TraceDoc, MetricsDoc;
@@ -442,33 +418,17 @@ int main(int argc, char **argv) {
   for (size_t I = 0; I < Arms.size(); ++I) {
     Arm &A = Arms[I];
     core::EquivConfig Cfg = Base;
-    if (A.Seed) {
-      // Frozen seed smt stack: scratch solver + full re-blast per cell,
-      // with none of the query-scoped techniques.
-      Cfg.IncrementalSolving = false;
-      Cfg.SharedLearntSolving = false;
-      Cfg.ConeProjection = false;
-      Cfg.TrailReuse = false;
-      Cfg.PortfolioSolving = false;
-      Cfg.SplitCellWorkers = 1;
+    Cfg.PortfolioSolving = A.Portfolio;
+    Cfg.SplitCellWorkers = A.CellWorkers;
+    if (A.Seed)
+      // Frozen seed smt stack: scratch solver + full re-blast per cell.
       Cfg.SplitCellOverride = [](const vir::VFunction &S,
                                  const vir::VFunction &T,
                                  const tv::RefineOptions &RO) {
         return seedref::checkRefinementSeed(S, T, RO);
       };
-    } else {
-      Cfg.SharedLearntSolving = A.Shared;
-      Cfg.ConeProjection = A.Cone;
-      Cfg.TrailReuse = A.Reuse;
-      Cfg.PortfolioSolving = A.Portfolio;
-      Cfg.SplitCellWorkers = A.CellWorkers;
-      if (A.Shared == Defaults.SharedLearntSolving &&
-          A.Cone == Defaults.ConeProjection &&
-          A.Reuse == Defaults.TrailReuse &&
-          A.Portfolio == Defaults.PortfolioSolving &&
-          A.CellWorkers == Defaults.SplitCellWorkers)
-        DefaultArm = static_cast<int>(I);
-    }
+    if (DefaultArm < 0 && Cfg.configHash() == Base.configHash())
+      DefaultArm = static_cast<int>(I);
     std::printf("  [%zu/%zu] %s...\n", I + 1, Arms.size(), A.Name);
     if (I == TracedArm) {
       obs::resetTrace();
@@ -489,8 +449,8 @@ int main(int argc, char **argv) {
     }
   }
 
-  // Verdict parity: every arm against the fork reference (and the seed
-  // arm transitively — the PR-2 invariant is seed == fork).
+  // Verdict parity: every arm against the fork reference (the seed arm
+  // included: seed == fork is a hard gate).
   int TotalMismatches = 0;
   for (size_t I = 0; I < Arms.size(); ++I) {
     if (I == ForkArm)
@@ -515,8 +475,8 @@ int main(int argc, char **argv) {
 
   // The store runs used the unmodified Base config — the EquivConfig
   // defaults — so their (Final, DecidedBy) funnel must match the default
-  // arm of the matrix exactly.
-  bool StoreArmParityOk = true;
+  // arm exactly.
+  bool StoreArmParityOk = false;
   if (DefaultArm >= 0) {
     std::string ArmSummary;
     for (const FunnelRecord &R : Arms[static_cast<size_t>(DefaultArm)].Records)
@@ -555,8 +515,8 @@ int main(int argc, char **argv) {
                 static_cast<unsigned long long>(
                     TA.SpClauses / static_cast<uint64_t>(TA.SpN)));
 
-  // The mode matrix: splitting-stage cost per configuration.
-  std::printf("\n  spatial-splitting stage by mode (parity vs fork):\n");
+  // Splitting-stage cost per arm.
+  std::printf("\n  spatial-splitting stage by arm (parity vs fork):\n");
   std::printf("  %-18s %9s %12s %12s %10s %10s %9s\n", "mode", "queries",
               "conflicts", "props", "reusedlits", "wall-ms", "mismatch");
   for (const Arm &A : Arms) {
@@ -589,76 +549,45 @@ int main(int argc, char **argv) {
   }
 
   // Gates.
-  const Arm *SeedA = &Arms[0];
-  const Arm *SharedA = nullptr, *SharedConeA = nullptr, *PortA = nullptr,
-            *Par2A = nullptr, *Par8A = nullptr, *ForkPar8A = nullptr;
-  for (const Arm &A : Arms) {
-    if (std::strcmp(A.Name, "shared") == 0)
-      SharedA = &A;
-    if (std::strcmp(A.Name, "shared_cone") == 0)
-      SharedConeA = &A;
-    if (std::strcmp(A.Name, "portfolio") == 0)
-      PortA = &A;
-    if (std::strcmp(A.Name, "portfolio_par2") == 0)
-      Par2A = &A;
-    if (std::strcmp(A.Name, "portfolio_par8") == 0)
-      Par8A = &A;
-    if (std::strcmp(A.Name, "fork_par8") == 0)
-      ForkPar8A = &A;
-  }
+  const Arm *SeedA = &Arms[SeedArm];
+  const Arm *PortA = &Arms[PortArm];
 
   bool ShapeOk = TA.allEq() > TA.A2Eq && (TA.CUEq + TA.CUNeq) > 0 &&
                  TA.Plaus > TA.allEq();
   bool SeedParityOk = SeedA->Mismatches == 0;
-  bool DefaultParityOk = DefaultArm < 0 ||
+  bool DefaultParityOk = DefaultArm >= 0 &&
                          Arms[static_cast<size_t>(DefaultArm)].Mismatches == 0;
 
-  // Seed -> fork: the PR-2 win must not regress (vacuous when stage 4 had
-  // no work to do in either backend). The SAT-work ratio is deterministic
-  // (1.08x on the full corpus — most of the win is the skipped per-query
-  // re-encode, which conflicts don't count); the wall ratio carries the
-  // real reduction but is machine-sensitive (measured 1.8-2.9x across
-  // hosts and corpus subsets), so it gates at 1.5x: low enough to be
-  // stable, high enough that losing the session reuse (ratio -> ~1.0)
-  // still trips it.
+  // Seed -> fork: the session-reuse win must not regress. The SAT-work
+  // ratio is deterministic (1.08x on the full corpus — most of the win is
+  // the skipped per-query re-encode, which conflicts don't count); the
+  // wall ratio carries the real reduction but is machine-sensitive
+  // (measured 1.8-2.9x across hosts and corpus subsets), so it gates at
+  // 1.5x: low enough to be stable, high enough that losing the session
+  // reuse (ratio -> ~1.0) still trips it. SKIPPED — printed as such, and
+  // kept out of the exit code and the JSON verdict — when stage 4 did no
+  // work in either arm: there is then nothing to measure.
   double SeedSatRatio = ratio(SeedA->T.splitSatWork(), TA.splitSatWork());
   double SeedWallRatio = ratio(SeedA->T.SplitWallNanos, TA.SplitWallNanos);
   bool NoSplitWork = SeedA->T.splitSatWork() == 0 && TA.splitSatWork() == 0 &&
                      SeedA->T.SplitWallNanos == 0 && TA.SplitWallNanos == 0;
-  bool SpeedupOk = NoSplitWork || SeedSatRatio >= 2.0 || SeedWallRatio >= 1.5;
-
-  // Cone projection must remove the shared-learnt propagation overhead:
-  // >= 1.5x fewer propagations than the plain shared-learnt baseline.
-  // The gate is SKIPPED — printed as such, and kept out of the exit code
-  // and the JSON verdict — when its arms did not run (--quick has no
-  // shared arms) or the splitting stage did no SAT work in either arm:
-  // there is then nothing to measure, and a ratio of 0 must not read OK.
-  bool ConeGateRan = SharedA && SharedConeA &&
-                     (SharedA->T.SplitWork.Propagations != 0 ||
-                      SharedConeA->T.SplitWork.Propagations != 0);
-  double ConePropRatio =
-      ConeGateRan ? ratio(SharedA->T.SplitWork.Propagations,
-                          SharedConeA->T.SplitWork.Propagations)
-                  : 0.0;
-  bool ConeGateOk = ConeGateRan && ConePropRatio >= 1.5;
+  bool SpeedupOk = SeedSatRatio >= 2.0 || SeedWallRatio >= 1.5;
 
   // Parallel cell dispatch: bit-identical results at every worker count.
   // portfolio_par2 == portfolio_par8 checks the fan-out is schedule-free;
   // fork == fork_par8 checks the batch machinery alone (no racing in the
   // mix) reproduces the sequential loop exactly.
-  bool ParCellBitOk =
-      (!Par2A || !Par8A || recordsBitEqual(*Par2A, *Par8A)) &&
-      (!ForkPar8A || recordsBitEqual(Arms[ForkArm], *ForkPar8A));
+  bool ParCellBitOk = recordsBitEqual(Arms[Par2Arm], Arms[Par8Arm]) &&
+                      recordsBitEqual(Arms[ForkArm], Arms[ForkPar8Arm]);
 
   // The portfolio's splitting stage must cost exactly the sound fork's
   // SAT work: the adaptive probe gate retires the fast arm at the cunroll
   // budget, so stage 4 runs pure sound forks. Work equality is exact and
   // deterministic; the wall comparison gets slack for timer noise (the
   // work being identical, the wall should track fork closely).
-  bool PortSplitWorkOk = !PortA || PortA->T.splitSatWork() ==
-                                       TA.splitSatWork();
+  bool PortSplitWorkOk = PortA->T.splitSatWork() == TA.splitSatWork();
   double PortSplitWallX =
-      PortA && TA.SplitWallNanos
+      TA.SplitWallNanos
           ? static_cast<double>(PortA->T.SplitWallNanos) /
                 static_cast<double>(TA.SplitWallNanos)
           : 1.0;
@@ -776,18 +705,16 @@ int main(int argc, char **argv) {
               DefaultArm >= 0 ? Arms[static_cast<size_t>(DefaultArm)].Name
                               : "n/a",
               DefaultParityOk ? "OK" : "MISMATCH");
-  std::printf("  full matrix bit-identical: %s (%d mismatching verdicts)\n",
+  std::printf("  all arms verdict-identical to fork: %s (%d mismatching "
+              "verdicts)\n",
               TotalMismatches == 0 ? "OK" : "NO", TotalMismatches);
-  std::printf("  seed->fork splitting reduction (>=2x sat or >=1.5x wall): "
-              "%s (%.2fx sat, %.2fx wall)\n",
-              SpeedupOk ? "OK" : "MISMATCH", SeedSatRatio, SeedWallRatio);
-  if (ConeGateRan)
-    std::printf("  >=1.5x shared-learnt propagation cut from cone: %s "
-                "(%.2fx)\n",
-                ConeGateOk ? "OK" : "MISMATCH", ConePropRatio);
+  if (NoSplitWork)
+    std::printf("  seed->fork splitting reduction (>=2x sat or >=1.5x wall): "
+                "SKIPPED (no stage-4 work in either arm)\n");
   else
-    std::printf("  >=1.5x shared-learnt propagation cut from cone: "
-                "SKIPPED (no shared-learnt splitting work ran)\n");
+    std::printf("  seed->fork splitting reduction (>=2x sat or >=1.5x wall): "
+                "%s (%.2fx sat, %.2fx wall)\n",
+                SpeedupOk ? "OK" : "MISMATCH", SeedSatRatio, SeedWallRatio);
   std::printf("  parallel cell dispatch bit-identical at 1/2/8 workers: "
               "%s\n",
               ParCellBitOk ? "OK" : "MISMATCH");
@@ -929,10 +856,6 @@ int main(int argc, char **argv) {
   }
   appendf(J, "  \"seed_sat_ratio\": %.3f,\n  \"seed_wall_ratio\": %.3f,\n",
           SeedSatRatio, SeedWallRatio);
-  if (ConeGateRan)
-    appendf(J, "  \"cone_prop_ratio\": %.3f,\n", ConePropRatio);
-  else
-    appendf(J, "  \"cone_prop_ratio\": null,\n");
   appendf(J, "  \"portfolio_split_wall_x\": %.3f,\n", PortSplitWallX);
   appendf(J, "  \"total_mismatches\": %d,\n", TotalMismatches);
   appendf(J,
@@ -945,11 +868,11 @@ int main(int argc, char **argv) {
   appendf(J,
           "  \"shape_ok\": %s,\n  \"seed_parity_ok\": %s,\n"
           "  \"default_parity_ok\": %s,\n  \"speedup_ok\": %s,\n"
-          "  \"cone_gate_ok\": %s,\n  \"par_cell_bit_ok\": %s,\n"
+          "  \"par_cell_bit_ok\": %s,\n"
           "  \"portfolio_split_ok\": %s,\n",
           ShapeOk ? "true" : "false", SeedParityOk ? "true" : "false",
-          DefaultParityOk ? "true" : "false", SpeedupOk ? "true" : "false",
-          ConeGateRan ? (ConeGateOk ? "true" : "false") : "null",
+          DefaultParityOk ? "true" : "false",
+          NoSplitWork ? "null" : (SpeedupOk ? "true" : "false"),
           ParCellBitOk ? "true" : "false",
           PortfolioSplitOk ? "true" : "false");
   appendf(J,
@@ -1000,8 +923,8 @@ int main(int argc, char **argv) {
   bool StoreOk = StoreBitOk && StoreColdOk && StoreWarmOk && StoreSpeedOk &&
                  StoreArmParityOk && PersistOk;
 
-  return ShapeOk && SeedParityOk && DefaultParityOk && SpeedupOk &&
-                 (ConeGateOk || !ConeGateRan) && ParCellBitOk &&
+  return ShapeOk && SeedParityOk && DefaultParityOk &&
+                 (SpeedupOk || NoSplitWork) && ParCellBitOk &&
                  PortfolioSplitOk && SpanParityOk && WallParityOk &&
                  CounterParityOk && TraceJsonOk && MetricsJsonOk && StoreOk &&
                  JsonOk && ObsOk

@@ -41,11 +41,9 @@ uint64_t EquivConfig::configHash() const {
   H = hashField(H, 7, EnableAlive2 ? 1 : 0);
   H = hashField(H, 8, EnableCUnroll ? 1 : 0);
   H = hashField(H, 9, EnableSplitting ? 1 : 0);
-  H = hashField(H, 10, IncrementalSolving ? 1 : 0);
+  // Tags 10 and 12-14 are retired (removed solver-mode knobs); never
+  // reuse them.
   H = hashField(H, 11, SplitCellOverride ? 1 : 0);
-  H = hashField(H, 12, SharedLearntSolving ? 1 : 0);
-  H = hashField(H, 13, ConeProjection ? 1 : 0);
-  H = hashField(H, 14, TrailReuse ? 1 : 0);
   H = hashField(H, 15, PortfolioSolving ? 1 : 0);
   H = hashField(H, 16, static_cast<uint64_t>(
                            static_cast<uint32_t>(SplitCellWorkers)));
@@ -274,9 +272,9 @@ static void checkEquivalenceImpl(const std::string &ScalarSrc,
 
   // Stages 3-4 share one straight-lined encoding: both verify the same
   // aligned block, stage 3 over the full compare window and stage 4
-  // cell-by-cell. With Cfg.IncrementalSolving one RefinementSession blasts
-  // that encoding once and all queries (the stage-3 attempt and every
-  // stage-4 cell) run against the same incremental SAT context.
+  // cell-by-cell. One RefinementSession blasts that encoding once and all
+  // queries (the stage-3 attempt and every stage-4 cell) run against the
+  // same incremental SAT context.
   UnrollResult SU, VU;
   vir::VFunctionPtr SUV, VUV;
   std::string UnrollErr;
@@ -293,14 +291,7 @@ static void checkEquivalenceImpl(const std::string &ScalarSrc,
 
   tv::RefineOptions StraightRO;
   StraightRO.ScalarMax = Cfg.ScalarMax;
-  // Query-scoped solving applies to the shared stage-3/4 session — the
-  // hot path the knobs were built for (many queries over one encoding).
-  StraightRO.SharedLearnt = Cfg.SharedLearntSolving;
-  StraightRO.Solver.ConeProjection = Cfg.ConeProjection;
-  StraightRO.Solver.TrailReuse = Cfg.TrailReuse;
-  // Portfolio racing needs a fork-clean sound base; the shared-learnt
-  // mode already owns the shared base, so it wins when both are set.
-  StraightRO.Portfolio = Cfg.PortfolioSolving && !Cfg.SharedLearntSolving;
+  StraightRO.Portfolio = Cfg.PortfolioSolving;
   StraightRO.SrcExec.MemWindow = static_cast<int>(Align.Start + Align.V) + 10;
   StraightRO.TgtExec.MemWindow = StraightRO.SrcExec.MemWindow;
   StraightRO.CompareWindow = StraightRO.SrcExec.MemWindow;
@@ -324,13 +315,7 @@ static void checkEquivalenceImpl(const std::string &ScalarSrc,
       if (SUV && VUV) {
         smt::SatBudget Budget = StraightRO.Budget;
         Budget.MaxConflicts = Cfg.CUnrollBudget;
-        if (Cfg.IncrementalSolving) {
-          Out.CUnrollRes = sharedSession().checkFull(Budget);
-        } else {
-          tv::RefineOptions RO = StraightRO;
-          RO.Budget = Budget;
-          Out.CUnrollRes = tv::checkRefinement(*SUV, *VUV, RO);
-        }
+        Out.CUnrollRes = sharedSession().checkFull(Budget);
         if (Out.CUnrollRes.V == TVVerdict::Equivalent ||
             Out.CUnrollRes.V == TVVerdict::Inequivalent) {
           Out.Final = Out.CUnrollRes.V == TVVerdict::Equivalent
@@ -397,7 +382,15 @@ static void checkEquivalenceImpl(const std::string &ScalarSrc,
             AllEq = false;
           Out.SplitRes.push_back(std::move(RJ));
         };
-        if (Cfg.IncrementalSolving && Cfg.SplitCellWorkers > 1) {
+        if (Cfg.SplitCellOverride) {
+          for (int J = 0; J < static_cast<int>(Align.V) && !Decided; ++J) {
+            support::throwIfCancelled("equiv.cell");
+            tv::RefineOptions RO = StraightRO;
+            RO.CellFilter = static_cast<int>(Align.Start) + J;
+            RO.Budget = Budget;
+            applyCell(RO.CellFilter, Cfg.SplitCellOverride(*SUV, *VUV, RO));
+          }
+        } else if (Cfg.SplitCellWorkers > 1) {
           // Parallel per-cell dispatch: pre-built violation terms, one
           // isolated fork per solve, deterministic cell-order merge.
           std::vector<int> Cells(static_cast<size_t>(Align.V));
@@ -411,18 +404,7 @@ static void checkEquivalenceImpl(const std::string &ScalarSrc,
           for (int J = 0; J < static_cast<int>(Align.V) && !Decided; ++J) {
             support::throwIfCancelled("equiv.cell");
             int Cell = static_cast<int>(Align.Start) + J;
-            TVResult RJ;
-            if (Cfg.IncrementalSolving) {
-              RJ = sharedSession().checkCell(Cell, Budget);
-            } else {
-              tv::RefineOptions RO = StraightRO;
-              RO.CellFilter = Cell;
-              RO.Budget = Budget;
-              RJ = Cfg.SplitCellOverride
-                       ? Cfg.SplitCellOverride(*SUV, *VUV, RO)
-                       : tv::checkRefinement(*SUV, *VUV, RO);
-            }
-            applyCell(Cell, std::move(RJ));
+            applyCell(Cell, sharedSession().checkCell(Cell, Budget));
           }
         }
         if (!Decided && AllEq) {

@@ -54,41 +54,17 @@ struct EquivConfig {
   bool EnableAlive2 = true;      ///< Ablation: skip stage 2.
   bool EnableCUnroll = true;     ///< Ablation: skip stage 3.
   bool EnableSplitting = true;   ///< Ablation: skip stage 4.
-  /// Share one incremental RefinementSession across stage 3 and all
-  /// stage-4 per-cell queries: symbolic execution and the common-encoding
-  /// blast happen once, each query runs in a throwaway fork of the
-  /// pristine base (verdicts identical to scratch solving by
-  /// construction). false restores the seed behaviour — a scratch solver
-  /// per query — and exists for ablation/benchmark comparison.
-  bool IncrementalSolving = true;
-  /// Query-scoped solving for the stage-3/4 session (see smt/README.md):
-  /// SharedLearntSolving runs queries directly on the shared base solver
-  /// (no per-query fork; learnt clauses carry across, heuristics rewind
-  /// per query); ConeProjection restricts each query's search to its
-  /// definitional cone; TrailReuse keeps the assumption trail prefix
-  /// across Luby restarts. All three perturb search order, and
-  /// budget-bound verdicts are order-sensitive, so the defaults follow
-  /// the bench_table3_equivalence parity matrix: fork-per-query is the
-  /// configuration with bit-identical verdicts on all 149 pairs (cone
-  /// projection is parity-clean there too but pays without winning in
-  /// fork mode), while shared-learnt + cone — the config that removes
-  /// the measured 2x shared-DB propagation overhead — still flips a
-  /// handful of budget-borderline verdicts and therefore stays opt-in.
-  bool SharedLearntSolving = false;
-  bool ConeProjection = false;
-  bool TrailReuse = false;
   /// Portfolio racing for the stage-3/4 session (smt/README.md
-  /// "Portfolio mode"): every query first runs a *fast arm* — a
-  /// dedicated shared-learnt base with cone projection and trail reuse,
-  /// the configuration the bench matrix measures fastest — under the
-  /// same budget. A decided fast verdict is accepted (both arms run
-  /// complete searches, so any Sat/Unsat is sound; the shared-arm
-  /// verdict flips are all budget artifacts), while an indeterminate
-  /// one falls back to the sound fork arm, whose verdict is
-  /// bit-identical to plain fork-per-query by construction. This keeps
-  /// the fast arms' speed without giving up fork-parity verdicts, so it
-  /// is the default. Requires IncrementalSolving; ignored when
-  /// SharedLearntSolving is set (that mode already owns a shared base).
+  /// "Portfolio mode"). Stages 3 and 4 share one tv::RefinementSession:
+  /// symbolic execution and the common-encoding blast happen once, and
+  /// every query first runs a *fast arm* — a dedicated shared-learnt base
+  /// with cone projection and trail reuse — under a probe slice of its
+  /// budget. A decided fast verdict is accepted (both arms run complete
+  /// searches, so any Sat/Unsat is sound), while an indeterminate one
+  /// falls back to the sound arm: a throwaway fork of the pristine base,
+  /// whose verdict is bit-identical to a scratch solver by construction.
+  /// false runs the sound fork alone — the parity reference
+  /// bench_table3_equivalence gates the portfolio's verdicts against.
   bool PortfolioSolving = true;
   /// Stage-4 cell queries solved with this many threads via
   /// tv::RefinementSession::checkCells. 1 (default) keeps the
@@ -104,10 +80,12 @@ struct EquivConfig {
   /// the forked batch path, while both arms' verdicts stay gated
   /// against fork-per-query in bench_table3).
   int SplitCellWorkers = 1;
-  /// Bench/A-B hook: when set (and IncrementalSolving is false), stage-4
-  /// per-cell refinement queries route through this callback instead of
-  /// the built-in backend. bench_table3_equivalence uses it to drive a
-  /// frozen copy of the seed smt stack as the "before" measurement.
+  /// Reference hook: when set, every stage-4 per-cell refinement query
+  /// routes through this callback, one cell at a time, instead of the
+  /// session (SplitCellWorkers is then ignored). bench_table3_equivalence
+  /// uses it to drive a frozen copy of the seed smt stack as the "before"
+  /// measurement; tests use tv::checkRefinement as a scratch-solver
+  /// reference.
   std::function<tv::TVResult(const vir::VFunction &, const vir::VFunction &,
                              const tv::RefineOptions &)>
       SplitCellOverride;

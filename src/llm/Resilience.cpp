@@ -1,14 +1,8 @@
-//===- llm/Resilience.cpp - breaker + hedging client decorators --------------===//
+//===- llm/Resilience.cpp - circuit-breaker client decorator -----------------===//
 
 #include "llm/Resilience.h"
 
 #include "obs/Metrics.h"
-#include "support/Cancel.h"
-
-#include <condition_variable>
-#include <exception>
-#include <mutex>
-#include <thread>
 
 using namespace lv;
 using namespace lv::llm;
@@ -51,77 +45,6 @@ private:
   support::CircuitBreaker *Breaker;
 };
 
-/// One arm's result in a hedged race.
-struct ArmResult {
-  bool Ok = false;
-  Completion C;
-  std::exception_ptr Err;
-};
-
-/// Hedged completion: late calls race the primary (inline) against the
-/// secondary (helper thread); first successful arrival wins and cancels
-/// the loser through per-arm tokens parented to the task's token.
-class HedgeClient : public LLMClient {
-public:
-  HedgeClient(std::unique_ptr<LLMClient> Primary,
-              std::unique_ptr<LLMClient> Secondary, uint64_t HedgeAfterCalls)
-      : Primary(std::move(Primary)), Secondary(std::move(Secondary)),
-        HedgeAfter(HedgeAfterCalls) {}
-
-  Completion complete(const Prompt &P, uint64_t SampleIndex) override {
-    uint64_t CI = Calls++;
-    if (CI < HedgeAfter)
-      return Primary->complete(P, SampleIndex);
-
-    obs::counter("llm.hedges").inc();
-    support::CancelToken *TaskTok = support::currentCancelToken();
-    support::CancelToken PrimTok(TaskTok), SecTok(TaskTok);
-
-    ArmResult Prim, Sec;
-    std::mutex M;
-    int Winner = -1; // 0 = primary, 1 = secondary; first success claims it.
-
-    auto runArm = [&](LLMClient *C, support::CancelToken *Tok, ArmResult &R,
-                      int Idx, support::CancelToken *Other) {
-      support::CancelScope Scope(Tok);
-      try {
-        R.C = C->complete(P, SampleIndex);
-        R.Ok = true;
-      } catch (...) {
-        R.Err = std::current_exception();
-      }
-      std::lock_guard<std::mutex> L(M);
-      if (R.Ok && Winner < 0) {
-        Winner = Idx;
-        // The race is decided; the loser only wastes budget now.
-        Other->requestCancel();
-      }
-    };
-
-    std::thread T(
-        [&] { runArm(Secondary.get(), &SecTok, Sec, 1, &PrimTok); });
-    runArm(Primary.get(), &PrimTok, Prim, 0, &SecTok);
-    T.join();
-
-    if (Winner == 1) {
-      obs::counter("llm.hedge_wins").inc();
-      return Sec.C;
-    }
-    if (Winner == 0)
-      return Prim.C;
-    // Both arms failed. The primary's error is the canonical one: a task-
-    // deadline cancellation surfaces there, and under scripted chaos it is
-    // the arm whose fault schedule tests pin.
-    std::rethrow_exception(Prim.Err);
-  }
-
-private:
-  std::unique_ptr<LLMClient> Primary;
-  std::unique_ptr<LLMClient> Secondary;
-  uint64_t HedgeAfter;
-  uint64_t Calls = 0;
-};
-
 } // namespace
 
 std::unique_ptr<LLMClient> llm::wrapBreaker(std::unique_ptr<LLMClient> Inner,
@@ -129,13 +52,4 @@ std::unique_ptr<LLMClient> llm::wrapBreaker(std::unique_ptr<LLMClient> Inner,
   if (!Breaker || !Breaker->config().Enabled)
     return Inner;
   return std::make_unique<BreakerClient>(std::move(Inner), Breaker);
-}
-
-std::unique_ptr<LLMClient> llm::wrapHedge(std::unique_ptr<LLMClient> Primary,
-                                          std::unique_ptr<LLMClient> Secondary,
-                                          uint64_t HedgeAfterCalls) {
-  if (!Secondary || HedgeAfterCalls == 0)
-    return Primary;
-  return std::make_unique<HedgeClient>(std::move(Primary),
-                                       std::move(Secondary), HedgeAfterCalls);
 }

@@ -1,33 +1,18 @@
-//===- llm/Resilience.h - breaker + hedging client decorators ---*- C++ -*-===//
+//===- llm/Resilience.h - circuit-breaker client decorator -----*- C++ -*-===//
 ///
 /// \file
-/// Serving-policy decorators over the `LLMClient` seam, composing with
+/// Serving-policy decorator over the `LLMClient` seam, composing with
 /// `llm::wrapChaos` the same way chaos composes with any inner client:
+/// `wrapBreaker` gates every call through a shared
+/// `support::CircuitBreaker`. A rejected call throws a *transient*
+/// `ClientError` without touching the backend — the service's existing
+/// retry/classification machinery then treats an open breaker exactly
+/// like a fast-failing endpoint (retries spin the breaker's reject
+/// countdown toward the half-open probe, and exhaustion classifies as
+/// ClientTransient). The breaker learns from the calls it admits: a
+/// success closes, client faults count toward the trip threshold.
 ///
-///   * `wrapBreaker` gates every call through a shared
-///     `support::CircuitBreaker`. A rejected call throws a *transient*
-///     `ClientError` without touching the backend — the service's
-///     existing retry/classification machinery then treats an open
-///     breaker exactly like a fast-failing endpoint (retries spin the
-///     breaker's reject countdown toward the half-open probe, and
-///     exhaustion classifies as ClientTransient). The breaker learns from
-///     the calls it admits: a success closes, client faults count toward
-///     the trip threshold.
-///
-///   * `wrapHedge` races a second, independent client against the
-///     primary for late calls in a task: once a task's per-client call
-///     count reaches `HedgeAfterCalls`, each completion is issued on both
-///     arms concurrently and the first arrival wins. The trigger is a
-///     call *count*, not a latency threshold, for the same reason the
-///     breaker is — schedule-independence. Because completions are
-///     index-pure — both arms return byte-identical Sources on success —
-///     hedging changes latency, never content, as long as content faults
-///     (truncation/garbage) are off; see svc/README.md "Overload &
-///     recovery" for the determinism argument. The loser is cancelled
-///     through a CancelToken parented to the task's token, so a hedged
-///     task still honours its deadline.
-///
-/// Both decorators preserve the one-task-one-client ownership contract:
+/// The decorator preserves the one-task-one-client ownership contract:
 /// the breaker pointer is the only shared state, and it is internally
 /// locked.
 ///
@@ -50,19 +35,6 @@ namespace llm {
 /// the `llm.breaker_rejected` counter.
 std::unique_ptr<LLMClient> wrapBreaker(std::unique_ptr<LLMClient> Inner,
                                        support::CircuitBreaker *Breaker);
-
-/// Decorates \p Primary with hedging: calls numbered >= \p HedgeAfterCalls
-/// (per-client counter, first call is 0) run the identical completion on
-/// \p Secondary from a helper thread, racing the inline primary. The first
-/// arm to finish wins; when both succeed the first arrival is kept (the
-/// arms are index-pure, so the bytes agree). If the winning arm failed but
-/// the other succeeded, the success is kept — a hedge absorbs one arm's
-/// transient fault. The losing arm is cancelled via a CancelToken parented
-/// to the caller's current token. Hedged calls and secondary-arm wins land
-/// in `llm.hedges` / `llm.hedge_wins`.
-std::unique_ptr<LLMClient> wrapHedge(std::unique_ptr<LLMClient> Primary,
-                                     std::unique_ptr<LLMClient> Secondary,
-                                     uint64_t HedgeAfterCalls);
 
 } // namespace llm
 } // namespace lv

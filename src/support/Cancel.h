@@ -46,17 +46,9 @@ inline uint64_t steadyNowNanos() {
 }
 
 /// Shared cancellation state for one task. Cheap to poll (two relaxed
-/// loads and a clock read only when a deadline is armed). A token may be
-/// linked to a parent token (hedged request arms parent to the task
-/// token): the child expires as soon as either its own state or the
-/// parent's does, so cancelling a task cancels every arm derived from it
-/// while each arm can still be cancelled individually. The parent must
-/// outlive the child (the service stack guarantees this by scoping arm
-/// tokens inside the task's stack frame).
+/// loads and a clock read only when a deadline is armed).
 class CancelToken {
 public:
-  CancelToken() = default;
-  explicit CancelToken(CancelToken *ParentTok) : Parent(ParentTok) {}
 
   /// Requests cancellation explicitly (independent of any deadline).
   void requestCancel() { Cancelled.store(true, std::memory_order_relaxed); }
@@ -67,21 +59,17 @@ public:
                      std::memory_order_relaxed);
   }
 
-  /// True once cancelled or past the armed deadline (own state or any
-  /// ancestor's).
+  /// True once cancelled or past the armed deadline.
   bool expired() const {
     if (Cancelled.load(std::memory_order_relaxed))
       return true;
     uint64_t D = DeadlineNs.load(std::memory_order_relaxed);
-    if (D != 0 && steadyNowNanos() >= D)
-      return true;
-    return Parent && Parent->expired();
+    return D != 0 && steadyNowNanos() >= D;
   }
 
 private:
   std::atomic<bool> Cancelled{false};
   std::atomic<uint64_t> DeadlineNs{0}; ///< steady nanos; 0 = no deadline.
-  CancelToken *Parent = nullptr;       ///< not owned; must outlive this.
 };
 
 /// Thrown by cooperative checkpoints when the current token has expired.

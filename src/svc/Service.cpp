@@ -163,7 +163,7 @@ void publishOutcome(const Outcome &O); // defined with the worker loop below
 } // namespace
 
 /// Hashes the serving-policy knobs that can alter a *completed* outcome's
-/// bytes (chaos schedule, seed derivation, retry budget, breaker, hedging)
+/// bytes (chaos schedule, seed derivation, retry budget, breaker)
 /// so journal task keys never collide across configs whose outcomes could
 /// differ — a journal shared between a chaos run and a clean run must not
 /// replay one into the other.
@@ -183,7 +183,6 @@ static uint64_t servingSalt(const ServiceConfig &C) {
   H = hashField(H, 10, C.Breaker.Enabled ? 1 : 0);
   H = hashField(H, 11, C.Breaker.TripFailures);
   H = hashField(H, 12, C.Breaker.OpenRejects);
-  H = hashField(H, 13, C.HedgeAfterCalls);
   return H;
 }
 
@@ -764,27 +763,13 @@ void VectorizerService::runTask(Task &T) {
 std::unique_ptr<llm::LLMClient>
 VectorizerService::makeTaskClient(const Request &R) {
   uint64_t TS = taskSeed(R.Seed, R.Name);
-  // ChaosSalt 0 keeps the primary arm's fault schedule byte-for-byte what
-  // it was before hedging existed; the secondary arm gets an independent
-  // schedule so the two arms don't fault in lockstep (a hedge that always
-  // fails with its primary absorbs nothing).
-  auto Build = [&](uint64_t ChaosSalt) {
-    std::unique_ptr<llm::LLMClient> C =
-        Cfg.MakeClient(Cfg.PerTaskSeedDerivation ? TS : R.Seed);
-    if (Cfg.Chaos.enabled())
-      C = llm::wrapChaos(std::move(C), Cfg.Chaos,
-                         ChaosSalt ? hashCombine(TS, ChaosSalt) : TS);
-    // Breaker sits above chaos: injected faults count toward the trip
-    // threshold, and a rejected call never consumes a chaos call index.
-    return llm::wrapBreaker(std::move(C), &Breaker);
-  };
-  std::unique_ptr<llm::LLMClient> Primary = Build(0);
-  if (Cfg.HedgeAfterCalls == 0)
-    return Primary;
-  // Both arms share the factory seed, so the inner completion streams are
-  // identical (index-pure): whichever arm wins returns the same bytes.
-  return llm::wrapHedge(std::move(Primary), Build(0x48ED6E),
-                        Cfg.HedgeAfterCalls);
+  std::unique_ptr<llm::LLMClient> C =
+      Cfg.MakeClient(Cfg.PerTaskSeedDerivation ? TS : R.Seed);
+  if (Cfg.Chaos.enabled())
+    C = llm::wrapChaos(std::move(C), Cfg.Chaos, TS);
+  // Breaker sits above chaos: injected faults count toward the trip
+  // threshold, and a rejected call never consumes a chaos call index.
+  return llm::wrapBreaker(std::move(C), &Breaker);
 }
 
 void VectorizerService::runStages(Task &T, support::CancelToken &Token) {

@@ -402,7 +402,7 @@ struct ServiceConfig {
   //===------------------------------------------------------------------===//
   // Overload protection + crash recovery (see svc/README.md "Overload &
   // recovery"). All defaults preserve the pre-overload behaviour exactly:
-  // unbounded admission, no breaker, no hedging, no journal.
+  // unbounded admission, no breaker, no journal.
   //===------------------------------------------------------------------===//
 
   /// What a full admission queue does with new work.
@@ -434,12 +434,6 @@ struct ServiceConfig {
   /// enabled breaker deliberately couples tasks through the failure path,
   /// so the worker-count bit-identity gates run with it off.
   support::BreakerConfig Breaker;
-  /// Hedged generate requests: per-client calls numbered >=
-  /// HedgeAfterCalls race a second index-pure completion stream and keep
-  /// the first arrival (0 = disabled). Content-deterministic as long as
-  /// content chaos (Truncate/Garbage) is off — both arms return identical
-  /// bytes on success.
-  uint64_t HedgeAfterCalls = 0;
 
   /// Directory of the crash-recovery batch journal (store/Journal.h).
   /// When set, completed (non-failed) task outcomes are journaled as they
@@ -566,8 +560,8 @@ private:
   void workerLoop();
   void runTask(Task &T);
   void runStages(Task &T, support::CancelToken &Token);
-  /// Builds a task's LLM client stack: factory client, then the chaos,
-  /// breaker, and hedging decorators as configured (innermost first).
+  /// Builds a task's LLM client stack: factory client, then the chaos
+  /// and breaker decorators as configured (innermost first).
   std::unique_ptr<llm::LLMClient> makeTaskClient(const Request &R);
   void backoffSleep(int Attempt);
   core::EquivResult checkCached(const std::string &ScalarSrc,
@@ -624,7 +618,7 @@ private:
 /// config hashes) and nothing that doesn't (deadline, priority: only
 /// completed outcomes are journaled, and completed outcomes are pure
 /// functions of the identity fields). Serving-policy knobs that can alter
-/// outcomes (chaos schedule, seed derivation, hedging) are mixed in by
+/// outcomes (chaos schedule, seed derivation, breaker) are mixed in by
 /// the service on top of this (see ServiceConfig::JournalPath).
 uint64_t requestKey(const Request &R);
 

@@ -21,6 +21,17 @@ using namespace lv::vir;
 using smt::TermId;
 using smt::TermTable;
 
+/// Portfolio fast-arm probe divisor: the fast racer runs under
+/// MaxConflicts / PortfolioProbeDiv (floor 1) of the query's conflict
+/// budget. On a multi-core wall-clock race the sound arm's latency is
+/// unaffected by the fast arm; this sequential emulation bounds the added
+/// latency of a losing fast probe to ~1/Div of the query budget instead.
+/// Verdict-neutral: a capped fast arm can only fall back more, and the
+/// sound fork's verdict is the parity reference. Corpus data shows
+/// fast-arm wins land well under 1/8 of the budget while losses always
+/// exhaust it, so the probe keeps the wins and caps the double-pay.
+static constexpr uint64_t PortfolioProbeDiv = 8;
+
 const char *lv::tv::verdictName(TVVerdict V) {
   switch (V) {
   case TVVerdict::Equivalent: return "Equivalent";
@@ -66,11 +77,10 @@ struct RefinementSession::Impl {
   /// Portfolio sessions: the fast racer's base — a copy of the pristine
   /// sound base running shared-learnt with cone projection and trail
   /// reuse. Sequential queries search it directly (learnt clauses
-  /// accumulate across queries, heuristics rewound per query, exactly the
-  /// shared_cone_reuse mode); batched cell dispatch forks it instead so
-  /// cells stay order-independent. The sound base IS below is never
-  /// searched in either case, so fallback forks reproduce plain
-  /// fork-per-query verdicts bit-exactly.
+  /// accumulate across queries, heuristics rewound per query); batched
+  /// cell dispatch forks it instead so cells stay order-independent. The
+  /// sound base IS below is never searched in either case, so fallback
+  /// forks reproduce plain fork-per-query verdicts bit-exactly.
   std::unique_ptr<smt::IncrementalSolver> FastIS;
   /// Unused fork slot for the sequential path's solveIsolated call (the
   /// sequential fast racer searches FastIS directly).
@@ -109,7 +119,6 @@ struct RefinementSession::Impl {
 
   Impl(const VFunction &Src, const VFunction &Tgt, const RefineOptions &O)
       : Opts(O), In(T), IS(T) {
-    IS.setOptions(Opts.Solver); // forks inherit via copy/assignFrom
     T.reserve(Opts.MaxTerms);
     {
       obs::Span Exec("tv", "tv.symexec");
@@ -178,16 +187,14 @@ struct RefinementSession::Impl {
     // The common prefix A && !UB_src is asserted once; per-query
     // violations then run under an assumption literal against it.
     IS.assertAlways(T.mkAnd(A, T.mkNot(SS.UB)));
-    // Shared-learnt sessions rewind branching heuristics to this point
-    // before every query: sharing covers the clause DB (learnt lemmas),
-    // not VSIDS/phase warmth — warm heuristics are the main way one
-    // query's search distorts the next one's budget-bound verdict.
-    if (Opts.SharedLearnt)
-      IS.snapshotHeuristics();
-    else if (Opts.Portfolio) {
+    if (Opts.Portfolio) {
       // Portfolio racing: the fast arm gets its own shared-learnt base
       // (cone projection + trail reuse), copied from the still-pristine
-      // sound base so both racers start from the identical encoding.
+      // sound base so both racers start from the identical encoding. Its
+      // branching heuristics rewind to this point before every query:
+      // sharing covers the clause DB (learnt lemmas), not VSIDS/phase
+      // warmth — warm heuristics are the main way one query's search
+      // distorts the next one's budget-bound verdict.
       FastIS.reset(new smt::IncrementalSolver(IS));
       smt::SatOptions FastOpts;
       FastOpts.ConeProjection = true;
@@ -399,8 +406,8 @@ TVResult RefinementSession::Impl::solveIsolated(
     // trail reuse, under a probe slice of the query budget (the test
     // hook can pinch it further to force the fallback path).
     smt::SatBudget FastB = Budget;
-    uint64_t Div = Opts.PortfolioProbeDiv ? Opts.PortfolioProbeDiv : 1;
-    FastB.MaxConflicts = std::max<uint64_t>(FastB.MaxConflicts / Div, 1);
+    FastB.MaxConflicts =
+        std::max<uint64_t>(FastB.MaxConflicts / PortfolioProbeDiv, 1);
     if (Opts.PortfolioFastMaxConflicts < FastB.MaxConflicts)
       FastB.MaxConflicts = Opts.PortfolioFastMaxConflicts;
     smt::SmtResult RF;
@@ -487,10 +494,7 @@ TVResult RefinementSession::Impl::queryBody(int CellLo, int CellHi,
   // so a syntactically identical violation (same TermId, thanks to
   // hash-consing) under the exact same budget replays its verdict — with
   // none of the SAT work. Budget equality covers every field: a retry
-  // with a loosened propagation/clause budget must re-solve. Shared-learnt
-  // sessions memoize too: replaying the first occurrence's verdict keeps
-  // duplicate cells verdict-identical to the fork modes (re-solving in a
-  // now-warmer solver would not be).
+  // with a loosened propagation/clause budget must re-solve.
   if (memoProbe(Viol, Budget, Out)) {
     obs::counter("tv.memo_hits").inc();
     Out.SolveNanos = elapsed();
@@ -521,7 +525,6 @@ TVResult RefinementSession::Impl::queryBody(int CellLo, int CellHi,
     if (RaceFast && Out.PortfolioArm == 2)
       FastFailedBudgetHi = std::max(FastFailedBudgetHi, Budget.MaxConflicts);
   } else {
-    IS.restoreHeuristics(); // no-op outside shared-learnt sessions
     smt::SmtResult R = IS.check(Viol, Budget);
     finishResult(Out, R);
   }
@@ -542,8 +545,7 @@ TVResult RefinementSession::Impl::queryBody(int CellLo, int CellHi,
 ///      TermTable is *const* during solving, and every solve runs in the
 ///      thread's own fork of state snapshotted before the fan-out (sound
 ///      base, and fast base in portfolio sessions), so results do not
-///      depend on scheduling. Shared-learnt sessions cannot fork; they
-///      solve sequentially on the shared base in cell order instead.
+///      depend on scheduling.
 ///   C. Merge in cell order: replay duplicates from the first occurrence
 ///      (zeroed work fields, exactly like a memo hit), emit the same
 ///      per-query span/counter shape as the sequential path, store memo
@@ -626,22 +628,7 @@ RefinementSession::Impl::queryBatch(const std::vector<int> &Cells,
   const size_t NSolve = Solves.size();
   int W = Workers < 1 ? 1 : Workers;
   const bool RaceFast = FastIS && Budget.MaxConflicts > FastFailedBudgetHi;
-  if (Opts.SharedLearnt) {
-    // No forking in shared-learnt sessions: sequential solves on the
-    // shared base, in cell order, exactly like the sequential loop.
-    for (size_t K = 0; K < NSolve; ++K) {
-      support::throwIfCancelled("tv.cell_solve");
-      CellPlan &P = Plans[Solves[K]];
-      auto SStart = nowNs();
-      IS.restoreHeuristics();
-      smt::SmtResult R = IS.check(P.Viol, Budget);
-      TVResult Res;
-      finishResult(Res, R);
-      Res.TermCount = P.QueryTerms;
-      Res.SolveNanos = P.BuildNanos + deltaNs(SStart);
-      P.Ready = Res;
-    }
-  } else if (NSolve > 0) {
+  if (NSolve > 0) {
     std::atomic<size_t> Next{0};
     std::vector<std::exception_ptr> Errs(NSolve);
     // Thread-locals do not cross the fan-out: capture the task's token
@@ -756,11 +743,11 @@ TVResult RefinementSession::checkFull(const smt::SatBudget &Budget) {
     Lo = I->Opts.CellFilter;
     Hi = I->Opts.CellFilter + 1;
   }
-  return I->query(Lo, Hi, Budget, /*Isolate=*/!I->Opts.SharedLearnt);
+  return I->query(Lo, Hi, Budget, /*Isolate=*/true);
 }
 
 TVResult RefinementSession::checkCell(int Cell, const smt::SatBudget &Budget) {
-  return I->query(Cell, Cell + 1, Budget, /*Isolate=*/!I->Opts.SharedLearnt);
+  return I->query(Cell, Cell + 1, Budget, /*Isolate=*/true);
 }
 
 std::vector<TVResult>

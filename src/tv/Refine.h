@@ -56,42 +56,21 @@ struct RefineOptions {
                         /*MaxClauses=*/3'000'000};
                                ///< SAT budget; exceeded => Inconclusive.
   size_t MaxTerms = 2'000'000; ///< Term-DAG cap (memout analogue).
-  /// Query-scoped solving knobs (cone projection, restart trail reuse)
-  /// applied to every SAT query of the session.
-  smt::SatOptions Solver;
-  /// Sessions only: run queries directly on the shared base solver (learnt
-  /// clauses, VSIDS state, and watcher positions carry across queries)
-  /// instead of forking a pristine copy per query. Cheaper when cone
-  /// projection keeps each query inside its own clause cone; perturbs
-  /// search order, so it ships gated by the bench_table3 parity matrix.
-  bool SharedLearnt = false;
   /// Sessions only: portfolio racing (see smt/README.md "Portfolio
   /// mode"). Every query first runs a *fast arm* — a dedicated
-  /// shared-learnt base with cone projection and trail reuse — under the
-  /// same budget; a decided fast verdict is accepted (both arms run
-  /// complete searches, so any Sat/Unsat they produce is sound), while an
-  /// indeterminate one falls back to the *sound arm*, a throwaway fork of
-  /// the pristine base exactly like plain fork-per-query solving. The
-  /// sound base is never searched, so fallback verdicts are bit-identical
-  /// to SharedLearnt=false solving by construction. An adaptive gate
-  /// stops racing a budget class once the fast arm has exhausted it
+  /// shared-learnt base with cone projection and trail reuse — under a
+  /// probe slice of the query budget; a decided fast verdict is accepted
+  /// (both arms run complete searches, so any Sat/Unsat they produce is
+  /// sound), while an indeterminate one falls back to the *sound arm*, a
+  /// throwaway fork of the pristine base exactly like plain fork-per-query
+  /// solving. The sound base is never searched, so fallback verdicts are
+  /// bit-identical to Portfolio=false solving by construction. An adaptive
+  /// gate stops racing a budget class once the fast arm has exhausted it
   /// without deciding (skipping the race is equally sound: the sound
   /// fork's verdict is the reference either way), so budget-bound stages
   /// like spatial splitting degrade to pure fork cost instead of paying
-  /// for both arms on every query. Mutually exclusive with SharedLearnt
-  /// (the fast arm already owns the shared-learnt base); ignored when
-  /// both are set.
+  /// for both arms on every query.
   bool Portfolio = false;
-  /// Fast-arm probe divisor: the fast racer runs under MaxConflicts /
-  /// PortfolioProbeDiv (floor 1) of the query's conflict budget. On a
-  /// multi-core wall-clock race the sound arm's latency is unaffected by
-  /// the fast arm; this sequential emulation bounds the added latency of
-  /// a losing fast probe to ~1/Div of the query budget instead. Verdict-
-  /// neutral: a capped fast arm can only fall back more, and the sound
-  /// fork's verdict is the parity reference. Corpus data shows fast-arm
-  /// wins land well under 1/8 of the budget while losses always exhaust
-  /// it, so the probe keeps the wins and caps the double-pay.
-  uint64_t PortfolioProbeDiv = 8;
   /// Test hook: caps the fast arm's conflict budget below the query
   /// budget (UINT64_MAX: no cap). Tests force fast-arm budget exhaustion
   /// with 0 to pin that the sound fork verdict wins every fallback.
@@ -159,13 +138,10 @@ struct TVResult {
 /// like a scratch solver over the same encoding: verdicts are identical
 /// to one-shot checkRefinement by construction (learnt clauses are NOT
 /// shared across queries — warm-solver state measurably distorts
-/// budget-bounded searches). RefineOptions::SharedLearnt flips the
-/// session to the non-forking mode instead: queries run directly on the
-/// base, sharing learnt clauses — profitable once
-/// RefineOptions::Solver.ConeProjection confines each query to its own
-/// clause cone (see smt/README.md "Query-scoped solving"). Identical
-/// queries (same violation TermId, same budget) replay their memoized
-/// verdict without solving in either mode.
+/// budget-bounded searches). RefineOptions::Portfolio adds the fast
+/// racer, the one place learnt clauses are shared (see smt/README.md
+/// "Portfolio mode"). Identical queries (same violation TermId, same
+/// budget) replay their memoized verdict without solving.
 ///
 /// \p Src and \p Tgt must outlive the session.
 class RefinementSession {
@@ -192,9 +168,7 @@ public:
   /// sequential stage-4 loop's early exit, the returned vector is
   /// truncated after the first Inequivalent cell. Because every solve
   /// runs in an isolated fork of state snapshotted before the fan-out,
-  /// results are bit-identical at any worker count. Requires isolated
-  /// queries: SharedLearnt sessions fall back to Workers=1 semantics
-  /// (still batch-built, solved sequentially on the shared base).
+  /// results are bit-identical at any worker count.
   std::vector<TVResult> checkCells(const std::vector<int> &Cells,
                                    const smt::SatBudget &Budget,
                                    int Workers);

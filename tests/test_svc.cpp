@@ -165,7 +165,6 @@ TEST(Service, CacheBypassedForUnhashableCallbacks) {
   R.ScalarSource = Scalar;
   R.CandidateSource = Scalar;
   R.Equiv = fastEquiv();
-  R.Equiv.IncrementalSolving = false;
   R.Equiv.SplitCellOverride = [](const vir::VFunction &S2,
                                  const vir::VFunction &T,
                                  const tv::RefineOptions &RO) {
@@ -204,18 +203,15 @@ TEST(Service, ChecksumWorkAggregatesInterpCounters) {
   EXPECT_EQ(O.ChecksumWork.Traps, 0u);
 }
 
-TEST(Service, SplitCellWorkersVerdictParity) {
-  // Starve stages 2-3 so the pair falls through to spatial splitting,
-  // then fan the per-cell queries across 1, 2, and 8 workers. The
-  // batched dispatch must be schedule-free: byte-identical outcomes
-  // between the batched widths. Width 1 takes the sequential path,
-  // whose fast racer searches the warm shared solver directly rather
-  // than a per-cell fork, so its fast-arm statistics may legitimately
-  // differ — verdict-level fields must still agree.
-  const char *Scalar =
+/// A verify request whose pair falls through to spatial splitting:
+/// stages 2-3 are starved, stage 4 gets a generous per-cell budget.
+Request splittingRequest(int CellWorkers) {
+  Request R;
+  R.Mode = RunMode::Verify;
+  R.ScalarSource =
       "void f(int n, int *a, int *b) { for (int i = 0; i < n; i++) "
       "a[i] = b[i] + 1; }";
-  const char *Vec = R"(
+  R.CandidateSource = R"(
       void f(int n, int *a, int *b) {
         __m256i one = _mm256_set1_epi32(1);
         for (int i = 0; i < n; i += 8) {
@@ -223,19 +219,24 @@ TEST(Service, SplitCellWorkersVerdictParity) {
           _mm256_storeu_si256((__m256i *)&a[i], _mm256_add_epi32(v, one));
         }
       })";
-  auto runAt = [&](int W) {
+  R.Equiv = fastEquiv();
+  R.Equiv.Alive2Budget = 1;
+  R.Equiv.CUnrollBudget = 1;
+  R.Equiv.SplitBudget = 50'000;
+  R.Equiv.SplitCellWorkers = CellWorkers;
+  return R;
+}
+
+TEST(Service, SplitCellWorkersVerdictParity) {
+  // Fan the per-cell queries across 1, 2, and 8 workers. The batched
+  // dispatch must be schedule-free: byte-identical outcomes between the
+  // batched widths. Width 1 takes the sequential path, whose fast racer
+  // searches the warm shared solver directly rather than a per-cell
+  // fork, so its fast-arm statistics may legitimately differ —
+  // verdict-level fields must still agree.
+  auto runAt = [](int W) {
     VectorizerService S;
-    Request R;
-    R.Mode = RunMode::Verify;
-    R.ScalarSource = Scalar;
-    R.CandidateSource = Vec;
-    R.Equiv = fastEquiv();
-    R.Equiv.Alive2Budget = 1;
-    R.Equiv.CUnrollBudget = 1;
-    R.Equiv.SplitBudget = 50'000;
-    R.Equiv.SplitCellWorkers = W;
-    Outcome O = S.wait(S.submit(std::move(R)));
-    return O;
+    return S.wait(S.submit(splittingRequest(W)));
   };
   Outcome One = runAt(1), Two = runAt(2), Eight = runAt(8);
   ASSERT_FALSE(Two.Equiv.SplitRes.empty()) << "splitting stage must run";
@@ -245,6 +246,31 @@ TEST(Service, SplitCellWorkersVerdictParity) {
   EXPECT_EQ(One.Equiv.DecidedBy, Two.Equiv.DecidedBy);
   EXPECT_EQ(One.Equiv.Detail, Two.Equiv.Detail);
   EXPECT_EQ(One.Equiv.Counterexample, Two.Equiv.Counterexample);
+}
+
+TEST(Service, SplitCellOverrideRoutesEveryCellThroughTheCallback) {
+  // The reference seam: with SplitCellOverride installed, every stage-4
+  // cell is one callback call — SplitCellWorkers does not fan the cells
+  // out — and the verdict equals the default session path's.
+  VectorizerService S;
+  Outcome Default = S.wait(S.submit(splittingRequest(4)));
+  int Calls = 0;
+  Request R = splittingRequest(4);
+  R.Equiv.SplitCellOverride = [&Calls](const vir::VFunction &S2,
+                                       const vir::VFunction &T,
+                                       const tv::RefineOptions &RO) {
+    ++Calls;
+    return tv::checkRefinement(S2, T, RO);
+  };
+  Outcome Over = S.wait(S.submit(std::move(R)));
+  ASSERT_FALSE(Over.Equiv.SplitRes.empty()) << "splitting stage must run";
+  EXPECT_EQ(Calls, static_cast<int>(Over.Equiv.SplitRes.size()));
+  EXPECT_EQ(Over.Equiv.Final, Default.Equiv.Final);
+  EXPECT_EQ(Over.Equiv.DecidedBy, Default.Equiv.DecidedBy);
+  ASSERT_EQ(Over.Equiv.SplitRes.size(), Default.Equiv.SplitRes.size());
+  for (size_t I = 0; I < Over.Equiv.SplitRes.size(); ++I)
+    EXPECT_EQ(Over.Equiv.SplitRes[I].V, Default.Equiv.SplitRes[I].V)
+        << "cell " << I;
 }
 
 TEST(ConfigHash, ChecksumFieldsDoNotAlias) {
@@ -284,17 +310,6 @@ TEST(ConfigHash, EquivFieldsDoNotAlias) {
   E.Checksum.Seed ^= 1; // nested config participates
   EXPECT_NE(E.configHash(), core::EquivConfig().configHash());
 
-  // The query-scoped-solving booleans participate and do not alias.
-  core::EquivConfig F, G;
-  F.SharedLearntSolving = !F.SharedLearntSolving;
-  G.ConeProjection = !G.ConeProjection;
-  EXPECT_NE(F.configHash(), G.configHash());
-  EXPECT_NE(F.configHash(), core::EquivConfig().configHash());
-  core::EquivConfig H;
-  H.TrailReuse = !H.TrailReuse;
-  EXPECT_NE(H.configHash(), core::EquivConfig().configHash());
-  EXPECT_NE(H.configHash(), G.configHash());
-
   // The portfolio knobs participate and do not alias the other booleans.
   core::EquivConfig I, J;
   I.PortfolioSolving = !I.PortfolioSolving;
@@ -302,7 +317,7 @@ TEST(ConfigHash, EquivFieldsDoNotAlias) {
   EXPECT_NE(I.configHash(), core::EquivConfig().configHash());
   EXPECT_NE(J.configHash(), core::EquivConfig().configHash());
   EXPECT_NE(I.configHash(), J.configHash());
-  EXPECT_NE(I.configHash(), H.configHash());
+  EXPECT_NE(I.configHash(), C.configHash());
 }
 
 TEST(ConfigHash, FsmFieldsDoNotAlias) {
@@ -327,8 +342,12 @@ TEST(ConfigHash, PinnedGoldenValues) {
   // PR 7: EquivConfig grew PortfolioSolving (default true) and
   // SplitCellWorkers — portfolio verdicts must never share a cache slot
   // with the pre-portfolio default.
+  // Solver-mode matrix removed: EquivConfig retired tags 10 and 12-14
+  // (the scratch, shared-learnt, cone-projection and trail-reuse modes).
+  // Store and journal headers embed this hash, so logs written under the
+  // old default are set aside on open.
   EXPECT_EQ(interp::ChecksumConfig().configHash(), 0xf48e134cc157f574ULL);
-  EXPECT_EQ(core::EquivConfig().configHash(), 0x9fb625218de1d1d3ULL);
+  EXPECT_EQ(core::EquivConfig().configHash(), 0xc4968b48354062acULL);
   EXPECT_EQ(agents::FsmConfig().configHash(), 0x5052f9edddaa4b60ULL);
 }
 

@@ -28,9 +28,6 @@
 //                     every stage-3/4 query probes a shared-learnt
 //                     cone+reuse fast arm first and falls back to the
 //                     pristine sound fork when the probe is inconclusive
-//   portfolio_par2/8  portfolio + stage-4 cells fanned across 2/8 workers
-//   fork_par8         plain fork + 8-worker cell fan-out (isolates the
-//                     dispatch machinery from the racing)
 //
 // Racing perturbs search order, and budget-bound verdicts are sensitive to
 // search order, so the arms are a verdict-parity harness first and a
@@ -38,13 +35,13 @@
 // differ from the fork reference, and the exit gates require (a)
 // seed/fork parity, (b) parity for the arm matching the EquivConfig
 // defaults (the configuration the svc funnel actually ships — portfolio;
-// the gate fails if no arm matches), (c) the parallel cell dispatch
-// bit-identical across worker counts (portfolio_par2 == portfolio_par8
-// record-for-record, and fork_par8 == fork), (d) the portfolio's
-// splitting stage costing exactly the sound fork's SAT work (the adaptive
-// probe gate retires the fast arm before stage 4, so any extra conflicts
-// there are a racing bug), and (e) the seed->fork splitting win, SKIPPED
-// — and out of the exit code — when neither arm did stage-4 work.
+// the gate fails if no arm matches), (c) every arm verdict-identical to
+// fork over the whole corpus (an arm with missing records fails it), (d)
+// the portfolio's splitting stage costing exactly the sound fork's SAT
+// work (the adaptive probe gate retires the fast arm before stage 4, so
+// any extra conflicts there are a racing bug), and (e) the seed->fork
+// splitting win, SKIPPED — and out of the exit code — when neither arm
+// did stage-4 work.
 // Everything is mirrored to BENCH_table3.json for CI tracking.
 //
 //===----------------------------------------------------------------------===//
@@ -177,7 +174,6 @@ struct Arm {
   const char *Name;
   bool Seed = false;      ///< Frozen seedref backend (fixed baseline).
   bool Portfolio = false; ///< PortfolioSolving (sound fast-path racing).
-  int CellWorkers = 1;    ///< SplitCellWorkers (stage-4 fan-out width).
 
   std::vector<FunnelRecord> Records;
   FunnelTally T;
@@ -219,52 +215,6 @@ RacerStats armRacer(const Arm &A) {
       S.add(C);
   }
   return S;
-}
-
-/// Field-level equality of two query results, SolveNanos excluded (the
-/// one field wall-clock is allowed to vary under). Everything else —
-/// verdict, diagnostics, solver work, cone sizes, and the portfolio
-/// attribution — must be bit-identical for the worker-count gates.
-bool tvEq(const tv::TVResult &A, const tv::TVResult &B) {
-  return A.V == B.V && A.Conflicts == B.Conflicts &&
-         A.Propagations == B.Propagations && A.Restarts == B.Restarts &&
-         A.TrailReused == B.TrailReused && A.ConeVars == B.ConeVars &&
-         A.ConeClauses == B.ConeClauses && A.Clauses == B.Clauses &&
-         A.SatVars == B.SatVars && A.LearntLive == B.LearntLive &&
-         A.AvgLBD == B.AvgLBD && A.TermCount == B.TermCount &&
-         A.PortfolioArm == B.PortfolioArm &&
-         A.FastConflicts == B.FastConflicts &&
-         A.FastPropagations == B.FastPropagations &&
-         A.FastRestarts == B.FastRestarts &&
-         A.FastTrailReused == B.FastTrailReused &&
-         A.FastConeVars == B.FastConeVars &&
-         A.FastConeClauses == B.FastConeClauses && A.Detail == B.Detail &&
-         A.Counterexample == B.Counterexample;
-}
-
-/// Record-for-record bit identity between two arms (verdicts, stage
-/// results, per-cell results). Prints the first divergence found.
-bool recordsBitEqual(const Arm &A, const Arm &B) {
-  if (A.Records.size() != B.Records.size())
-    return false;
-  for (size_t K = 0; K < A.Records.size(); ++K) {
-    const core::EquivResult &RA = A.Records[K].Result;
-    const core::EquivResult &RB = B.Records[K].Result;
-    bool Eq = RA.Final == RB.Final && RA.DecidedBy == RB.DecidedBy &&
-              RA.Detail == RB.Detail &&
-              RA.Counterexample == RB.Counterexample &&
-              tvEq(RA.Alive2Res, RB.Alive2Res) &&
-              tvEq(RA.CUnrollRes, RB.CUnrollRes) &&
-              RA.SplitRes.size() == RB.SplitRes.size();
-    for (size_t C = 0; Eq && C < RA.SplitRes.size(); ++C)
-      Eq = tvEq(RA.SplitRes[C], RB.SplitRes[C]);
-    if (!Eq) {
-      std::printf("  CELL-DISPATCH DIVERGENCE [%s vs %s] %s\n", A.Name,
-                  B.Name, A.Records[K].Name.c_str());
-      return false;
-    }
-  }
-  return true;
 }
 
 /// --quick test subset: the budget-borderline pairs whose verdicts flip
@@ -387,17 +337,14 @@ int main(int argc, char **argv) {
     PersistOk = PersistRun.Summary == ColdRun.Summary;
   }
 
-  // Name, Seed, Portfolio, CellWorkers: the same list for --quick and the
-  // full corpus. Every arm pins PortfolioSolving and SplitCellWorkers, so
-  // each keeps measuring exactly the configuration it is named after.
-  enum { SeedArm, ForkArm, PortArm, Par2Arm, Par8Arm, ForkPar8Arm };
+  // Name, Seed, Portfolio: the same list for --quick and the full corpus.
+  // Every arm pins PortfolioSolving, so each keeps measuring exactly the
+  // configuration it is named after.
+  enum { SeedArm, ForkArm, PortArm };
   std::vector<Arm> Arms = {
       {"seed", true},
       {"fork"},
-      {"portfolio", false, true, 1},
-      {"portfolio_par2", false, true, 2},
-      {"portfolio_par8", false, true, 8},
-      {"fork_par8", false, false, 8},
+      {"portfolio", false, true},
   };
 
   // The arm whose config hash equals Base's (the EquivConfig defaults
@@ -419,7 +366,6 @@ int main(int argc, char **argv) {
     Arm &A = Arms[I];
     core::EquivConfig Cfg = Base;
     Cfg.PortfolioSolving = A.Portfolio;
-    Cfg.SplitCellWorkers = A.CellWorkers;
     if (A.Seed)
       // Frozen seed smt stack: scratch solver + full re-blast per cell.
       Cfg.SplitCellOverride = [](const vir::VFunction &S,
@@ -456,7 +402,8 @@ int main(int argc, char **argv) {
     if (I == ForkArm)
       continue;
     Arm &A = Arms[I];
-    for (size_t K = 0; K < A.Records.size(); ++K) {
+    for (size_t K = 0;
+         K < A.Records.size() && K < Arms[ForkArm].Records.size(); ++K) {
       if (A.Records[K].Result.Final !=
               Arms[ForkArm].Records[K].Result.Final ||
           A.Records[K].Result.DecidedBy !=
@@ -472,6 +419,12 @@ int main(int argc, char **argv) {
     }
     TotalMismatches += A.Mismatches;
   }
+  // Every arm is designed to match fork verdict for verdict, so this is a
+  // hard gate; an arm that did not cover the whole corpus fails it.
+  bool AllArmsParityOk = TotalMismatches == 0;
+  for (const Arm &A : Arms)
+    if (A.Records.size() != Corpus.size())
+      AllArmsParityOk = false;
 
   // The store runs used the unmodified Base config — the EquivConfig
   // defaults — so their (Final, DecidedBy) funnel must match the default
@@ -572,13 +525,6 @@ int main(int argc, char **argv) {
   bool NoSplitWork = SeedA->T.splitSatWork() == 0 && TA.splitSatWork() == 0 &&
                      SeedA->T.SplitWallNanos == 0 && TA.SplitWallNanos == 0;
   bool SpeedupOk = SeedSatRatio >= 2.0 || SeedWallRatio >= 1.5;
-
-  // Parallel cell dispatch: bit-identical results at every worker count.
-  // portfolio_par2 == portfolio_par8 checks the fan-out is schedule-free;
-  // fork == fork_par8 checks the batch machinery alone (no racing in the
-  // mix) reproduces the sequential loop exactly.
-  bool ParCellBitOk = recordsBitEqual(Arms[Par2Arm], Arms[Par8Arm]) &&
-                      recordsBitEqual(Arms[ForkArm], Arms[ForkPar8Arm]);
 
   // The portfolio's splitting stage must cost exactly the sound fork's
   // SAT work: the adaptive probe gate retires the fast arm at the cunroll
@@ -707,7 +653,7 @@ int main(int argc, char **argv) {
               DefaultParityOk ? "OK" : "MISMATCH");
   std::printf("  all arms verdict-identical to fork: %s (%d mismatching "
               "verdicts)\n",
-              TotalMismatches == 0 ? "OK" : "NO", TotalMismatches);
+              AllArmsParityOk ? "OK" : "MISMATCH", TotalMismatches);
   if (NoSplitWork)
     std::printf("  seed->fork splitting reduction (>=2x sat or >=1.5x wall): "
                 "SKIPPED (no stage-4 work in either arm)\n");
@@ -715,9 +661,6 @@ int main(int argc, char **argv) {
     std::printf("  seed->fork splitting reduction (>=2x sat or >=1.5x wall): "
                 "%s (%.2fx sat, %.2fx wall)\n",
                 SpeedupOk ? "OK" : "MISMATCH", SeedSatRatio, SeedWallRatio);
-  std::printf("  parallel cell dispatch bit-identical at 1/2/8 workers: "
-              "%s\n",
-              ParCellBitOk ? "OK" : "MISMATCH");
   std::printf("  portfolio splitting == fork SAT work, wall <= 1.25x: %s "
               "(%.2fx wall)\n",
               PortfolioSplitOk ? "OK" : "MISMATCH", PortSplitWallX);
@@ -791,8 +734,7 @@ int main(int argc, char **argv) {
     appendf(J,
             "    {\"name\": \"%s\", \"queries\": %d, \"conflicts\": %llu, "
             "\"propagations\": %llu, \"trail_reused\": %llu, "
-            "\"wall_ns\": %llu, \"mismatches\": %d, "
-            "\"cell_workers\": %d, \"portfolio\": %s, "
+            "\"wall_ns\": %llu, \"mismatches\": %d, \"portfolio\": %s, "
             "\"fast_wins\": %llu, \"sound_wins\": %llu, "
             "\"fallbacks\": %llu, \"fast_conflicts\": %llu, "
             "\"fast_propagations\": %llu, \"fast_trail_reused\": %llu, "
@@ -803,7 +745,7 @@ int main(int argc, char **argv) {
             static_cast<unsigned long long>(A.T.SplitWork.Propagations),
             static_cast<unsigned long long>(A.T.SplitWork.TrailReused),
             static_cast<unsigned long long>(A.T.SplitWallNanos),
-            A.Mismatches, A.CellWorkers, A.Portfolio ? "true" : "false",
+            A.Mismatches, A.Portfolio ? "true" : "false",
             static_cast<unsigned long long>(R.FastWins),
             static_cast<unsigned long long>(R.SoundWins),
             static_cast<unsigned long long>(R.Fallbacks),
@@ -867,13 +809,12 @@ int main(int argc, char **argv) {
           static_cast<unsigned long long>(VerifyTasks));
   appendf(J,
           "  \"shape_ok\": %s,\n  \"seed_parity_ok\": %s,\n"
-          "  \"default_parity_ok\": %s,\n  \"speedup_ok\": %s,\n"
-          "  \"par_cell_bit_ok\": %s,\n"
-          "  \"portfolio_split_ok\": %s,\n",
+          "  \"default_parity_ok\": %s,\n  \"all_arms_parity_ok\": %s,\n"
+          "  \"speedup_ok\": %s,\n  \"portfolio_split_ok\": %s,\n",
           ShapeOk ? "true" : "false", SeedParityOk ? "true" : "false",
           DefaultParityOk ? "true" : "false",
+          AllArmsParityOk ? "true" : "false",
           NoSplitWork ? "null" : (SpeedupOk ? "true" : "false"),
-          ParCellBitOk ? "true" : "false",
           PortfolioSplitOk ? "true" : "false");
   appendf(J,
           "  \"span_parity_ok\": %s,\n  \"wall_parity_ok\": %s,\n"
@@ -923,9 +864,8 @@ int main(int argc, char **argv) {
   bool StoreOk = StoreBitOk && StoreColdOk && StoreWarmOk && StoreSpeedOk &&
                  StoreArmParityOk && PersistOk;
 
-  return ShapeOk && SeedParityOk && DefaultParityOk &&
-                 (SpeedupOk || NoSplitWork) && ParCellBitOk &&
-                 PortfolioSplitOk && SpanParityOk && WallParityOk &&
+  return ShapeOk && SeedParityOk && DefaultParityOk && AllArmsParityOk &&
+                 (SpeedupOk || NoSplitWork) && PortfolioSplitOk && SpanParityOk && WallParityOk &&
                  CounterParityOk && TraceJsonOk && MetricsJsonOk && StoreOk &&
                  JsonOk && ObsOk
              ? 0

@@ -41,12 +41,10 @@ uint64_t EquivConfig::configHash() const {
   H = hashField(H, 7, EnableAlive2 ? 1 : 0);
   H = hashField(H, 8, EnableCUnroll ? 1 : 0);
   H = hashField(H, 9, EnableSplitting ? 1 : 0);
-  // Tags 10 and 12-14 are retired (removed solver-mode knobs); never
-  // reuse them.
+  // Tags 10, 12-14 (removed solver-mode knobs) and 16 (the removed
+  // stage-4 cell fan-out width) are retired; never reuse them.
   H = hashField(H, 11, SplitCellOverride ? 1 : 0);
   H = hashField(H, 15, PortfolioSolving ? 1 : 0);
-  H = hashField(H, 16, static_cast<uint64_t>(
-                           static_cast<uint32_t>(SplitCellWorkers)));
   return H;
 }
 
@@ -367,10 +365,20 @@ static void checkEquivalenceImpl(const std::string &ScalarSrc,
         smt::SatBudget Budget = StraightRO.Budget;
         Budget.MaxConflicts = Cfg.SplitBudget;
         bool AllEq = true;
-        // Shared decision step: identical for the sequential loop and
-        // the batched fan-out (whose merge already reproduces the
-        // sequential early exit by truncating after an Inequivalent).
-        auto applyCell = [&](int Cell, TVResult RJ) {
+        // One query per cell, in cell order, stopping at the first
+        // Inequivalent cell.
+        for (int J = 0; J < static_cast<int>(Align.V) && !Decided; ++J) {
+          support::throwIfCancelled("equiv.cell");
+          int Cell = static_cast<int>(Align.Start) + J;
+          TVResult RJ;
+          if (Cfg.SplitCellOverride) {
+            tv::RefineOptions RO = StraightRO;
+            RO.CellFilter = Cell;
+            RO.Budget = Budget;
+            RJ = Cfg.SplitCellOverride(*SUV, *VUV, RO);
+          } else {
+            RJ = sharedSession().checkCell(Cell, Budget);
+          }
           if (RJ.V == TVVerdict::Inequivalent) {
             Out.Final = EquivResult::Inequivalent;
             Out.DecidedBy = Stage::Splitting;
@@ -381,31 +389,6 @@ static void checkEquivalenceImpl(const std::string &ScalarSrc,
           if (RJ.V != TVVerdict::Equivalent)
             AllEq = false;
           Out.SplitRes.push_back(std::move(RJ));
-        };
-        if (Cfg.SplitCellOverride) {
-          for (int J = 0; J < static_cast<int>(Align.V) && !Decided; ++J) {
-            support::throwIfCancelled("equiv.cell");
-            tv::RefineOptions RO = StraightRO;
-            RO.CellFilter = static_cast<int>(Align.Start) + J;
-            RO.Budget = Budget;
-            applyCell(RO.CellFilter, Cfg.SplitCellOverride(*SUV, *VUV, RO));
-          }
-        } else if (Cfg.SplitCellWorkers > 1) {
-          // Parallel per-cell dispatch: pre-built violation terms, one
-          // isolated fork per solve, deterministic cell-order merge.
-          std::vector<int> Cells(static_cast<size_t>(Align.V));
-          for (size_t J = 0; J < Cells.size(); ++J)
-            Cells[J] = static_cast<int>(Align.Start) + static_cast<int>(J);
-          std::vector<TVResult> Batch =
-              sharedSession().checkCells(Cells, Budget, Cfg.SplitCellWorkers);
-          for (size_t J = 0; J < Batch.size() && !Decided; ++J)
-            applyCell(Cells[J], std::move(Batch[J]));
-        } else {
-          for (int J = 0; J < static_cast<int>(Align.V) && !Decided; ++J) {
-            support::throwIfCancelled("equiv.cell");
-            int Cell = static_cast<int>(Align.Start) + J;
-            applyCell(Cell, sharedSession().checkCell(Cell, Budget));
-          }
         }
         if (!Decided && AllEq) {
           Out.Final = EquivResult::Equivalent;

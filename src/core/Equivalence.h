@@ -66,23 +66,10 @@ struct EquivConfig {
   /// false runs the sound fork alone — the parity reference
   /// bench_table3_equivalence gates the portfolio's verdicts against.
   bool PortfolioSolving = true;
-  /// Stage-4 cell queries solved with this many threads via
-  /// tv::RefinementSession::checkCells. 1 (default) keeps the
-  /// sequential per-cell loop — in portfolio mode the fast arm then
-  /// searches its warm shared base directly, the fastest shape on one
-  /// core. >1 fans the cells out: violation terms are pre-built
-  /// single-threaded, every solve runs in an isolated fork of
-  /// pre-fan-out state, and results merge in cell order — verdicts,
-  /// statistics, and debugString are bit-identical at any worker
-  /// count >= 2 by construction (and in non-portfolio fork mode the
-  /// batch is bit-identical to the sequential loop too; portfolio
-  /// fast-arm *statistics* differ between the warm sequential path and
-  /// the forked batch path, while both arms' verdicts stay gated
-  /// against fork-per-query in bench_table3).
-  int SplitCellWorkers = 1;
   /// Reference hook: when set, every stage-4 per-cell refinement query
-  /// routes through this callback, one cell at a time, instead of the
-  /// session (SplitCellWorkers is then ignored). bench_table3_equivalence
+  /// routes through this callback instead of the session. Either way
+  /// stage 4 asks one query per cell, in cell order, and stops at the
+  /// first Inequivalent cell. bench_table3_equivalence
   /// uses it to drive a frozen copy of the seed smt stack as the "before"
   /// measurement; tests use tv::checkRefinement as a scratch-solver
   /// reference.

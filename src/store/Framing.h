@@ -1,22 +1,17 @@
 //===- store/Framing.h - shared on-disk framing primitives ------*- C++ -*-===//
 ///
 /// \file
-/// The byte-level building blocks every append-only log in `src/store/`
-/// shares: a little-endian writer/reader pair and the CRC32 used to frame
-/// records. Extracted from Store.cpp so the batch journal (Journal.h) and
-/// the service's Outcome wire format reuse one implementation of the
-/// record contract instead of three diverging copies.
+/// The byte-level building blocks of the on-disk formats: a little-endian
+/// writer/reader pair, the CRC32 and the record frame constants. The one
+/// record log (RecordLog.h, behind ResultStore and BatchJournal) frames
+/// its records with them, and the service's Outcome wire format
+/// (svc::serializeOutcome) reuses the writer/reader:
 ///
-/// The framing contract (identical for ResultStore and BatchJournal):
-///
-///   file   := header record*
 ///   record := RecordMagic(u32) payloadLen(u32) crc32(payload)(u32) payload
 ///
-/// A reader walks records until magic/CRC/decoding fails, treats
-/// everything after the last good record as a torn tail, and truncates it
-/// away. Writers flush after every record so a kill leaves at most one
-/// torn record. Each log type has its own *file* magic and header layout;
-/// the *record* frame is shared.
+/// RecordLog owns the file header, the frame walk, torn-tail truncation
+/// and append-and-flush; each log type has its own *file* magic, the
+/// *record* frame is shared.
 ///
 //===----------------------------------------------------------------------===//
 

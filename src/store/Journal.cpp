@@ -2,228 +2,36 @@
 
 #include "store/Journal.h"
 
-#include "agents/Fsm.h"
-#include "core/Equivalence.h"
-#include "interp/Checksum.h"
 #include "obs/Metrics.h"
-#include "store/Framing.h"
-
-#include <filesystem>
-#include <system_error>
 
 using namespace lv;
 using namespace lv::store;
 
-namespace fs = std::filesystem;
-
 namespace {
 
-using framing::crc32;
-using framing::FrameBytes;
-using framing::Rd;
-using framing::RecordMagic;
-using framing::Wr;
-
 constexpr uint32_t FileMagic = 0x4C564A4E; // "LVJN"
-constexpr size_t HeaderBytes = 4 + 4 + 3 * 8;
 
-enum RecordKind : uint8_t {
-  KindBatchBegin = 1,
-  KindTaskDone = 2,
-};
-
-/// Header = magic + schema version + the three default configHash goldens
-/// — the same version pin as ResultStore, because journaled payloads are
-/// serialized Outcomes whose meaning depends on the same config layouts.
-std::string currentHeader() {
-  std::string Out;
-  Wr W{Out};
-  W.u32(FileMagic);
-  W.u32(BatchJournal::SchemaVersion);
-  W.u64(interp::ChecksumConfig().configHash());
-  W.u64(core::EquivConfig().configHash());
-  W.u64(agents::FsmConfig().configHash());
-  return Out;
-}
-
-bool parseHeader(const std::string &Bytes) {
-  if (Bytes.size() < HeaderBytes)
-    return false;
-  Rd R(reinterpret_cast<const uint8_t *>(Bytes.data()), HeaderBytes);
-  if (R.u32() != FileMagic || R.u32() != BatchJournal::SchemaVersion)
-    return false;
-  return R.u64() == interp::ChecksumConfig().configHash() &&
-         R.u64() == core::EquivConfig().configHash() &&
-         R.u64() == agents::FsmConfig().configHash();
-}
+/// The journal's one record kind. Kind 1 (the batch membership record of
+/// schema version 1) is retired.
+constexpr uint8_t KindTaskDone = 2;
 
 } // namespace
 
-BatchJournal::BatchJournal(const std::string &D) : Dir(D) {
-  LogPath = Dir + "/journal.log";
-  std::error_code EC;
-  fs::create_directories(Dir, EC);
-  load();
-}
-
-BatchJournal::~BatchJournal() {
-  std::lock_guard<std::mutex> L(M);
-  if (Log)
-    std::fclose(Log);
-  Log = nullptr;
-}
-
-void BatchJournal::setAside() {
-  std::error_code EC;
-  fs::rename(LogPath, LogPath + ".skipped", EC);
-  if (EC)
-    fs::remove(LogPath, EC);
-  Stats.VersionSkipped++;
-  obs::counter("journal.version_skipped").inc();
-}
-
-void BatchJournal::openFresh() {
-  std::string Tmp = LogPath + ".tmp";
-  std::FILE *F = std::fopen(Tmp.c_str(), "wb");
-  if (!F)
-    return;
-  std::string H = currentHeader();
-  size_t Written = std::fwrite(H.data(), 1, H.size(), F);
-  std::fclose(F);
-  if (Written != H.size())
-    return;
-  std::error_code EC;
-  fs::rename(Tmp, LogPath, EC);
-  if (EC)
-    return;
-  Log = std::fopen(LogPath.c_str(), "ab");
-}
-
-void BatchJournal::load() {
-  std::string Bytes;
-  {
-    std::FILE *F = std::fopen(LogPath.c_str(), "rb");
-    if (F) {
-      std::fseek(F, 0, SEEK_END);
-      long Size = std::ftell(F);
-      std::fseek(F, 0, SEEK_SET);
-      if (Size > 0) {
-        Bytes.resize(static_cast<size_t>(Size));
-        if (std::fread(&Bytes[0], 1, Bytes.size(), F) != Bytes.size())
-          Bytes.clear();
-      }
-      std::fclose(F);
-    }
-  }
-
-  if (Bytes.empty()) {
-    openFresh();
-    return;
-  }
-  if (!parseHeader(Bytes)) {
-    setAside();
-    openFresh();
-    return;
-  }
-
-  size_t Off = HeaderBytes;
-  size_t LastGood = Off;
-  while (Off < Bytes.size()) {
-    Rd Frame(reinterpret_cast<const uint8_t *>(Bytes.data()) + Off,
-             Bytes.size() - Off);
-    if (Frame.u32() != RecordMagic)
-      break;
-    uint32_t Len = Frame.u32();
-    uint32_t Crc = Frame.u32();
-    if (Frame.Fail || !Frame.need(Len))
-      break;
-    const uint8_t *Payload = Frame.P;
-    if (crc32(Payload, Len) != Crc)
-      break;
-    Rd R(Payload, Len);
-    bool Ok = false;
-    switch (R.u8()) {
-    case KindBatchBegin: {
-      uint32_t N = R.u32();
-      if (N > 1u << 24)
-        R.Fail = true;
-      for (uint32_t I = 0; I < N && !R.Fail; ++I)
-        (void)R.u64();
-      if (!R.Fail && R.done()) {
-        Stats.LoadedBatches++;
-        Ok = true;
-      }
-      break;
-    }
-    case KindTaskDone: {
-      uint64_t Key = R.u64();
-      DoneEntry E;
-      E.Verify = R.str();
-      E.Payload = R.str();
-      if (!R.Fail && R.done()) {
-        Done.emplace(Key, std::move(E));
-        Stats.LoadedDone++;
-        Ok = true;
-      }
-      break;
-    }
-    default:
-      break;
-    }
-    if (!Ok)
-      break; // decodes-short after a good CRC: treat as corruption, drop
-             // the suffix (append-only — everything after is suspect).
-    Off += FrameBytes + Len;
-    LastGood = Off;
-  }
-  if (LastGood < Bytes.size()) {
-    Stats.CorruptSkipped++;
-    obs::counter("journal.corrupt_skipped").inc();
-    std::error_code EC;
-    fs::resize_file(LogPath, LastGood, EC);
-  }
-  Log = std::fopen(LogPath.c_str(), "ab");
-}
-
-void BatchJournal::appendRecord(const std::string &Payload) {
-  if (!Log)
-    return;
-  std::string Frame;
-  Wr W{Frame};
-  W.u32(RecordMagic);
-  W.u32(static_cast<uint32_t>(Payload.size()));
-  W.u32(crc32(Payload));
-  Frame += Payload;
-  if (std::fwrite(Frame.data(), 1, Frame.size(), Log) != Frame.size()) {
-    // Disk full / I/O error: stop journaling, keep running (losing the
-    // journal costs re-execution after a crash, never correctness).
-    std::fclose(Log);
-    Log = nullptr;
-    Stats.AppendFailed++;
-    obs::counter("journal.append_failed").inc();
-    return;
-  }
-  // Flush per record: a kill leaves at most the final record torn, which
-  // the next load's CRC framing drops.
-  std::fflush(Log);
-  Stats.Writes++;
-  obs::counter("journal.writes").inc();
-}
-
-size_t BatchJournal::beginBatch(const std::vector<uint64_t> &Keys) {
-  std::lock_guard<std::mutex> L(M);
-  size_t AlreadyDone = 0;
-  for (uint64_t K : Keys)
-    if (Done.count(K))
-      ++AlreadyDone;
-  std::string Payload;
-  Wr W{Payload};
-  W.u8(KindBatchBegin);
-  W.u32(static_cast<uint32_t>(Keys.size()));
-  for (uint64_t K : Keys)
-    W.u64(K);
-  appendRecord(Payload);
-  return AlreadyDone;
+BatchJournal::BatchJournal(const std::string &D)
+    : Dir(D), Log(D, "journal.log", FileMagic, SchemaVersion, "journal") {
+  Log.open([this](framing::Rd &R) {
+    if (R.u8() != KindTaskDone)
+      return false;
+    uint64_t Key = R.u64();
+    DoneEntry E;
+    E.Verify = R.str();
+    E.Payload = R.str();
+    if (!R.done())
+      return false;
+    Done.emplace(Key, std::move(E));
+    Stats.LoadedDone++;
+    return true;
+  });
 }
 
 bool BatchJournal::lookupDone(uint64_t Key, const std::string &Verify,
@@ -245,21 +53,26 @@ void BatchJournal::recordDone(uint64_t Key, const std::string &Verify,
   if (!Ins.second)
     return; // already journaled (replayed task or duplicate key)
   std::string Rec;
-  Wr W{Rec};
+  framing::Wr W{Rec};
   W.u8(KindTaskDone);
   W.u64(Key);
   W.str(Verify);
   W.str(Payload);
-  appendRecord(Rec);
+  Log.append(Rec);
 }
 
 void BatchJournal::flush() {
   std::lock_guard<std::mutex> L(M);
-  if (Log)
-    std::fflush(Log);
+  Log.flush();
 }
 
 JournalStats BatchJournal::stats() const {
   std::lock_guard<std::mutex> L(M);
-  return Stats;
+  JournalStats S = Stats;
+  const LogStats &LS = Log.stats();
+  S.Writes = LS.Writes;
+  S.CorruptSkipped = LS.CorruptSkipped;
+  S.VersionSkipped = LS.VersionSkipped;
+  S.AppendFailed = LS.AppendFailed;
+  return S;
 }

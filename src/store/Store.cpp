@@ -2,35 +2,21 @@
 
 #include "store/Store.h"
 
-#include "agents/Fsm.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "store/Framing.h"
 #include "support/Rng.h"
 
 #include <cstring>
-#include <filesystem>
-#include <system_error>
 
 using namespace lv;
 using namespace lv::store;
 
-namespace fs = std::filesystem;
-
-//===----------------------------------------------------------------------===//
-// Framing primitives (shared with Journal.cpp — see store/Framing.h)
-//===----------------------------------------------------------------------===//
-
 namespace {
 
-using framing::crc32;
-using framing::FrameBytes;
 using framing::Rd;
-using framing::RecordMagic;
 using framing::Wr;
 
 constexpr uint32_t FileMagic = 0x4C565354; // "LVST"
-constexpr size_t HeaderBytes = 4 + 4 + 3 * 8;
 
 enum RecordKind : uint8_t {
   KindEquiv = 1,
@@ -378,230 +364,58 @@ size_t ResultStore::Key3Hash::operator()(const Key3 &K) const {
       hashCombine(hashCombine(K.Scalar, K.Candidate), K.Config));
 }
 
-ResultStore::ResultStore(const std::string &D) : Dir(D) {
-  LogPath = Dir + "/records.log";
-  std::error_code EC;
-  fs::create_directories(Dir, EC);
-  load();
-}
-
-ResultStore::~ResultStore() {
-  disableBytecodePersistence();
-  std::lock_guard<std::mutex> L(M);
-  if (Log)
-    std::fclose(Log);
-  Log = nullptr;
-}
-
-/// Builds the header bytes for the current build: schema version plus the
-/// three default configHash() golden values (pinned in test_svc.cpp). Any
-/// change to a config layout or hash scheme changes these, so incompatible
-/// stores are detected without reading a single record.
-static std::string currentHeader() {
-  std::string Out;
-  Wr W{Out};
-  W.u32(FileMagic);
-  W.u32(ResultStore::SchemaVersion);
-  W.u64(interp::ChecksumConfig().configHash());
-  W.u64(core::EquivConfig().configHash());
-  W.u64(agents::FsmConfig().configHash());
-  return Out;
-}
-
-bool ResultStore::parseHeader(const std::string &Bytes, size_t &Off) {
-  if (Bytes.size() < HeaderBytes)
-    return false;
-  Rd R(reinterpret_cast<const uint8_t *>(Bytes.data()), HeaderBytes);
-  if (R.u32() != FileMagic || R.u32() != SchemaVersion)
-    return false;
-  if (R.u64() != interp::ChecksumConfig().configHash() ||
-      R.u64() != core::EquivConfig().configHash() ||
-      R.u64() != agents::FsmConfig().configHash())
-    return false;
-  Off = HeaderBytes;
-  return true;
-}
-
-/// Renames the incompatible/undecodable log aside (never deletes data a
-/// different build may still want) and starts fresh.
-void ResultStore::setAside(const char *Why) {
-  std::error_code EC;
-  fs::rename(LogPath, LogPath + ".skipped", EC);
-  if (EC)
-    fs::remove(LogPath, EC); // rename failed (e.g. target busy): drop it
-  Stats.VersionSkipped++;
-  obs::counter("store.version_skipped").inc();
-  (void)Why;
-}
-
-/// Creates a fresh log via temp file + atomic rename: a crash between the
-/// two steps leaves either no log (next open recreates) or a complete
-/// header, never a torn one.
-void ResultStore::openFresh() {
-  std::string Tmp = LogPath + ".tmp";
-  std::FILE *F = std::fopen(Tmp.c_str(), "wb");
-  if (!F)
-    return;
-  std::string H = currentHeader();
-  size_t Written = std::fwrite(H.data(), 1, H.size(), F);
-  std::fclose(F);
-  if (Written != H.size())
-    return;
-  std::error_code EC;
-  fs::rename(Tmp, LogPath, EC);
-  if (EC)
-    return;
-  Log = std::fopen(LogPath.c_str(), "ab");
-}
-
-void ResultStore::load() {
+ResultStore::ResultStore(const std::string &D)
+    : Dir(D), Log(D, "records.log", FileMagic, SchemaVersion, "store",
+                  LogFaults{chaosFailLoad, chaosFailAppend}) {
   obs::Span LoadSpan("store", "store.load");
   LoadSpan.argStr("dir", Dir);
-
-  if (chaosFailLoad()) {
-    // Injected unreadable log. Degrade to a memory-only empty store and
-    // leave the file alone: openFresh() would rename a new header over a
-    // log that is merely unreadable right now, destroying good records a
-    // later open could still replay.
-    Stats.ReadFailed++;
-    obs::counter("store.read_failed").inc();
-    return;
-  }
-
-  std::string Bytes;
-  {
-    std::FILE *F = std::fopen(LogPath.c_str(), "rb");
-    if (F) {
-      std::fseek(F, 0, SEEK_END);
-      long Size = std::ftell(F);
-      std::fseek(F, 0, SEEK_SET);
-      if (Size > 0) {
-        Bytes.resize(static_cast<size_t>(Size));
-        if (std::fread(&Bytes[0], 1, Bytes.size(), F) != Bytes.size())
-          Bytes.clear();
-      }
-      std::fclose(F);
-    }
-  }
-
-  if (Bytes.empty()) {
-    // No store yet (or unreadable): start fresh.
-    openFresh();
-  } else {
-    size_t Off = 0;
-    if (!parseHeader(Bytes, Off)) {
-      // Written by an incompatible build (or not a store at all): set the
-      // file aside and start fresh — never an error, never stale replays.
-      setAside("header mismatch");
-      openFresh();
-    } else {
-      size_t LastGood = Off;
-      while (Off < Bytes.size()) {
-        Rd Frame(reinterpret_cast<const uint8_t *>(Bytes.data()) + Off,
-                 Bytes.size() - Off);
-        if (Frame.u32() != RecordMagic)
-          break;
-        uint32_t Len = Frame.u32();
-        uint32_t Crc = Frame.u32();
-        if (Frame.Fail || !Frame.need(Len))
-          break;
-        const uint8_t *Payload = Frame.P;
-        if (crc32(Payload, Len) != Crc)
-          break;
-        Rd R(Payload, Len);
-        uint8_t Kind = R.u8();
-        bool Ok = false;
-        switch (Kind) {
-        case KindEquiv: {
-          Key3 K{R.u64(), R.u64(), R.u64()};
-          Entry<core::EquivResult> E;
-          E.ScalarSrc = R.str();
-          E.CandSrc = R.str();
-          if (getEquiv(R, E.Value) && R.done()) {
-            Equiv.emplace(K, std::move(E));
-            Stats.LoadedEquiv++;
-            Ok = true;
-          }
-          break;
-        }
-        case KindChecksum: {
-          Key3 K{R.u64(), R.u64(), R.u64()};
-          Entry<interp::ChecksumOutcome> E;
-          E.ScalarSrc = R.str();
-          E.CandSrc = R.str();
-          if (getChecksum(R, E.Value) && R.done()) {
-            Checksum.emplace(K, std::move(E));
-            Stats.LoadedChecksum++;
-            Ok = true;
-          }
-          break;
-        }
-        case KindProgram: {
-          auto P = std::make_shared<interp::BytecodeProgram>();
-          if (getProgram(R, *P) && R.done()) {
-            std::string Key = P->Key;
-            Programs.emplace(std::move(Key), std::move(P));
-            Stats.LoadedPrograms++;
-            Ok = true;
-          }
-          break;
-        }
-        default:
-          break;
-        }
-        if (!Ok)
-          break; // CRC passed but the payload didn't decode: treat as
-                 // corruption and drop the suffix (append-only: anything
-                 // after a bad record is suspect).
-        Off += FrameBytes + Len;
-        LastGood = Off;
-      }
-      if (LastGood < Bytes.size()) {
-        // Damaged suffix: everything up to LastGood replayed cleanly;
-        // truncate the file back so the next append lands on a clean tail.
-        Stats.CorruptSkipped++;
-        obs::counter("store.corrupt_skipped").inc();
-        std::error_code EC;
-        fs::resize_file(LogPath, LastGood, EC);
-      }
-      Log = std::fopen(LogPath.c_str(), "ab");
-    }
-  }
-
+  Log.open([this](Rd &R) { return decodeRecord(R); });
+  const LogStats &LS = Log.stats();
   LoadSpan.arg("equiv", Stats.LoadedEquiv);
   LoadSpan.arg("checksum", Stats.LoadedChecksum);
   LoadSpan.arg("programs", Stats.LoadedPrograms);
-  LoadSpan.arg("corrupt_skipped", Stats.CorruptSkipped);
-  LoadSpan.arg("version_skipped", Stats.VersionSkipped);
+  LoadSpan.arg("corrupt_skipped", LS.CorruptSkipped);
+  LoadSpan.arg("version_skipped", LS.VersionSkipped);
 }
 
-void ResultStore::appendRecord(uint8_t Kind, const std::string &Payload) {
-  (void)Kind; // already the payload's first byte; kept for call-site clarity
-  if (!Log)
-    return;
-  std::string Frame;
-  Wr W{Frame};
-  W.u32(RecordMagic);
-  W.u32(static_cast<uint32_t>(Payload.size()));
-  W.u32(crc32(reinterpret_cast<const uint8_t *>(Payload.data()),
-              Payload.size()));
-  Frame += Payload;
-  // An injected failure short-circuits before fwrite, so nothing lands in
-  // the log (a simulated EIO must not leave real bytes behind).
-  if (chaosFailAppend() ||
-      std::fwrite(Frame.data(), 1, Frame.size(), Log) != Frame.size()) {
-    // Disk full / I/O error: stop persisting, keep serving from memory.
-    std::fclose(Log);
-    Log = nullptr;
-    Stats.AppendFailed++;
-    obs::counter("store.append_failed").inc();
-    return;
+ResultStore::~ResultStore() { disableBytecodePersistence(); }
+
+bool ResultStore::decodeRecord(Rd &R) {
+  switch (R.u8()) {
+  case KindEquiv: {
+    Key3 K{R.u64(), R.u64(), R.u64()};
+    Entry<core::EquivResult> E;
+    E.ScalarSrc = R.str();
+    E.CandSrc = R.str();
+    if (!getEquiv(R, E.Value) || !R.done())
+      return false;
+    Equiv.emplace(K, std::move(E));
+    Stats.LoadedEquiv++;
+    return true;
   }
-  // Flush per record: a kill leaves at most the final record torn, which
-  // the next load's CRC framing drops.
-  std::fflush(Log);
-  Stats.Writes++;
-  obs::counter("store.writes").inc();
+  case KindChecksum: {
+    Key3 K{R.u64(), R.u64(), R.u64()};
+    Entry<interp::ChecksumOutcome> E;
+    E.ScalarSrc = R.str();
+    E.CandSrc = R.str();
+    if (!getChecksum(R, E.Value) || !R.done())
+      return false;
+    Checksum.emplace(K, std::move(E));
+    Stats.LoadedChecksum++;
+    return true;
+  }
+  case KindProgram: {
+    auto P = std::make_shared<interp::BytecodeProgram>();
+    if (!getProgram(R, *P) || !R.done())
+      return false;
+    std::string Key = P->Key;
+    Programs.emplace(std::move(Key), std::move(P));
+    Stats.LoadedPrograms++;
+    return true;
+  }
+  default:
+    return false;
+  }
 }
 
 bool ResultStore::lookupEquiv(uint64_t ScalarH, uint64_t CandH, uint64_t CfgH,
@@ -640,7 +454,7 @@ void ResultStore::storeEquiv(uint64_t ScalarH, uint64_t CandH, uint64_t CfgH,
   W.str(ScalarSrc);
   W.str(CandSrc);
   putEquiv(W, R);
-  appendRecord(KindEquiv, Payload);
+  Log.append(Payload);
 }
 
 bool ResultStore::lookupChecksum(uint64_t ScalarH, uint64_t CandH,
@@ -680,7 +494,7 @@ void ResultStore::storeChecksum(uint64_t ScalarH, uint64_t CandH,
   W.str(ScalarSrc);
   W.str(CandSrc);
   putChecksum(W, O);
-  appendRecord(KindChecksum, Payload);
+  Log.append(Payload);
 }
 
 std::shared_ptr<const interp::BytecodeProgram>
@@ -709,7 +523,7 @@ void ResultStore::storeProgram(const interp::BytecodeProgram &P) {
   Wr W{Payload};
   W.u8(KindProgram);
   putProgram(W, P);
-  appendRecord(KindProgram, Payload);
+  Log.append(Payload);
 }
 
 void ResultStore::enableBytecodePersistence() {
@@ -740,11 +554,17 @@ void ResultStore::disableBytecodePersistence() {
 
 void ResultStore::flush() {
   std::lock_guard<std::mutex> L(M);
-  if (Log)
-    std::fflush(Log);
+  Log.flush();
 }
 
 StoreStats ResultStore::stats() const {
   std::lock_guard<std::mutex> L(M);
-  return Stats;
+  StoreStats S = Stats;
+  const LogStats &LS = Log.stats();
+  S.Writes = LS.Writes;
+  S.CorruptSkipped = LS.CorruptSkipped;
+  S.VersionSkipped = LS.VersionSkipped;
+  S.AppendFailed = LS.AppendFailed;
+  S.ReadFailed = LS.ReadFailed;
+  return S;
 }

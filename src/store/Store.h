@@ -9,9 +9,10 @@
 /// directory turns every bench rerun, CI job, and service restart from a
 /// cold start into a warm one.
 ///
-/// Layout: one append-only record log (`<dir>/records.log`) holding a
-/// versioned header followed by CRC-framed records, plus an in-memory
-/// index rebuilt on open. The contract mirrors the in-memory caches:
+/// Layout: one append-only record log (`<dir>/records.log`, a RecordLog —
+/// see RecordLog.h) holding a versioned header followed by CRC-framed
+/// records, plus an in-memory index rebuilt on open. The contract mirrors
+/// the in-memory caches:
 ///
 ///   * **Never a wrong verdict.** Lookups verify the stored source texts
 ///     against the probe, so a 64-bit key collision degrades to a miss.
@@ -40,9 +41,9 @@
 
 #include "core/Equivalence.h"
 #include "interp/Bytecode.h"
+#include "store/RecordLog.h"
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -126,7 +127,7 @@ public:
 
   /// True when the log file is open for appending (lookups work either
   /// way; a read-only filesystem just loses write-through).
-  bool ok() const { return Log != nullptr; }
+  bool ok() const { return Log.ok(); }
 
   /// Lookups verify stored sources against the probe — the same
   /// collision-degrades-to-miss discipline as svc::VerdictCache.
@@ -179,22 +180,18 @@ private:
     V Value;
   };
 
-  void load();
-  bool parseHeader(const std::string &Bytes, size_t &Off);
-  void appendRecord(uint8_t Kind, const std::string &Payload);
-  void setAside(const char *Why);
-  void openFresh();
+  /// Replays one log record into the index (false: corrupt).
+  bool decodeRecord(framing::Rd &R);
 
   std::string Dir;
-  std::string LogPath;
   mutable std::mutex M;
-  std::FILE *Log = nullptr; ///< Append handle; null when writes failed.
+  RecordLog Log; ///< records.log; memory-only once writes fail.
   std::unordered_map<Key3, Entry<core::EquivResult>, Key3Hash> Equiv;
   std::unordered_map<Key3, Entry<interp::ChecksumOutcome>, Key3Hash> Checksum;
   std::unordered_map<std::string,
                      std::shared_ptr<const interp::BytecodeProgram>>
       Programs;
-  StoreStats Stats;
+  StoreStats Stats; ///< Index counters; the log keeps its own.
   bool OwnsBytecodeHook = false;
 };
 

@@ -11,9 +11,11 @@
 /// duration, so the stages below it — FSM attempts, interpreter fuel
 /// checks, SAT budget loops — can poll without any config plumbing (and
 /// therefore without perturbing any configHash() the verdict cache and
-/// persistent store key on). Code that fans work out to helper threads
-/// captures `currentCancelToken()` before spawning and either re-installs
-/// it with a `CancelScope` or polls the captured pointer directly.
+/// persistent store key on). A task runs on its worker thread from
+/// start to finish — the stage-4 cell queries included — so every
+/// checkpoint sees the token; code that ever fans a task's work out to
+/// helper threads must capture `currentCancelToken()` before spawning and
+/// re-install it there with a `CancelScope`.
 ///
 /// Determinism: a token that never expires makes every check a no-op, so
 /// deadline-free runs are bit-identical to builds without any checks. An

@@ -371,17 +371,6 @@ std::vector<Ticket> VectorizerService::submitBatch(std::vector<Request> B) {
   std::vector<Ticket> Shed;
   Out.reserve(B.size());
 
-  // Journal the batch membership up front (batch identity = member task
-  // keys), so a post-kill inspection can tell a finished batch from one
-  // that died mid-flight.
-  if (Journal) {
-    std::vector<uint64_t> Keys;
-    Keys.reserve(B.size());
-    for (const Request &R : B)
-      Keys.push_back(taskKey(R));
-    Journal->beginBatch(Keys);
-  }
-
   {
     // The whole batch is admitted under one mutex hold (Shed policy;
     // Block waits release it), so admission decisions are a pure function

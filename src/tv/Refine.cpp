@@ -9,10 +9,7 @@
 #include "support/Format.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <exception>
-#include <thread>
 #include <unordered_map>
 
 using namespace lv;
@@ -76,15 +73,11 @@ struct RefinementSession::Impl {
   std::unique_ptr<smt::IncrementalSolver> Fork;
   /// Portfolio sessions: the fast racer's base — a copy of the pristine
   /// sound base running shared-learnt with cone projection and trail
-  /// reuse. Sequential queries search it directly (learnt clauses
-  /// accumulate across queries, heuristics rewound per query); batched
-  /// cell dispatch forks it instead so cells stay order-independent. The
-  /// sound base IS below is never searched in either case, so fallback
-  /// forks reproduce plain fork-per-query verdicts bit-exactly.
+  /// reuse. Queries search it directly (learnt clauses accumulate across
+  /// queries, heuristics rewound per query). The sound base IS above is
+  /// never searched, so fallback forks reproduce plain fork-per-query
+  /// verdicts bit-exactly.
   std::unique_ptr<smt::IncrementalSolver> FastIS;
-  /// Unused fork slot for the sequential path's solveIsolated call (the
-  /// sequential fast racer searches FastIS directly).
-  std::unique_ptr<smt::IncrementalSolver> FastForkSeq;
   /// Adaptive fast-arm gate: the largest conflict budget at which the
   /// fast racer has already exhausted itself without deciding. Queries at
   /// that budget or below skip the race and go straight to the sound
@@ -209,8 +202,6 @@ struct RefinementSession::Impl {
                  bool Isolate);
   TVResult queryBody(int CellLo, int CellHi, const smt::SatBudget &Budget,
                      bool Isolate);
-  std::vector<TVResult> queryBatch(const std::vector<int> &Cells,
-                                   const smt::SatBudget &Budget, int Workers);
 
   /// Builds the violation term for cells [CellLo, CellHi) — BaseViol plus
   /// a refinement obligation per non-syntactically-identical cell.
@@ -220,19 +211,15 @@ struct RefinementSession::Impl {
   bool memoProbe(TermId Viol, const smt::SatBudget &Budget, TVResult &Out);
   /// Copies solver statistics and renders the verdict/counterexample.
   void finishResult(TVResult &Out, const smt::SmtResult &R);
-  /// The solve kernel shared by the sequential and batched paths: plain
-  /// fork-per-query, or the portfolio race when the session has a fast
-  /// base and \p RaceFast is set. The caller owns the fork buffers so
-  /// batch workers stay independent; \p FastDirect selects whether the
-  /// fast racer searches FastIS itself (sequential, warm shared-learnt)
-  /// or a fork of it (batched, order-independent). \p RaceFast false in a
-  /// portfolio session means the adaptive gate skipped the fast arm: the
-  /// sound fork decides alone and the result is marked PortfolioArm=2
-  /// with zero fast-arm work.
+  /// Re-forks the pristine base into the reusable Fork slot.
+  smt::IncrementalSolver &forkBase();
+  /// The isolated solve kernel: plain fork-per-query, or the portfolio
+  /// race when the session has a fast base and \p RaceFast is set.
+  /// \p RaceFast false in a portfolio session means the adaptive gate
+  /// skipped the fast arm: the sound fork decides alone and the result is
+  /// marked PortfolioArm=2 with zero fast-arm work.
   TVResult solveIsolated(TermId Viol, const smt::SatBudget &Budget,
-                         std::unique_ptr<smt::IncrementalSolver> &SoundFork,
-                         std::unique_ptr<smt::IncrementalSolver> &FastFork,
-                         bool FastDirect, bool RaceFast);
+                         bool RaceFast);
 };
 
 /// Registry-counter emission for one completed query result. The counter
@@ -276,8 +263,7 @@ static void emitQuerySpanArgs(obs::Span &S, const TVResult &Out, int CellLo,
 
 /// Every session query funnels through here (checkFull, checkCell, and
 /// the one-shot wrapper alike): one "tv.query" span plus the registry
-/// counters. The batched cell path (queryBatch) emits the same span/
-/// counter shape per merged cell instead.
+/// counters.
 TVResult RefinementSession::Impl::query(int CellLo, int CellHi,
                                         const smt::SatBudget &Budget,
                                         bool Isolate) {
@@ -395,11 +381,17 @@ void RefinementSession::Impl::finishResult(TVResult &Out,
   }
 }
 
-TVResult RefinementSession::Impl::solveIsolated(
-    TermId Viol, const smt::SatBudget &Budget,
-    std::unique_ptr<smt::IncrementalSolver> &SoundFork,
-    std::unique_ptr<smt::IncrementalSolver> &FastFork, bool FastDirect,
-    bool RaceFast) {
+smt::IncrementalSolver &RefinementSession::Impl::forkBase() {
+  if (!Fork)
+    Fork.reset(new smt::IncrementalSolver(IS));
+  else
+    Fork->assignFrom(IS);
+  return *Fork;
+}
+
+TVResult RefinementSession::Impl::solveIsolated(TermId Viol,
+                                                const smt::SatBudget &Budget,
+                                                bool RaceFast) {
   TVResult Out;
   if (FastIS && RaceFast) {
     // Portfolio race, fast racer first: shared-learnt + cone projection +
@@ -410,22 +402,10 @@ TVResult RefinementSession::Impl::solveIsolated(
         std::max<uint64_t>(FastB.MaxConflicts / PortfolioProbeDiv, 1);
     if (Opts.PortfolioFastMaxConflicts < FastB.MaxConflicts)
       FastB.MaxConflicts = Opts.PortfolioFastMaxConflicts;
-    smt::SmtResult RF;
-    if (FastDirect) {
-      // Sequential dispatch: search the fast base itself so learnt
-      // clauses accumulate across queries (heuristics rewound per query).
-      FastIS->restoreHeuristics();
-      RF = FastIS->check(Viol, FastB);
-    } else {
-      // Batched dispatch: fork the fast base as snapshotted at fan-out so
-      // cells stay independent of solve order and worker count.
-      if (!FastFork)
-        FastFork.reset(new smt::IncrementalSolver(*FastIS));
-      else
-        FastFork->assignFrom(*FastIS);
-      FastFork->restoreHeuristics();
-      RF = FastFork->check(Viol, FastB);
-    }
+    // Search the fast base itself so learnt clauses accumulate across
+    // queries (heuristics rewound per query).
+    FastIS->restoreHeuristics();
+    smt::SmtResult RF = FastIS->check(Viol, FastB);
     Out.PortfolioArm = 1;
     Out.FastConflicts = RF.ConflictsUsed;
     Out.FastPropagations = RF.PropagationsUsed;
@@ -444,11 +424,7 @@ TVResult RefinementSession::Impl::solveIsolated(
     // always stands and is bit-identical to plain fork-per-query solving
     // because the sound base was never searched.
     Out.PortfolioArm = 2;
-    if (!SoundFork)
-      SoundFork.reset(new smt::IncrementalSolver(IS));
-    else
-      SoundFork->assignFrom(IS);
-    smt::SmtResult RS = SoundFork->check(Viol, Budget);
+    smt::SmtResult RS = forkBase().check(Viol, Budget);
     // Headline counters total the work of both racers, keeping the
     // StageSatWork/span/counter parity invariant honest about cost.
     RS.ConflictsUsed += RF.ConflictsUsed;
@@ -464,11 +440,7 @@ TVResult RefinementSession::Impl::solveIsolated(
   // distinguishes "raced and lost" from "skipped".
   if (FastIS)
     Out.PortfolioArm = 2;
-  if (!SoundFork)
-    SoundFork.reset(new smt::IncrementalSolver(IS));
-  else
-    SoundFork->assignFrom(IS);
-  smt::SmtResult R = SoundFork->check(Viol, Budget);
+  smt::SmtResult R = forkBase().check(Viol, Budget);
   finishResult(Out, R);
   return Out;
 }
@@ -517,8 +489,7 @@ TVResult RefinementSession::Impl::queryBody(int CellLo, int CellHi,
   if (Isolate) {
     size_t TC = Out.TermCount;
     bool RaceFast = FastIS && Budget.MaxConflicts > FastFailedBudgetHi;
-    Out = solveIsolated(Viol, Budget, Fork, FastForkSeq,
-                        /*FastDirect=*/true, RaceFast);
+    Out = solveIsolated(Viol, Budget, RaceFast);
     Out.TermCount = TC;
     // Fast racer exhausted its budget without deciding: stop racing this
     // budget class (and anything smaller) for the rest of the session.
@@ -530,202 +501,6 @@ TVResult RefinementSession::Impl::queryBody(int CellLo, int CellHi,
   }
   Out.SolveNanos = elapsed();
   QueryMemo[Viol] = MemoEntry{Budget, Out};
-  return Out;
-}
-
-/// Batched stage-4 dispatch. Three phases keep it bit-identical to the
-/// sequential loop at any worker count:
-///
-///   A. Build every cell's violation term single-threaded, in cell order
-///      (the TermTable is not thread-safe, and this is the exact term-
-///      construction order of the sequential loop, so hash-consed TermIds
-///      and the per-query term accounting are reproduced). Memo hits and
-///      intra-batch duplicates are planned as replays here.
-///   B. Solve the remaining unique violations on \p Workers threads. The
-///      TermTable is *const* during solving, and every solve runs in the
-///      thread's own fork of state snapshotted before the fan-out (sound
-///      base, and fast base in portfolio sessions), so results do not
-///      depend on scheduling.
-///   C. Merge in cell order: replay duplicates from the first occurrence
-///      (zeroed work fields, exactly like a memo hit), emit the same
-///      per-query span/counter shape as the sequential path, store memo
-///      entries, and truncate after the first Inequivalent cell —
-///      mirroring the sequential loop's early exit, so work solved past
-///      that point is discarded rather than reported.
-std::vector<TVResult>
-RefinementSession::Impl::queryBatch(const std::vector<int> &Cells,
-                                    const smt::SatBudget &Budget,
-                                    int Workers) {
-  obs::Span Fan("tv", "tv.cell_fanout");
-  auto nowNs = []() { return std::chrono::steady_clock::now(); };
-  auto deltaNs = [](std::chrono::steady_clock::time_point From) {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - From)
-            .count());
-  };
-
-  struct CellPlan {
-    int Cell = 0;
-    TermId Viol = smt::NoTerm;
-    size_t QueryTerms = 0;
-    int Dup = -1;      ///< Earlier plan index this cell replays.
-    int SolveIdx = -1; ///< Index into Solves when solving fresh.
-    bool HasReady = false;
-    bool MemoHit = false;
-    TVResult Ready; ///< Immediate/memo/memout result, or the solve result.
-    uint64_t BuildNanos = 0;
-  };
-  std::vector<CellPlan> Plans(Cells.size());
-  std::vector<size_t> Solves;
-  std::unordered_map<TermId, int> FirstOcc;
-
-  // Phase A: plan every cell (single-threaded term construction).
-  for (size_t I2 = 0; I2 < Cells.size(); ++I2) {
-    CellPlan &P = Plans[I2];
-    P.Cell = Cells[I2];
-    if (HasImmediate) {
-      P.Ready = Immediate;
-      P.HasReady = true;
-      continue;
-    }
-    auto BStart = nowNs();
-    size_t TermsBefore = T.size();
-    P.Viol = buildViolation(P.Cell, P.Cell + 1);
-    P.QueryTerms = BaseTerms + (T.size() - TermsBefore);
-    P.BuildNanos = deltaNs(BStart);
-    TVResult Hit;
-    if (memoProbe(P.Viol, Budget, Hit)) {
-      Hit.SolveNanos = P.BuildNanos;
-      P.Ready = Hit;
-      P.HasReady = true;
-      P.MemoHit = true;
-      continue;
-    }
-    auto F = FirstOcc.find(P.Viol);
-    if (F != FirstOcc.end()) {
-      P.Dup = F->second;
-      continue;
-    }
-    if (P.QueryTerms > Opts.MaxTerms) {
-      P.Ready.V = TVVerdict::Inconclusive;
-      P.Ready.TermCount = P.QueryTerms;
-      P.Ready.Detail =
-          format("term limit exceeded (%zu terms): encoding too "
-                 "large (out-of-memory analogue)",
-                 P.QueryTerms);
-      P.HasReady = true;
-      continue; // not a solve: a later duplicate re-plans on its own
-    }
-    FirstOcc.emplace(P.Viol, static_cast<int>(I2));
-    P.SolveIdx = static_cast<int>(Solves.size());
-    Solves.push_back(I2);
-  }
-
-  // Phase B: solve the unique violations. The adaptive fast-arm gate is
-  // sampled ONCE before the fan-out and never written during it, so every
-  // solve sees the same decision regardless of worker count or schedule.
-  const size_t NSolve = Solves.size();
-  int W = Workers < 1 ? 1 : Workers;
-  const bool RaceFast = FastIS && Budget.MaxConflicts > FastFailedBudgetHi;
-  if (NSolve > 0) {
-    std::atomic<size_t> Next{0};
-    std::vector<std::exception_ptr> Errs(NSolve);
-    // Thread-locals do not cross the fan-out: capture the task's token
-    // here and poll it in every worker, so a deadline expiring mid-batch
-    // drains the remaining solves immediately (the CancelledError lands
-    // in Errs and is rethrown after the join below).
-    support::CancelToken *ParentTok = support::currentCancelToken();
-    auto workerFn = [&]() {
-      // Thread-owned fork buffers: reused across this thread's solves,
-      // never shared (the bases they fork from are only read).
-      std::unique_ptr<smt::IncrementalSolver> SoundFork, FastFork;
-      for (;;) {
-        size_t K = Next.fetch_add(1);
-        if (K >= NSolve)
-          return;
-        CellPlan &P = Plans[Solves[K]];
-        try {
-          if (ParentTok && ParentTok->expired())
-            throw support::CancelledError("tv.cell_solve");
-          auto SStart = nowNs();
-          TVResult Res = solveIsolated(P.Viol, Budget, SoundFork, FastFork,
-                                       /*FastDirect=*/false, RaceFast);
-          Res.TermCount = P.QueryTerms;
-          Res.SolveNanos = P.BuildNanos + deltaNs(SStart);
-          P.Ready = Res;
-        } catch (...) {
-          Errs[K] = std::current_exception();
-        }
-      }
-    };
-    size_t Spawn =
-        std::min(static_cast<size_t>(W), NSolve) - 1; // this thread helps
-    std::vector<std::thread> Threads;
-    Threads.reserve(Spawn);
-    for (size_t K = 0; K < Spawn; ++K)
-      Threads.emplace_back(workerFn);
-    workerFn();
-    for (std::thread &Th : Threads)
-      Th.join();
-    for (size_t K = 0; K < NSolve; ++K)
-      if (Errs[K])
-        std::rethrow_exception(Errs[K]);
-  }
-  // Deterministic gate update after the barrier: one batch shares one
-  // budget, so any fast-arm exhaustion in it retires the whole budget
-  // class. Computed from ALL planned solves (Phase B completes them all),
-  // so the outcome is identical at any worker count.
-  if (RaceFast)
-    for (size_t K = 0; K < NSolve; ++K)
-      if (Plans[Solves[K]].Ready.PortfolioArm == 2) {
-        FastFailedBudgetHi =
-            std::max(FastFailedBudgetHi, Budget.MaxConflicts);
-        break;
-      }
-
-  // Phase C: deterministic merge in cell order.
-  std::vector<TVResult> Out;
-  Out.reserve(Cells.size());
-  for (size_t I2 = 0; I2 < Plans.size(); ++I2) {
-    CellPlan &P = Plans[I2];
-    TVResult R;
-    if (P.HasReady) {
-      R = P.Ready;
-      if (P.MemoHit)
-        obs::counter("tv.memo_hits").inc();
-    } else if (P.Dup >= 0) {
-      // Zeroed replay of the first occurrence's solve — what the memo
-      // would have served had the cells run sequentially.
-      R = Plans[static_cast<size_t>(P.Dup)].Ready;
-      R.Conflicts = R.Propagations = R.Restarts = 0;
-      R.TrailReused = 0;
-      R.ConeVars = R.ConeClauses = 0;
-      R.PortfolioArm = 0;
-      R.FastConflicts = R.FastPropagations = R.FastRestarts = 0;
-      R.FastTrailReused = R.FastConeVars = R.FastConeClauses = 0;
-      R.SolveNanos = P.BuildNanos;
-      obs::counter("tv.memo_hits").inc();
-    } else {
-      R = P.Ready;
-      QueryMemo[P.Viol] = MemoEntry{Budget, R};
-    }
-    {
-      // Same per-query trace/counter shape as the sequential path; the
-      // span's own duration is merge-time (the true encode+solve wall is
-      // in the SolveNanos histogram and the fan-out span), but its args
-      // carry the real work counters the parity gates sum.
-      obs::Span S("tv", "tv.query");
-      emitQuerySpanArgs(S, R, P.Cell, 1);
-    }
-    emitQueryCounters(R);
-    Out.push_back(std::move(R));
-    if (Out.back().V == TVVerdict::Inequivalent)
-      break; // sequential early exit: later cells are never reported
-  }
-  Fan.arg("cells", static_cast<uint64_t>(Cells.size()));
-  Fan.arg("workers", static_cast<uint64_t>(W));
-  Fan.arg("solves", static_cast<uint64_t>(NSolve));
   return Out;
 }
 
@@ -750,20 +525,17 @@ TVResult RefinementSession::checkCell(int Cell, const smt::SatBudget &Budget) {
   return I->query(Cell, Cell + 1, Budget, /*Isolate=*/true);
 }
 
-std::vector<TVResult>
-RefinementSession::checkCells(const std::vector<int> &Cells,
-                              const smt::SatBudget &Budget, int Workers) {
-  return I->queryBatch(Cells, Budget, Workers);
-}
-
 //===----------------------------------------------------------------------===//
 // One-shot wrapper
 //===----------------------------------------------------------------------===//
 
 TVResult lv::tv::checkRefinement(const VFunction &Src, const VFunction &Tgt,
                                  const RefineOptions &Opts) {
-  // Single-use session: solve directly in the base, no fork needed.
-  RefinementSession S(Src, Tgt, Opts);
+  // Single-use session: solve directly in the base, no fork needed — and
+  // no fast racer, whose base copy would never be searched.
+  RefineOptions O = Opts;
+  O.Portfolio = false;
+  RefinementSession S(Src, Tgt, O);
   int Lo = 0, Hi = Opts.CompareWindow;
   if (Opts.CellFilter >= 0) {
     Lo = Opts.CellFilter;

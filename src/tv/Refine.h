@@ -155,23 +155,9 @@ public:
   /// Opts.CellFilter for compatibility with one-shot checkRefinement).
   TVResult checkFull(const smt::SatBudget &Budget);
 
-  /// Single-cell query — the stage-4 spatial-splitting shape.
+  /// Single-cell query — the stage-4 spatial-splitting shape. Stage 4
+  /// calls it once per cell, in cell order, on the session's thread.
   TVResult checkCell(int Cell, const smt::SatBudget &Budget);
-
-  /// Batched stage-4 dispatch: per-cell queries for \p Cells solved with
-  /// \p Workers threads. The cell violation terms are all built
-  /// single-threaded first (the TermTable is not thread-safe, but it is
-  /// *const* during solving), duplicate violations collapse through the
-  /// query memo exactly as in the sequential loop, and each remaining
-  /// unique query solves in its own throwaway fork on whichever thread
-  /// picks it up. Results merge in cell order — and, mirroring the
-  /// sequential stage-4 loop's early exit, the returned vector is
-  /// truncated after the first Inequivalent cell. Because every solve
-  /// runs in an isolated fork of state snapshotted before the fan-out,
-  /// results are bit-identical at any worker count.
-  std::vector<TVResult> checkCells(const std::vector<int> &Cells,
-                                   const smt::SatBudget &Budget,
-                                   int Workers);
 
 private:
   struct Impl;
@@ -183,7 +169,8 @@ private:
 };
 
 /// Checks that \p Tgt refines \p Src under \p Opts (one-shot wrapper
-/// around a fresh RefinementSession).
+/// around a fresh RefinementSession; it solves in the base directly and
+/// never races, so Opts.Portfolio is ignored and PortfolioArm stays 0).
 TVResult checkRefinement(const vir::VFunction &Src, const vir::VFunction &Tgt,
                          const RefineOptions &Opts = RefineOptions());
 

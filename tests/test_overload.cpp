@@ -11,8 +11,7 @@
 // state machine and rejected calls classify like fast-failing endpoints;
 // (6) the crash-recovery journal replays completed tasks across a process
 // boundary byte-identically and re-runs only the remainder; (7) drain()
-// settles every task and cancellation propagates into the
-// SplitCellWorkers fan-out threads.
+// settles every task and cancellation reaches the stage-4 cell loop.
 //
 //===----------------------------------------------------------------------===//
 
@@ -553,13 +552,13 @@ TEST(Drain, GracePeriodLetsWorkFinish) {
     EXPECT_FALSE(S.wait(T).Failed);
 }
 
-TEST(Drain, CancelPropagatesIntoSplitCellWorkers) {
+TEST(Drain, CancelPropagatesIntoSplitCellLoop) {
   // Starve stages 2-3 so the verify falls through to spatial splitting
-  // with a 4-way cell fan-out and a budget far beyond what drain allows:
-  // the fan-out threads poll the task token captured before the spawn
-  // (tv/Refine.cpp checkCells), so drain's requestCancel must unwind them
-  // promptly into a classified TimedOut outcome. A hang here means the
-  // token did not propagate.
+  // with a per-cell budget far beyond what drain allows: the stage-4 loop
+  // polls the task token before every cell and every query, and the SAT
+  // search polls it inside its budget loop, so drain's requestCancel must
+  // unwind the loop promptly into a classified TimedOut outcome. A hang
+  // here means the token did not propagate.
   const char *Scalar =
       "void f(int n, int *a, int *b) { for (int i = 0; i < n; i++) "
       "a[i] = b[i] + 1; }";
@@ -584,13 +583,12 @@ TEST(Drain, CancelPropagatesIntoSplitCellWorkers) {
   R.Equiv.CUnrollBudget = 1;
   R.Equiv.SplitBudget = 50'000;
   R.Equiv.MaxTerms = 200'000;
-  R.Equiv.SplitCellWorkers = 4;
   Ticket T = S.submit(std::move(R));
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   VectorizerService::DrainResult DR = S.drain(0);
   const Outcome &O = S.wait(T);
   if (O.Failed) {
-    // Cancellation unwound the cell fan-out: a classified timeout.
+    // Cancellation unwound the cell loop: a classified timeout.
     EXPECT_EQ(O.Failure, FailureKind::TimedOut);
     EXPECT_EQ(DR.Cancelled, 1u);
   } else {

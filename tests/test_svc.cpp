@@ -205,7 +205,7 @@ TEST(Service, ChecksumWorkAggregatesInterpCounters) {
 
 /// A verify request whose pair falls through to spatial splitting:
 /// stages 2-3 are starved, stage 4 gets a generous per-cell budget.
-Request splittingRequest(int CellWorkers) {
+Request splittingRequest() {
   Request R;
   R.Mode = RunMode::Verify;
   R.ScalarSource =
@@ -223,39 +223,17 @@ Request splittingRequest(int CellWorkers) {
   R.Equiv.Alive2Budget = 1;
   R.Equiv.CUnrollBudget = 1;
   R.Equiv.SplitBudget = 50'000;
-  R.Equiv.SplitCellWorkers = CellWorkers;
   return R;
-}
-
-TEST(Service, SplitCellWorkersVerdictParity) {
-  // Fan the per-cell queries across 1, 2, and 8 workers. The batched
-  // dispatch must be schedule-free: byte-identical outcomes between the
-  // batched widths. Width 1 takes the sequential path, whose fast racer
-  // searches the warm shared solver directly rather than a per-cell
-  // fork, so its fast-arm statistics may legitimately differ —
-  // verdict-level fields must still agree.
-  auto runAt = [](int W) {
-    VectorizerService S;
-    return S.wait(S.submit(splittingRequest(W)));
-  };
-  Outcome One = runAt(1), Two = runAt(2), Eight = runAt(8);
-  ASSERT_FALSE(Two.Equiv.SplitRes.empty()) << "splitting stage must run";
-  EXPECT_EQ(debugString(Two), debugString(Eight))
-      << "2-vs-8 worker cell dispatch diverged";
-  EXPECT_EQ(One.Equiv.Final, Two.Equiv.Final);
-  EXPECT_EQ(One.Equiv.DecidedBy, Two.Equiv.DecidedBy);
-  EXPECT_EQ(One.Equiv.Detail, Two.Equiv.Detail);
-  EXPECT_EQ(One.Equiv.Counterexample, Two.Equiv.Counterexample);
 }
 
 TEST(Service, SplitCellOverrideRoutesEveryCellThroughTheCallback) {
   // The reference seam: with SplitCellOverride installed, every stage-4
-  // cell is one callback call — SplitCellWorkers does not fan the cells
-  // out — and the verdict equals the default session path's.
+  // cell is one callback call, and the verdict equals the default session
+  // path's.
   VectorizerService S;
-  Outcome Default = S.wait(S.submit(splittingRequest(4)));
+  Outcome Default = S.wait(S.submit(splittingRequest()));
   int Calls = 0;
-  Request R = splittingRequest(4);
+  Request R = splittingRequest();
   R.Equiv.SplitCellOverride = [&Calls](const vir::VFunction &S2,
                                        const vir::VFunction &T,
                                        const tv::RefineOptions &RO) {
@@ -310,14 +288,13 @@ TEST(ConfigHash, EquivFieldsDoNotAlias) {
   E.Checksum.Seed ^= 1; // nested config participates
   EXPECT_NE(E.configHash(), core::EquivConfig().configHash());
 
-  // The portfolio knobs participate and do not alias the other booleans.
-  core::EquivConfig I, J;
+  // The portfolio knob participates and does not alias the other
+  // booleans.
+  core::EquivConfig I;
   I.PortfolioSolving = !I.PortfolioSolving;
-  J.SplitCellWorkers = 8;
   EXPECT_NE(I.configHash(), core::EquivConfig().configHash());
-  EXPECT_NE(J.configHash(), core::EquivConfig().configHash());
-  EXPECT_NE(I.configHash(), J.configHash());
   EXPECT_NE(I.configHash(), C.configHash());
+  EXPECT_NE(I.configHash(), D.configHash());
 }
 
 TEST(ConfigHash, FsmFieldsDoNotAlias) {
@@ -344,10 +321,11 @@ TEST(ConfigHash, PinnedGoldenValues) {
   // with the pre-portfolio default.
   // Solver-mode matrix removed: EquivConfig retired tags 10 and 12-14
   // (the scratch, shared-learnt, cone-projection and trail-reuse modes).
+  // Cell fan-out removed: EquivConfig retired tag 16 (SplitCellWorkers).
   // Store and journal headers embed this hash, so logs written under the
   // old default are set aside on open.
   EXPECT_EQ(interp::ChecksumConfig().configHash(), 0xf48e134cc157f574ULL);
-  EXPECT_EQ(core::EquivConfig().configHash(), 0xc4968b48354062acULL);
+  EXPECT_EQ(core::EquivConfig().configHash(), 0x6a5798c3cc9ccb73ULL);
   EXPECT_EQ(agents::FsmConfig().configHash(), 0x5052f9edddaa4b60ULL);
 }
 

@@ -316,30 +316,8 @@ TEST(TV, TinyBudgetInconclusive) {
 }
 
 //===--------------------------------------------------------------------===//
-// Portfolio racing and batched cell dispatch
+// Portfolio racing and the stage-4 cell loop
 //===--------------------------------------------------------------------===//
-
-/// Field-level equality minus SolveNanos (wall time is the one field the
-/// dispatch gates let vary).
-void expectTvEq(const TVResult &A, const TVResult &B, const char *What) {
-  EXPECT_EQ(A.V, B.V) << What;
-  EXPECT_EQ(A.Detail, B.Detail) << What;
-  EXPECT_EQ(A.Counterexample, B.Counterexample) << What;
-  EXPECT_EQ(A.Conflicts, B.Conflicts) << What;
-  EXPECT_EQ(A.Propagations, B.Propagations) << What;
-  EXPECT_EQ(A.Restarts, B.Restarts) << What;
-  EXPECT_EQ(A.TrailReused, B.TrailReused) << What;
-  EXPECT_EQ(A.ConeVars, B.ConeVars) << What;
-  EXPECT_EQ(A.ConeClauses, B.ConeClauses) << What;
-  EXPECT_EQ(A.Clauses, B.Clauses) << What;
-  EXPECT_EQ(A.SatVars, B.SatVars) << What;
-  EXPECT_EQ(A.TermCount, B.TermCount) << What;
-  EXPECT_EQ(A.PortfolioArm, B.PortfolioArm) << What;
-  EXPECT_EQ(A.FastConflicts, B.FastConflicts) << What;
-  EXPECT_EQ(A.FastPropagations, B.FastPropagations) << What;
-  EXPECT_EQ(A.FastRestarts, B.FastRestarts) << What;
-  EXPECT_EQ(A.FastTrailReused, B.FastTrailReused) << What;
-}
 
 const char *WidenScalar =
     "void f(int n, int *a, int *b) { for (int i = 0; i < n; i++) "
@@ -419,53 +397,32 @@ TEST(TV, PortfolioFastArmDecides) {
   EXPECT_EQ(R.Propagations, R.FastPropagations);
 }
 
-TEST(TV, CheckCellsBitIdenticalAcrossWorkerCounts) {
-  // The batched stage-4 dispatch must be schedule-free: identical results
-  // at 1, 2, and 8 workers, including the duplicate-cell replay path (the
-  // trailing repeat of cell 3 must come back as a zeroed replay).
-  std::vector<int> Cells = {0, 1, 2, 3, 4, 5, 6, 7, 3};
-  smt::SatBudget Budget;
-  Budget.MaxConflicts = 400'000;
-  std::vector<std::vector<TVResult>> ByWidth;
-  for (int W : {1, 2, 8}) {
-    VFunctionPtr S = mustCompile(WidenScalar), V = mustCompile(WidenVec);
-    RefineOptions O = withDiv("n", 0);
-    O.Portfolio = true;
-    RefinementSession Sess(*S, *V, O);
-    ByWidth.push_back(Sess.checkCells(Cells, Budget, W));
-  }
-  ASSERT_EQ(ByWidth[0].size(), ByWidth[1].size());
-  ASSERT_EQ(ByWidth[0].size(), ByWidth[2].size());
-  for (size_t I = 0; I < ByWidth[0].size(); ++I) {
-    expectTvEq(ByWidth[0][I], ByWidth[1][I], "1 vs 2 workers");
-    expectTvEq(ByWidth[0][I], ByWidth[2][I], "1 vs 8 workers");
-  }
-  // Every cell verified; the duplicate replayed with zero solver work.
-  ASSERT_EQ(ByWidth[0].size(), Cells.size());
-  for (const TVResult &R : ByWidth[0])
-    EXPECT_EQ(R.V, TVVerdict::Equivalent) << R.Detail;
-  EXPECT_EQ(ByWidth[0].back().Conflicts, 0u) << "duplicate must replay";
-}
-
-TEST(TV, ForkModeBatchMatchesSequentialCells) {
-  // With racing off, the batched dispatch must reproduce the sequential
-  // checkCell loop exactly — same verdicts, same work, same memo
-  // behaviour for the duplicated cell.
-  std::vector<int> Cells = {0, 1, 2, 3, 2};
-  smt::SatBudget Budget;
-  Budget.MaxConflicts = 400'000;
-  VFunctionPtr S1 = mustCompile(WidenScalar), V1 = mustCompile(WidenVec);
-  VFunctionPtr S2 = mustCompile(WidenScalar), V2 = mustCompile(WidenVec);
+TEST(TV, CheckCellReplaysDuplicateCellFromTheMemo) {
+  // The stage-4 shape: one checkCell per cell, in order, on a portfolio
+  // session. Asking for cell 3 again builds the identical violation term
+  // under the identical budget, so the memo replays the first verdict
+  // with no solver work and no portfolio race.
+  VFunctionPtr S = mustCompile(WidenScalar), V = mustCompile(WidenVec);
   RefineOptions O = withDiv("n", 0);
-  RefinementSession Seq(*S1, *V1, O);
-  RefinementSession Batch(*S2, *V2, O);
-  std::vector<TVResult> SeqR;
-  for (int C : Cells)
-    SeqR.push_back(Seq.checkCell(C, Budget));
-  std::vector<TVResult> BatchR = Batch.checkCells(Cells, Budget, 8);
-  ASSERT_EQ(BatchR.size(), SeqR.size());
-  for (size_t I = 0; I < SeqR.size(); ++I)
-    expectTvEq(SeqR[I], BatchR[I], "sequential vs batched fork");
+  O.Portfolio = true;
+  RefinementSession Sess(*S, *V, O);
+  smt::SatBudget Budget;
+  Budget.MaxConflicts = 400'000;
+  std::vector<TVResult> Res;
+  for (int C : {0, 1, 2, 3, 4, 5, 6, 7, 3})
+    Res.push_back(Sess.checkCell(C, Budget));
+  for (const TVResult &R : Res)
+    EXPECT_EQ(R.V, TVVerdict::Equivalent) << R.Detail;
+  const TVResult &First = Res[3], &Replay = Res.back();
+  EXPECT_EQ(Replay.V, First.V);
+  EXPECT_EQ(Replay.Detail, First.Detail);
+  EXPECT_EQ(Replay.Counterexample, First.Counterexample);
+  EXPECT_EQ(Replay.Clauses, First.Clauses);
+  EXPECT_EQ(Replay.TermCount, First.TermCount);
+  EXPECT_EQ(Replay.Conflicts, 0u) << "duplicate must replay";
+  EXPECT_EQ(Replay.Propagations, 0u);
+  EXPECT_EQ(Replay.PortfolioArm, 0) << "a replay is not a race";
+  EXPECT_EQ(Replay.FastConflicts, 0u);
 }
 
 TEST(TV, EpilogueOnlyDifferenceCaughtWithoutDivAssumption) {

@@ -165,103 +165,6 @@ static void BM_SplitCellsIncremental(benchmark::State &State) {
 }
 BENCHMARK(BM_SplitCellsIncremental);
 
-//===----------------------------------------------------------------------===//
-// Cone projection: many small independent queries over one large shared
-// encoding (the shared-learnt funnel pattern).
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// One shared context holding ConeCells independent equivalence problems,
-/// each over its own variables. A shared-learnt solver accumulates every
-/// cell's encoding in one clause DB; without cone projection each query
-/// pays propagation across all sibling encodings, with it each query is
-/// confined to its own cone.
-struct ConeFixture {
-  smt::TermTable T;
-  smt::TermId Domain;
-  std::vector<smt::TermId> CellQueries;
-
-  explicit ConeFixture(int NumCells) {
-    Domain = T.mkTrue();
-    for (int C = 0; C < NumCells; ++C) {
-      char NameX[16], NameY[16];
-      std::snprintf(NameX, sizeof(NameX), "x%d", C);
-      std::snprintf(NameY, sizeof(NameY), "y%d", C);
-      smt::TermId X = T.mkVar(NameX);
-      smt::TermId Y = T.mkVar(NameY);
-      Domain = T.mkAnd(Domain,
-                       T.mkAnd(T.mkUlt(X, T.mkConst(1u << 12)),
-                               T.mkUlt(Y, T.mkConst(1u << 12))));
-      // x*9 + y == (x<<3) + x + y, negated: an UNSAT query per cell.
-      smt::TermId Lhs = T.mkAdd(T.mkMul(X, T.mkConst(9)), Y);
-      smt::TermId Rhs = T.mkAdd(T.mkAdd(T.mkShl(X, T.mkConst(3)), X), Y);
-      CellQueries.push_back(T.mkNe(Lhs, Rhs));
-    }
-  }
-};
-
-constexpr int ConeCells = 48;
-
-// Propagation counts and per-query verdicts of the two modes' most
-// recent runs, for the stat-based gates checked in main() after the
-// benchmarks finish. The verdict gate compares the modes against each
-// other (projection must not move a verdict), not against a fixed
-// expectation — a solver improvement that decides a cell within budget
-// must not read as a failure.
-uint64_t ConeOffProps = 0;
-uint64_t ConeOnProps = 0;
-std::vector<int> ConeOffVerdicts, ConeOnVerdicts;
-
-void runConeCells(benchmark::State &State, bool Cone) {
-  // Budget-bound queries, the funnel's shape: every query returns Unknown
-  // after the same number of conflicts in both modes, so the difference
-  // is pure per-conflict cost — how much of the shared DB each query's
-  // search drags along.
-  smt::SatBudget Budget;
-  Budget.MaxConflicts = 100;
-  uint64_t Props = 0, Conflicts = 0, ConeVars = 0;
-  std::vector<int> &Verdicts = Cone ? ConeOnVerdicts : ConeOffVerdicts;
-  for (auto _ : State) {
-    ConeFixture F(ConeCells);
-    smt::IncrementalSolver IS(F.T);
-    IS.assertAlways(F.Domain);
-    smt::SatOptions Opts;
-    Opts.ConeProjection = Cone;
-    IS.setOptions(Opts);
-    Props = Conflicts = ConeVars = 0;
-    Verdicts.clear();
-    for (smt::TermId Q : F.CellQueries) {
-      smt::SmtResult R = IS.check(Q, Budget);
-      Verdicts.push_back(static_cast<int>(R.R));
-      Props += R.PropagationsUsed;
-      Conflicts += R.ConflictsUsed;
-      ConeVars += R.ConeVars;
-    }
-  }
-  (Cone ? ConeOnProps : ConeOffProps) = Props;
-  State.counters["propagations"] = static_cast<double>(Props);
-  State.counters["conflicts"] = static_cast<double>(Conflicts);
-  if (Cone)
-    State.counters["cone_vars"] = static_cast<double>(ConeVars);
-  State.SetItemsProcessed(State.iterations() * ConeCells);
-}
-
-} // namespace
-
-static void BM_ConeCellsSharedLearnt(benchmark::State &State) {
-  // Shared-learnt baseline: every query pays the whole clause DB.
-  runConeCells(State, /*Cone=*/false);
-}
-BENCHMARK(BM_ConeCellsSharedLearnt);
-
-static void BM_ConeCellsProjected(benchmark::State &State) {
-  // Cone projection on the same shared DB: decisions and propagation are
-  // confined to each query's own cone.
-  runConeCells(State, /*Cone=*/true);
-}
-BENCHMARK(BM_ConeCellsProjected);
-
 static void BM_LearntDBReduction(benchmark::State &State) {
   // A long-budget hard instance (PHP 8/7): exercises LBD scoring,
   // reduceDB and the clause-arena GC on the learnt set.
@@ -334,8 +237,7 @@ int main(int argc, char **argv) {
   // track the perf trajectory. Injected as flags so explicit
   // --benchmark_out on the command line still wins. --smoke (used by CI)
   // caps measurement time so every benchmark runs ~one iteration: enough
-  // to exercise the code paths and the stat gates, fast enough for a
-  // per-push workflow.
+  // to exercise the code paths, fast enough for a per-push workflow.
   std::vector<char *> Args;
   bool HasOut = false, Smoke = false;
   Args.push_back(argv[0]);
@@ -363,35 +265,5 @@ int main(int argc, char **argv) {
     return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-
-  // Stat-based gates on the cone-projection pattern: identical verdicts,
-  // and the projected mode must cut shared-learnt propagation by >= 1.5x.
-  // Only enforced when both cone benchmarks ran — a --benchmark_filter
-  // selecting other benchmarks is not a gate failure — except under
-  // --smoke (the CI mode), where the gates are the point.
-  if (ConeOffProps == 0 || ConeOnProps == 0) {
-    if (Smoke) {
-      std::fprintf(stderr, "cone gate: benchmarks did not run\n");
-      return 1;
-    }
-    std::printf("cone gate: skipped (cone benchmarks filtered out)\n");
-    return 0;
-  }
-  double Ratio = static_cast<double>(ConeOffProps) /
-                 static_cast<double>(ConeOnProps);
-  bool VerdictsOk = ConeOffVerdicts == ConeOnVerdicts;
-  if (!VerdictsOk)
-    for (size_t I = 0;
-         I < ConeOffVerdicts.size() && I < ConeOnVerdicts.size(); ++I)
-      if (ConeOffVerdicts[I] != ConeOnVerdicts[I])
-        std::fprintf(stderr,
-                     "cone gate: query %zu verdict moved (%d -> %d)\n", I,
-                     ConeOffVerdicts[I], ConeOnVerdicts[I]);
-  std::printf("cone gate: %llu -> %llu propagations (%.2fx, need >=1.5x): "
-              "%s; verdicts %s\n",
-              static_cast<unsigned long long>(ConeOffProps),
-              static_cast<unsigned long long>(ConeOnProps), Ratio,
-              Ratio >= 1.5 ? "OK" : "FAIL",
-              VerdictsOk ? "OK" : "MISMATCH");
-  return Ratio >= 1.5 && VerdictsOk ? 0 : 1;
+  return 0;
 }

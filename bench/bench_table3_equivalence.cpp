@@ -22,26 +22,17 @@
 //                     driven per stage-4 cell through SplitCellOverride:
 //                     scratch solver + full re-blast per cell — the fixed
 //                     "before" baseline and an independent reference
-//   fork              per-query forks of a pristine base (the portfolio's
-//                     sound arm alone)
-//   portfolio         sound fast-path racing (the EquivConfig default):
-//                     every stage-3/4 query probes a shared-learnt
-//                     cone+reuse fast arm first and falls back to the
-//                     pristine sound fork when the probe is inconclusive
+//   fork              the EquivConfig defaults: one session per task,
+//                     every stage-3/4 query one solve in a fork of its
+//                     pristine base
 //
-// Racing perturbs search order, and budget-bound verdicts are sensitive to
-// search order, so the arms are a verdict-parity harness first and a
-// speedup report second: each counts tests whose (Final, DecidedBy)
-// differ from the fork reference, and the exit gates require (a)
-// seed/fork parity, (b) parity for the arm matching the EquivConfig
-// defaults (the configuration the svc funnel actually ships — portfolio;
-// the gate fails if no arm matches), (c) every arm verdict-identical to
-// fork over the whole corpus (an arm with missing records fails it), (d)
-// the portfolio's splitting stage costing exactly the sound fork's SAT
-// work (the adaptive probe gate retires the fast arm before stage 4, so
-// any extra conflicts there are a racing bug), and (e) the seed->fork
-// splitting win, SKIPPED — and out of the exit code — when neither arm
-// did stage-4 work.
+// Budget-bound verdicts are sensitive to search order, so the arms are a
+// verdict-parity harness first and a speedup report second: the seed arm
+// counts tests whose (Final, DecidedBy) differ from the fork reference,
+// and the exit gates require (a) seed/fork parity over the whole corpus
+// (an arm with missing records fails it) and (b) the seed->fork splitting
+// win, SKIPPED — and out of the exit code — when neither arm did stage-4
+// work.
 // Everything is mirrored to BENCH_table3.json for CI tracking.
 //
 //===----------------------------------------------------------------------===//
@@ -172,60 +163,20 @@ double ratio(uint64_t Before, uint64_t After) {
 /// One arm: a stage-3/4 solving configuration of the funnel.
 struct Arm {
   const char *Name;
-  bool Seed = false;      ///< Frozen seedref backend (fixed baseline).
-  bool Portfolio = false; ///< PortfolioSolving (sound fast-path racing).
+  bool Seed = false; ///< Frozen seedref backend (fixed baseline).
 
   std::vector<FunnelRecord> Records;
   FunnelTally T;
   int Mismatches = 0; ///< Tests whose (Final, DecidedBy) differ from fork.
 };
 
-/// Portfolio racer attribution summed over the stage-3/4 session queries
-/// of every record (the only queries racing runs on; alive2 is one-shot).
-struct RacerStats {
-  uint64_t FastWins = 0, SoundWins = 0, Fallbacks = 0;
-  uint64_t FastConflicts = 0, FastProps = 0, FastReused = 0;
-  uint64_t FastConeVars = 0, FastConeClauses = 0;
-  uint64_t SoundConflicts = 0, SoundProps = 0;
-
-  void add(const tv::TVResult &R) {
-    if (R.PortfolioArm == 1)
-      ++FastWins;
-    else if (R.PortfolioArm == 2) {
-      ++Fallbacks;
-      if (R.decided())
-        ++SoundWins;
-    }
-    FastConflicts += R.FastConflicts;
-    FastProps += R.FastPropagations;
-    FastReused += R.FastTrailReused;
-    FastConeVars += R.FastConeVars;
-    FastConeClauses += R.FastConeClauses;
-    // Headline counters total both racers; the sound share is the rest.
-    SoundConflicts += R.Conflicts - R.FastConflicts;
-    SoundProps += R.Propagations - R.FastPropagations;
-  }
-};
-
-RacerStats armRacer(const Arm &A) {
-  RacerStats S;
-  for (const FunnelRecord &R : A.Records) {
-    S.add(R.Result.CUnrollRes);
-    for (const tv::TVResult &C : R.Result.SplitRes)
-      S.add(C);
-  }
-  return S;
-}
-
-/// --quick test subset: the budget-borderline pairs whose verdicts flip
-/// between the fast and sound solving modes (they exhaust the fast probe
-/// and exercise the portfolio disagreement/fallback path all the way into
-/// stage 4), plus enough ordinary pairs to keep the funnel-shape gate
-/// meaningful (checksum rejects, alive2/c-unroll deciders, and splitting
-/// survivors).
+/// --quick test subset: budget-borderline pairs that are decided close to
+/// their stage budget, all the way into stage 4, plus enough ordinary
+/// pairs to keep the funnel-shape gate meaningful (checksum rejects,
+/// alive2/c-unroll deciders, and splitting survivors).
 const char *QuickTests[] = {
-    // Budget-borderline flip pairs: fast-arm inconclusive, sound-arm
-    // decided (s319 at c-unroll, the rest at spatial splitting).
+    // Budget-borderline pairs (s319 decided at c-unroll, the rest at
+    // spatial splitting).
     "s253", "s271", "s272", "s319", "s1279", "s2711",
     // Splitting-stage survivors (stay inconclusive end to end).
     "s273", "s274", "s276", "s2712",
@@ -243,9 +194,8 @@ int main(int argc, char **argv) {
     if (std::strcmp(argv[I], "--quick") == 0)
       Quick = true;
 
-  // Tracing is scoped to the default (portfolio) arm only: corpus
-  // generation and the other arms would otherwise pollute the
-  // span-vs-tally parity sums.
+  // Tracing is scoped to the fork arm only: corpus generation and the
+  // seed arm would otherwise pollute the span-vs-tally parity sums.
   const bool TraceRequested = obs::tracingEnabled();
   obs::setTracingEnabled(false);
 
@@ -282,8 +232,8 @@ int main(int argc, char **argv) {
   // stages. Gates: serialized EquivResults bit-identical across the two
   // runs (the store's replay contract), the cold run persisted records,
   // the warm run was pure hits, and the combined checksum+splitting span
-  // wall collapsed by >= 5x. Runs before the arms so the traced
-  // portfolio arm still owns the trace buffers at artifact-write time.
+  // wall collapsed by >= 5x. Runs before the arms so the traced fork arm
+  // still owns the trace buffers at artifact-write time.
   struct StoreRun {
     std::string Bits;    ///< Concatenated serializeEquivResult records.
     std::string Summary; ///< "name final decided-by" lines (arm-comparable:
@@ -337,27 +287,19 @@ int main(int argc, char **argv) {
     PersistOk = PersistRun.Summary == ColdRun.Summary;
   }
 
-  // Name, Seed, Portfolio: the same list for --quick and the full corpus.
-  // Every arm pins PortfolioSolving, so each keeps measuring exactly the
-  // configuration it is named after.
-  enum { SeedArm, ForkArm, PortArm };
+  // Name, Seed: the same list for --quick and the full corpus.
+  enum { SeedArm, ForkArm };
   std::vector<Arm> Arms = {
       {"seed", true},
       {"fork"},
-      {"portfolio", false, true},
   };
 
-  // The arm whose config hash equals Base's (the EquivConfig defaults
-  // under the bench budgets) — the configuration the svc funnel actually
-  // runs with. Its parity is a hard gate; no matching arm fails it.
-  int DefaultArm = -1;
-
-  // The fork arm is the verdict-parity reference; the portfolio arm (the
-  // shipping default) doubles as the observability reference: it runs
-  // traced (fresh trace + metrics), and its span/counter sums — including
-  // the portfolio win/fallback tallies — are gated against the
-  // StageSatWork/StageInterpWork tallies below.
-  const size_t TracedArm = PortArm;
+  // The fork arm runs Base unchanged — the configuration the svc funnel
+  // ships — and is both the verdict-parity reference and the
+  // observability reference: it runs traced (fresh trace + metrics), and
+  // its span/counter sums are gated against the StageSatWork/
+  // StageInterpWork tallies below.
+  const size_t TracedArm = ForkArm;
   std::vector<obs::TraceEvent> Events;
   std::vector<obs::CounterSample> Counters;
   std::string TraceDoc, MetricsDoc;
@@ -365,7 +307,6 @@ int main(int argc, char **argv) {
   for (size_t I = 0; I < Arms.size(); ++I) {
     Arm &A = Arms[I];
     core::EquivConfig Cfg = Base;
-    Cfg.PortfolioSolving = A.Portfolio;
     if (A.Seed)
       // Frozen seed smt stack: scratch solver + full re-blast per cell.
       Cfg.SplitCellOverride = [](const vir::VFunction &S,
@@ -373,8 +314,6 @@ int main(int argc, char **argv) {
                                  const tv::RefineOptions &RO) {
         return seedref::checkRefinementSeed(S, T, RO);
       };
-    if (DefaultArm < 0 && Cfg.configHash() == Base.configHash())
-      DefaultArm = static_cast<int>(I);
     std::printf("  [%zu/%zu] %s...\n", I + 1, Arms.size(), A.Name);
     if (I == TracedArm) {
       obs::resetTrace();
@@ -385,7 +324,7 @@ int main(int argc, char **argv) {
     A.T = tally(A.Records);
     if (I == TracedArm) {
       obs::setTracingEnabled(false);
-      // Scrape immediately: the later arms keep feeding the (always-on)
+      // Scrape immediately: a later arm would keep feeding the (always-on)
       // metrics registry, so the parity comparison needs a point-in-time
       // snapshot of counters and both JSON documents.
       Events = obs::snapshotTrace();
@@ -395,8 +334,7 @@ int main(int argc, char **argv) {
     }
   }
 
-  // Verdict parity: every arm against the fork reference (the seed arm
-  // included: seed == fork is a hard gate).
+  // Verdict parity: every arm against the fork reference.
   int TotalMismatches = 0;
   for (size_t I = 0; I < Arms.size(); ++I) {
     if (I == ForkArm)
@@ -426,18 +364,14 @@ int main(int argc, char **argv) {
     if (A.Records.size() != Corpus.size())
       AllArmsParityOk = false;
 
-  // The store runs used the unmodified Base config — the EquivConfig
-  // defaults — so their (Final, DecidedBy) funnel must match the default
-  // arm exactly.
-  bool StoreArmParityOk = false;
-  if (DefaultArm >= 0) {
-    std::string ArmSummary;
-    for (const FunnelRecord &R : Arms[static_cast<size_t>(DefaultArm)].Records)
-      appendf(ArmSummary, "%s %s %s\n", R.Name.c_str(),
-              core::outcomeName(R.Result.Final),
-              core::stageName(R.Result.DecidedBy));
-    StoreArmParityOk = ColdRun.Summary == ArmSummary;
-  }
+  // The store runs used the unmodified Base config, as the fork arm did,
+  // so their (Final, DecidedBy) funnel must match the fork arm exactly.
+  std::string ForkSummary;
+  for (const FunnelRecord &R : Arms[ForkArm].Records)
+    appendf(ForkSummary, "%s %s %s\n", R.Name.c_str(),
+            core::outcomeName(R.Result.Final),
+            core::stageName(R.Result.DecidedBy));
+  bool StoreArmParityOk = ColdRun.Summary == ForkSummary;
 
   const FunnelTally &TA = Arms[ForkArm].T; // funnel shape from fork arm
 
@@ -470,46 +404,23 @@ int main(int argc, char **argv) {
 
   // Splitting-stage cost per arm.
   std::printf("\n  spatial-splitting stage by arm (parity vs fork):\n");
-  std::printf("  %-18s %9s %12s %12s %10s %10s %9s\n", "mode", "queries",
-              "conflicts", "props", "reusedlits", "wall-ms", "mismatch");
+  std::printf("  %-18s %9s %12s %12s %10s %9s\n", "mode", "queries",
+              "conflicts", "props", "wall-ms", "mismatch");
   for (const Arm &A : Arms) {
-    std::printf("  %-18s %9d %12llu %12llu %10llu %10.1f %9d\n", A.Name,
+    std::printf("  %-18s %9d %12llu %12llu %10.1f %9d\n", A.Name,
                 A.T.SplitQueries,
                 static_cast<unsigned long long>(A.T.SplitWork.Conflicts),
                 static_cast<unsigned long long>(A.T.SplitWork.Propagations),
-                static_cast<unsigned long long>(A.T.SplitWork.TrailReused),
                 static_cast<double>(A.T.SplitWallNanos) / 1e6,
                 A.Mismatches);
   }
 
-  // Racer attribution for the portfolio arms: who decided, and how the
-  // SAT work split between the fast probe and the sound fork.
-  std::printf("\n  portfolio racer attribution (stage-3/4 queries):\n");
-  std::printf("  %-18s %8s %9s %9s %12s %12s %10s\n", "mode", "fastwin",
-              "soundwin", "fallback", "fast-conf", "sound-conf",
-              "fast-reuse");
-  for (const Arm &A : Arms) {
-    if (!A.Portfolio)
-      continue;
-    RacerStats R = armRacer(A);
-    std::printf("  %-18s %8llu %9llu %9llu %12llu %12llu %10llu\n", A.Name,
-                static_cast<unsigned long long>(R.FastWins),
-                static_cast<unsigned long long>(R.SoundWins),
-                static_cast<unsigned long long>(R.Fallbacks),
-                static_cast<unsigned long long>(R.FastConflicts),
-                static_cast<unsigned long long>(R.SoundConflicts),
-                static_cast<unsigned long long>(R.FastReused));
-  }
-
   // Gates.
   const Arm *SeedA = &Arms[SeedArm];
-  const Arm *PortA = &Arms[PortArm];
 
   bool ShapeOk = TA.allEq() > TA.A2Eq && (TA.CUEq + TA.CUNeq) > 0 &&
                  TA.Plaus > TA.allEq();
   bool SeedParityOk = SeedA->Mismatches == 0;
-  bool DefaultParityOk = DefaultArm >= 0 &&
-                         Arms[static_cast<size_t>(DefaultArm)].Mismatches == 0;
 
   // Seed -> fork: the session-reuse win must not regress. The SAT-work
   // ratio is deterministic (1.08x on the full corpus — most of the win is
@@ -526,25 +437,11 @@ int main(int argc, char **argv) {
                      SeedA->T.SplitWallNanos == 0 && TA.SplitWallNanos == 0;
   bool SpeedupOk = SeedSatRatio >= 2.0 || SeedWallRatio >= 1.5;
 
-  // The portfolio's splitting stage must cost exactly the sound fork's
-  // SAT work: the adaptive probe gate retires the fast arm at the cunroll
-  // budget, so stage 4 runs pure sound forks. Work equality is exact and
-  // deterministic; the wall comparison gets slack for timer noise (the
-  // work being identical, the wall should track fork closely).
-  bool PortSplitWorkOk = PortA->T.splitSatWork() == TA.splitSatWork();
-  double PortSplitWallX =
-      TA.SplitWallNanos
-          ? static_cast<double>(PortA->T.SplitWallNanos) /
-                static_cast<double>(TA.SplitWallNanos)
-          : 1.0;
-  bool PortfolioSplitOk = PortSplitWorkOk && PortSplitWallX <= 1.25;
-
-  // Observability gates on the traced portfolio arm: the per-stage span
-  // args and the tv.* counters must reproduce the StageSatWork/
+  // Observability gates on the traced fork arm: the per-stage span args
+  // and the tv.* counters must reproduce the StageSatWork/
   // StageInterpWork tallies svc aggregated from the same TVResults
   // (cache-free funnel, so every verify task emits exactly one set of
-  // stage spans). The portfolio win/fallback attribution rides the same
-  // parity: span args and counters both derive from PortfolioArm.
+  // stage spans).
   svc::StageSatWork FA2, FCU, FSP;
   svc::StageInterpWork FCK;
   uint64_t FA2Nanos = 0, FCUNanos = 0, FSPNanos = 0, FCKNanos = 0;
@@ -564,26 +461,12 @@ int main(int argc, char **argv) {
   auto satStageParity = [&](const char *Span, const svc::StageSatWork &W) {
     return sumSpanArg(Events, Span, "conflicts") == W.Conflicts &&
            sumSpanArg(Events, Span, "propagations") == W.Propagations &&
-           sumSpanArg(Events, Span, "restarts") == W.Restarts &&
-           sumSpanArg(Events, Span, "trail_reused") == W.TrailReused;
-  };
-  // Stages 3/4 run through the portfolio session; their spans carry the
-  // racer attribution and must reproduce the StageSatWork tallies.
-  auto portfolioStageParity = [&](const char *Span,
-                                  const svc::StageSatWork &W) {
-    return sumSpanArg(Events, Span, "portfolio_fast_wins") ==
-               W.PortfolioFastWins &&
-           sumSpanArg(Events, Span, "portfolio_sound_wins") ==
-               W.PortfolioSoundWins &&
-           sumSpanArg(Events, Span, "portfolio_fallbacks") ==
-               W.PortfolioFallbacks;
+           sumSpanArg(Events, Span, "restarts") == W.Restarts;
   };
   bool SpanParityOk =
       satStageParity("stage.alive2", FA2) &&
       satStageParity("stage.cunroll", FCU) &&
       satStageParity("stage.split", FSP) &&
-      portfolioStageParity("stage.cunroll", FCU) &&
-      portfolioStageParity("stage.split", FSP) &&
       sumSpanArg(Events, "stage.checksum", "instrs") == FCK.Instrs &&
       sumSpanArg(Events, "stage.checksum", "cand_runs") == FCK.CandRuns &&
       sumSpanArg(Events, "stage.checksum", "scalar_runs") == FCK.ScalarRuns &&
@@ -615,17 +498,6 @@ int main(int argc, char **argv) {
       cval("tv.propagations") ==
           FA2.Propagations + FCU.Propagations + FSP.Propagations &&
       cval("tv.restarts") == FA2.Restarts + FCU.Restarts + FSP.Restarts &&
-      cval("tv.trail_reused") ==
-          FA2.TrailReused + FCU.TrailReused + FSP.TrailReused &&
-      cval("tv.portfolio_fast_wins") ==
-          FA2.PortfolioFastWins + FCU.PortfolioFastWins +
-              FSP.PortfolioFastWins &&
-      cval("tv.portfolio_sound_wins") ==
-          FA2.PortfolioSoundWins + FCU.PortfolioSoundWins +
-              FSP.PortfolioSoundWins &&
-      cval("tv.portfolio_fallbacks") ==
-          FA2.PortfolioFallbacks + FCU.PortfolioFallbacks +
-              FSP.PortfolioFallbacks &&
       cval("svc.tasks") == VerifyTasks;
   std::string TraceErr, MetricsErr;
   std::vector<std::string> TraceKeys, MetricsKeys;
@@ -647,10 +519,6 @@ int main(int argc, char **argv) {
               ShapeOk ? "OK" : "MISMATCH");
   std::printf("  seed == fork verdicts on all %d pairs: %s\n", Total,
               SeedParityOk ? "OK" : "MISMATCH");
-  std::printf("  default config (%s) parity: %s\n",
-              DefaultArm >= 0 ? Arms[static_cast<size_t>(DefaultArm)].Name
-                              : "n/a",
-              DefaultParityOk ? "OK" : "MISMATCH");
   std::printf("  all arms verdict-identical to fork: %s (%d mismatching "
               "verdicts)\n",
               AllArmsParityOk ? "OK" : "MISMATCH", TotalMismatches);
@@ -661,9 +529,6 @@ int main(int argc, char **argv) {
     std::printf("  seed->fork splitting reduction (>=2x sat or >=1.5x wall): "
                 "%s (%.2fx sat, %.2fx wall)\n",
                 SpeedupOk ? "OK" : "MISMATCH", SeedSatRatio, SeedWallRatio);
-  std::printf("  portfolio splitting == fork SAT work, wall <= 1.25x: %s "
-              "(%.2fx wall)\n",
-              PortfolioSplitOk ? "OK" : "MISMATCH", PortSplitWallX);
   std::printf("  stage span sums reproduce StageSat/InterpWork tallies: %s\n",
               SpanParityOk ? "OK" : "MISMATCH");
   std::printf("  stage span durations reproduce EquivResult nanos: %s\n",
@@ -694,7 +559,7 @@ int main(int argc, char **argv) {
               StoreWarmOk && StoreColdOk ? "OK" : "MISMATCH");
   std::printf("  warm checksum+split spans collapse (>= 5x under cold): %s\n",
               StoreSpeedOk ? "OK" : "MISMATCH");
-  std::printf("  store funnel matches default arm (Final/DecidedBy): %s\n",
+  std::printf("  store funnel matches fork arm (Final/DecidedBy): %s\n",
               StoreArmParityOk ? "OK" : "MISMATCH");
   if (HavePersist)
     std::printf("  persistent store run (--store): %llu hits, %llu writes, "
@@ -730,75 +595,37 @@ int main(int argc, char **argv) {
   appendf(J, "  \"arms\": [\n");
   for (size_t I = 0; I < Arms.size(); ++I) {
     const Arm &A = Arms[I];
-    RacerStats R = armRacer(A);
     appendf(J,
             "    {\"name\": \"%s\", \"queries\": %d, \"conflicts\": %llu, "
-            "\"propagations\": %llu, \"trail_reused\": %llu, "
-            "\"wall_ns\": %llu, \"mismatches\": %d, \"portfolio\": %s, "
-            "\"fast_wins\": %llu, \"sound_wins\": %llu, "
-            "\"fallbacks\": %llu, \"fast_conflicts\": %llu, "
-            "\"fast_propagations\": %llu, \"fast_trail_reused\": %llu, "
-            "\"fast_cone_vars\": %llu, \"fast_cone_clauses\": %llu, "
-            "\"sound_conflicts\": %llu, \"sound_propagations\": %llu}%s\n",
+            "\"propagations\": %llu, \"wall_ns\": %llu, "
+            "\"mismatches\": %d}%s\n",
             A.Name, A.T.SplitQueries,
             static_cast<unsigned long long>(A.T.SplitWork.Conflicts),
             static_cast<unsigned long long>(A.T.SplitWork.Propagations),
-            static_cast<unsigned long long>(A.T.SplitWork.TrailReused),
             static_cast<unsigned long long>(A.T.SplitWallNanos),
-            A.Mismatches, A.Portfolio ? "true" : "false",
-            static_cast<unsigned long long>(R.FastWins),
-            static_cast<unsigned long long>(R.SoundWins),
-            static_cast<unsigned long long>(R.Fallbacks),
-            static_cast<unsigned long long>(R.FastConflicts),
-            static_cast<unsigned long long>(R.FastProps),
-            static_cast<unsigned long long>(R.FastReused),
-            static_cast<unsigned long long>(R.FastConeVars),
-            static_cast<unsigned long long>(R.FastConeClauses),
-            static_cast<unsigned long long>(R.SoundConflicts),
-            static_cast<unsigned long long>(R.SoundProps),
-            I + 1 < Arms.size() ? "," : "");
+            A.Mismatches, I + 1 < Arms.size() ? "," : "");
   }
   appendf(J, "  ],\n");
-  // Per-stage SAT work of the default configuration (the numbers the svc
-  // Outcome aggregation feeds): alive2 / c-unroll / splitting.
-  if (DefaultArm >= 0) {
-    svc::StageSatWork A2, CU, SP;
-    for (const FunnelRecord &R :
-         Arms[static_cast<size_t>(DefaultArm)].Records) {
-      A2.add(R.Alive2Work);
-      CU.add(R.CUnrollWork);
-      SP.add(R.SplitWork);
-    }
-    appendf(J, "  \"default_mode\": \"%s\",\n",
-            Arms[static_cast<size_t>(DefaultArm)].Name);
-    appendf(J, "  \"default_stage_work\": {\n");
-    auto StageJson = [&](const char *Name, const svc::StageSatWork &W,
-                         const char *Sep) {
-      appendf(J,
-              "    \"%s\": {\"conflicts\": %llu, \"propagations\": %llu, "
-              "\"restarts\": %llu, \"trail_reused\": %llu, "
-              "\"portfolio_fast_wins\": %llu, "
-              "\"portfolio_sound_wins\": %llu, "
-              "\"portfolio_fallbacks\": %llu, \"fast_conflicts\": %llu, "
-              "\"fast_propagations\": %llu}%s\n",
-              Name, static_cast<unsigned long long>(W.Conflicts),
-              static_cast<unsigned long long>(W.Propagations),
-              static_cast<unsigned long long>(W.Restarts),
-              static_cast<unsigned long long>(W.TrailReused),
-              static_cast<unsigned long long>(W.PortfolioFastWins),
-              static_cast<unsigned long long>(W.PortfolioSoundWins),
-              static_cast<unsigned long long>(W.PortfolioFallbacks),
-              static_cast<unsigned long long>(W.FastConflicts),
-              static_cast<unsigned long long>(W.FastPropagations), Sep);
-    };
-    StageJson("alive2", A2, ",");
-    StageJson("c_unroll", CU, ",");
-    StageJson("splitting", SP, "");
-    appendf(J, "  },\n");
-  }
+  // Per-stage SAT work of the default configuration (the fork arm; the
+  // numbers the svc Outcome aggregation feeds): alive2 / c-unroll /
+  // splitting. FA2/FCU/FSP were summed from the fork arm's records above.
+  appendf(J, "  \"default_mode\": \"%s\",\n", Arms[ForkArm].Name);
+  appendf(J, "  \"default_stage_work\": {\n");
+  auto StageJson = [&](const char *Name, const svc::StageSatWork &W,
+                       const char *Sep) {
+    appendf(J,
+            "    \"%s\": {\"conflicts\": %llu, \"propagations\": %llu, "
+            "\"restarts\": %llu}%s\n",
+            Name, static_cast<unsigned long long>(W.Conflicts),
+            static_cast<unsigned long long>(W.Propagations),
+            static_cast<unsigned long long>(W.Restarts), Sep);
+  };
+  StageJson("alive2", FA2, ",");
+  StageJson("c_unroll", FCU, ",");
+  StageJson("splitting", FSP, "");
+  appendf(J, "  },\n");
   appendf(J, "  \"seed_sat_ratio\": %.3f,\n  \"seed_wall_ratio\": %.3f,\n",
           SeedSatRatio, SeedWallRatio);
-  appendf(J, "  \"portfolio_split_wall_x\": %.3f,\n", PortSplitWallX);
   appendf(J, "  \"total_mismatches\": %d,\n", TotalMismatches);
   appendf(J,
           "  \"obs\": {\"trace_events\": %llu, \"trace_threads\": %llu, "
@@ -809,13 +636,10 @@ int main(int argc, char **argv) {
           static_cast<unsigned long long>(VerifyTasks));
   appendf(J,
           "  \"shape_ok\": %s,\n  \"seed_parity_ok\": %s,\n"
-          "  \"default_parity_ok\": %s,\n  \"all_arms_parity_ok\": %s,\n"
-          "  \"speedup_ok\": %s,\n  \"portfolio_split_ok\": %s,\n",
+          "  \"all_arms_parity_ok\": %s,\n  \"speedup_ok\": %s,\n",
           ShapeOk ? "true" : "false", SeedParityOk ? "true" : "false",
-          DefaultParityOk ? "true" : "false",
           AllArmsParityOk ? "true" : "false",
-          NoSplitWork ? "null" : (SpeedupOk ? "true" : "false"),
-          PortfolioSplitOk ? "true" : "false");
+          NoSplitWork ? "null" : (SpeedupOk ? "true" : "false"));
   appendf(J,
           "  \"span_parity_ok\": %s,\n  \"wall_parity_ok\": %s,\n"
           "  \"counter_parity_ok\": %s,\n  \"trace_json_ok\": %s,\n"
@@ -856,16 +680,16 @@ int main(int argc, char **argv) {
       writeBenchJson("bench_table3_equivalence", Opt, J, "BENCH_table3.json");
 
   // --trace/--metrics artifacts: the trace buffers still hold only the
-  // portfolio arm's spans (the other arms ran untraced); the metrics file
-  // covers the whole run.
+  // fork arm's spans (the seed arm ran untraced); the metrics file covers
+  // the whole run.
   obs::setTracingEnabled(TraceRequested);
   bool ObsOk = writeObsArtifacts(Opt);
 
   bool StoreOk = StoreBitOk && StoreColdOk && StoreWarmOk && StoreSpeedOk &&
                  StoreArmParityOk && PersistOk;
 
-  return ShapeOk && SeedParityOk && DefaultParityOk && AllArmsParityOk &&
-                 (SpeedupOk || NoSplitWork) && PortfolioSplitOk && SpanParityOk && WallParityOk &&
+  return ShapeOk && SeedParityOk && AllArmsParityOk &&
+                 (SpeedupOk || NoSplitWork) && SpanParityOk && WallParityOk &&
                  CounterParityOk && TraceJsonOk && MetricsJsonOk && StoreOk &&
                  JsonOk && ObsOk
              ? 0

@@ -8,9 +8,10 @@ Builds perfbench the way perfbench/run.py does (into $CARGO_TARGET_DIR,
 default .bench_build), runs it with the arguments the baseline records
 (traced `pipeline`, seed 7, 24 requests) and exits 1 when any baseline
 counter differs from the run's value. The counters count work, not time
-(terms built, clauses emitted, SAT conflicts and propagations, portfolio
-fast wins and fallbacks), so they are the same on every host: a change
-meant to move them updates the baseline in the same commit.
+(terms built, clauses emitted, SAT conflicts and propagations, and the
+retired racer's fast wins and fallbacks, now always 0), so they are the
+same on every host: a change meant to move them updates the baseline in
+the same commit.
 """
 
 import json

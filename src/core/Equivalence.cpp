@@ -41,10 +41,10 @@ uint64_t EquivConfig::configHash() const {
   H = hashField(H, 7, EnableAlive2 ? 1 : 0);
   H = hashField(H, 8, EnableCUnroll ? 1 : 0);
   H = hashField(H, 9, EnableSplitting ? 1 : 0);
-  // Tags 10, 12-14 (removed solver-mode knobs) and 16 (the removed
-  // stage-4 cell fan-out width) are retired; never reuse them.
+  // Tags 10, 12-14 (removed solver-mode knobs), 15 (the removed
+  // portfolio racer) and 16 (the removed stage-4 cell fan-out width) are
+  // retired; never reuse them.
   H = hashField(H, 11, SplitCellOverride ? 1 : 0);
-  H = hashField(H, 15, PortfolioSolving ? 1 : 0);
   return H;
 }
 
@@ -262,7 +262,6 @@ static void checkEquivalenceImpl(const std::string &ScalarSrc,
       Timer.arg("conflicts", Out.Alive2Res.Conflicts);
       Timer.arg("propagations", Out.Alive2Res.Propagations);
       Timer.arg("restarts", Out.Alive2Res.Restarts);
-      Timer.arg("trail_reused", Out.Alive2Res.TrailReused);
     }
     if (Decided)
       return;
@@ -270,9 +269,9 @@ static void checkEquivalenceImpl(const std::string &ScalarSrc,
 
   // Stages 3-4 share one straight-lined encoding: both verify the same
   // aligned block, stage 3 over the full compare window and stage 4
-  // cell-by-cell. One RefinementSession blasts that encoding once and all
-  // queries (the stage-3 attempt and every stage-4 cell) run against the
-  // same incremental SAT context.
+  // cell-by-cell. One RefinementSession blasts that encoding once and every
+  // query (the stage-3 attempt and each stage-4 cell) solves in its own
+  // fork of that pristine base.
   UnrollResult SU, VU;
   vir::VFunctionPtr SUV, VUV;
   std::string UnrollErr;
@@ -289,7 +288,6 @@ static void checkEquivalenceImpl(const std::string &ScalarSrc,
 
   tv::RefineOptions StraightRO;
   StraightRO.ScalarMax = Cfg.ScalarMax;
-  StraightRO.Portfolio = Cfg.PortfolioSolving;
   StraightRO.SrcExec.MemWindow = static_cast<int>(Align.Start + Align.V) + 10;
   StraightRO.TgtExec.MemWindow = StraightRO.SrcExec.MemWindow;
   StraightRO.CompareWindow = StraightRO.SrcExec.MemWindow;
@@ -331,16 +329,6 @@ static void checkEquivalenceImpl(const std::string &ScalarSrc,
       Timer.arg("conflicts", Out.CUnrollRes.Conflicts);
       Timer.arg("propagations", Out.CUnrollRes.Propagations);
       Timer.arg("restarts", Out.CUnrollRes.Restarts);
-      Timer.arg("trail_reused", Out.CUnrollRes.TrailReused);
-      // Stage 3 runs through the same portfolio session as stage 4.
-      Timer.arg("portfolio_fast_wins",
-                Out.CUnrollRes.PortfolioArm == 1 ? 1 : 0);
-      Timer.arg("portfolio_sound_wins",
-                Out.CUnrollRes.PortfolioArm == 2 && Out.CUnrollRes.decided()
-                    ? 1
-                    : 0);
-      Timer.arg("portfolio_fallbacks",
-                Out.CUnrollRes.PortfolioArm == 2 ? 1 : 0);
     }
     if (Decided)
       return;
@@ -398,29 +386,16 @@ static void checkEquivalenceImpl(const std::string &ScalarSrc,
           Decided = true;
         }
       }
-      uint64_t Conflicts = 0, Props = 0, Restarts = 0, Reused = 0;
-      uint64_t FastWins = 0, SoundWins = 0, Fallbacks = 0;
+      uint64_t Conflicts = 0, Props = 0, Restarts = 0;
       for (const TVResult &RJ : Out.SplitRes) {
         Conflicts += RJ.Conflicts;
         Props += RJ.Propagations;
         Restarts += RJ.Restarts;
-        Reused += RJ.TrailReused;
-        if (RJ.PortfolioArm == 1)
-          ++FastWins;
-        else if (RJ.PortfolioArm == 2) {
-          ++Fallbacks;
-          if (RJ.decided())
-            ++SoundWins;
-        }
       }
       Timer.arg("cells", Out.SplitRes.size());
       Timer.arg("conflicts", Conflicts);
       Timer.arg("propagations", Props);
       Timer.arg("restarts", Restarts);
-      Timer.arg("trail_reused", Reused);
-      Timer.arg("portfolio_fast_wins", FastWins);
-      Timer.arg("portfolio_sound_wins", SoundWins);
-      Timer.arg("portfolio_fallbacks", Fallbacks);
     }
     if (Decided)
       return;

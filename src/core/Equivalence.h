@@ -17,6 +17,13 @@
 /// handled by requiring syntactically identical outer loops and elevating
 /// the outer iterator to a parameter before stages 2-4.
 ///
+/// Stages 3 and 4 share one tv::RefinementSession over the straight-lined
+/// block: symbolic execution and the common-encoding blast happen once,
+/// and every query (the stage-3 attempt, each stage-4 cell) is exactly one
+/// solve in a throwaway fork of the session's pristine base, so its
+/// verdict and work equal a one-shot tv::checkRefinement with the same
+/// options.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LV_CORE_EQUIVALENCE_H
@@ -54,18 +61,6 @@ struct EquivConfig {
   bool EnableAlive2 = true;      ///< Ablation: skip stage 2.
   bool EnableCUnroll = true;     ///< Ablation: skip stage 3.
   bool EnableSplitting = true;   ///< Ablation: skip stage 4.
-  /// Portfolio racing for the stage-3/4 session (smt/README.md
-  /// "Portfolio mode"). Stages 3 and 4 share one tv::RefinementSession:
-  /// symbolic execution and the common-encoding blast happen once, and
-  /// every query first runs a *fast arm* — a dedicated shared-learnt base
-  /// with cone projection and trail reuse — under a probe slice of its
-  /// budget. A decided fast verdict is accepted (both arms run complete
-  /// searches, so any Sat/Unsat is sound), while an indeterminate one
-  /// falls back to the sound arm: a throwaway fork of the pristine base,
-  /// whose verdict is bit-identical to a scratch solver by construction.
-  /// false runs the sound fork alone — the parity reference
-  /// bench_table3_equivalence gates the portfolio's verdicts against.
-  bool PortfolioSolving = true;
   /// Reference hook: when set, every stage-4 per-cell refinement query
   /// routes through this callback instead of the session. Either way
   /// stage 4 asks one query per cell, in cell order, and stops at the

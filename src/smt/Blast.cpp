@@ -240,10 +240,6 @@ const BitBlaster::PackedWord &BitBlaster::blastBv(TermId Id) {
     return *Cached;
   checkCancelTick();
   const Term &T = TT.get(Id);
-  // Operand recursion runs before this term's own gates are built, so
-  // restoring on exit attributes every fresh variable below to Id.
-  TermId SavedOwner = CurOwner;
-  CurOwner = Id;
   Word W;
   switch (T.K) {
   case TK::Const:
@@ -356,7 +352,6 @@ const BitBlaster::PackedWord &BitBlaster::blastBv(TermId Id) {
     W = wConst(0);
   }
   assert(W.size() == 32 && "BV words are 32 bits");
-  CurOwner = SavedOwner;
   return internBv(Id, W);
 }
 
@@ -366,8 +361,6 @@ Lit BitBlaster::blastBool(TermId Id) {
     return Cached;
   checkCancelTick();
   const Term &T = TT.get(Id);
-  TermId SavedOwner = CurOwner;
-  CurOwner = Id;
   Lit L;
   switch (T.K) {
   case TK::True:
@@ -445,7 +438,6 @@ Lit BitBlaster::blastBool(TermId Id) {
     assert(false && "blastBool on a bv term");
     L = falseLit();
   }
-  CurOwner = SavedOwner;
   return internBool(Id, L);
 }
 

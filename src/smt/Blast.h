@@ -115,8 +115,7 @@ public:
   BitBlaster(const BitBlaster &O, SatSolver &NewS)
       : TT(O.TT), S(NewS), TrueLit(O.TrueLit), BoolCache(O.BoolCache),
         BvPool(O.BvPool), BvCache(O.BvCache), GateCache(O.GateCache),
-        VarsSeen(O.VarsSeen), VarOwner(O.VarOwner), CurOwner(O.CurOwner),
-        CT(O.CT) {}
+        VarsSeen(O.VarsSeen), CT(O.CT) {}
 
   /// Re-forks in place: like the fork constructor, but reuses this
   /// instance's existing buffer capacity (repeated forking stays pure
@@ -129,8 +128,6 @@ public:
     BvCache = O.BvCache;
     GateCache = O.GateCache;
     VarsSeen = O.VarsSeen;
-    VarOwner = O.VarOwner;
-    CurOwner = O.CurOwner;
     CT = O.CT;
   }
 
@@ -150,39 +147,6 @@ public:
   /// Terms of kind Var/BVar encountered during blasting (for model dumps).
   const std::vector<TermId> &seenVars() const { return VarsSeen; }
 
-  /// Owner term of solver variable \p V: the term whose blast created it
-  /// (input bits belong to their Var/BVar term, internal gate variables
-  /// to the term being blasted when they were introduced). NoTerm for
-  /// vars not created by this blaster (the constant-true var). A gate
-  /// reused across terms via the GateTable keeps its first owner, so a
-  /// later query whose encoding shares it may see the gate as
-  /// out-of-cone — that only narrows the projection (the lift phase
-  /// keeps verdicts sound); in practice shared gates almost always come
-  /// from shared (hash-consed) subterms, which are reachable from every
-  /// query that uses them.
-  TermId varOwner(Var V) const {
-    return static_cast<size_t>(V) < VarOwner.size()
-               ? VarOwner[static_cast<size_t>(V)]
-               : NoTerm;
-  }
-  int numOwnedVars() const { return static_cast<int>(VarOwner.size()); }
-
-  /// After a cone-projected solve: does any bit of var-term \p Id lie in
-  /// the query cone? Used to restrict the SAT certificate to variables
-  /// the query actually constrains.
-  bool varInLastCone(TermId Id, const SatSolver &Solver) const {
-    if (const PackedWord *W = bvCached(Id)) {
-      for (const Lit &L : *W)
-        if (Solver.inLastCone(L.var()))
-          return true;
-      return false;
-    }
-    Lit L;
-    if (boolCached(Id, L))
-      return Solver.inLastCone(L.var());
-    return false;
-  }
-
 private:
   const TermTable &TT;
   SatSolver &S;
@@ -196,13 +160,6 @@ private:
   std::vector<int32_t> BvCache; ///< TermId -> BvPool index, -1 when unset.
   GateTable GateCache;
   std::vector<TermId> VarsSeen;
-  /// Per solver var: the term whose blast created it (see varOwner()).
-  std::vector<TermId> VarOwner;
-  /// Term currently being built (set on the cache-miss path of blastBool
-  /// and blastBv; operand recursion finishes before a term's own gates
-  /// are constructed, so the save/restore discipline attributes every
-  /// fresh variable to the right term).
-  TermId CurOwner = NoTerm;
   /// Captured at construction and preserved across fork()/assignFrom so
   /// blasters running on tv worker threads still honour the owning
   /// task's deadline. Null when no CancelScope is active.
@@ -260,13 +217,7 @@ private:
     return false;
   }
 
-  Lit freshLit() {
-    Var V = S.newVar();
-    if (static_cast<size_t>(V) >= VarOwner.size())
-      VarOwner.resize(static_cast<size_t>(V) + 1, NoTerm);
-    VarOwner[static_cast<size_t>(V)] = CurOwner;
-    return Lit(V, false);
-  }
+  Lit freshLit() { return Lit(S.newVar(), false); }
 
   // Simplifying gate constructors.
   Lit gAnd(Lit A, Lit B);

@@ -97,32 +97,6 @@ Var SatSolver::heapPop() {
   return Top;
 }
 
-void SatSolver::restoreHeuristics(const HeuristicSnapshot &S) {
-  assert(decisionLevel() == 0);
-  size_t N = Activity.size();
-  size_t Old = S.Activity.size();
-  std::copy(S.Activity.begin(), S.Activity.end(), Activity.begin());
-  std::fill(Activity.begin() + static_cast<long>(std::min(Old, N)),
-            Activity.end(), 0.0);
-  std::copy(S.Polarity.begin(), S.Polarity.end(), Polarity.begin());
-  std::fill(Polarity.begin() + static_cast<long>(std::min(Old, N)),
-            Polarity.end(), static_cast<char>(1));
-  VarInc = S.VarInc;
-  // Heap in creation order, exactly as a never-searched solver (or a
-  // fork of one) would hold it: every variable present, assigned ones
-  // skipped lazily by pickBranchLit.
-  Heap.resize(N);
-  for (size_t I = 0; I < N; ++I) {
-    Heap[I] = static_cast<Var>(I);
-    HeapPos[I] = static_cast<int>(I);
-  }
-  // Equal-activity ties keep creation order only while activities are the
-  // snapshot's; with a pristine snapshot (all zero) no sift is needed, and
-  // non-zero snapshots restore by re-heapifying bottom-up.
-  for (size_t I = N / 2; I-- > 0;)
-    siftDown(static_cast<int>(I));
-}
-
 void SatSolver::bumpVar(Var V) {
   Activity[static_cast<size_t>(V)] += VarInc;
   if (Activity[static_cast<size_t>(V)] > 1e100) {
@@ -153,8 +127,7 @@ SatSolver::CRef SatSolver::allocClause(const Lit *Lits, size_t N,
 void SatSolver::attachClause(CRef C) {
   assert(clauseSize(C) >= 2);
   Lit L0 = litAt(C, 0), L1 = litAt(C, 1);
-  uint32_t Flags = (clauseSize(C) == 2 ? WatchBinary : 0) |
-                   (isSkipped(C) ? WatchSkip : 0);
+  uint32_t Flags = clauseSize(C) == 2 ? WatchBinary : 0;
   watchInsert((~L0).X, C, L1, Flags);
   watchInsert((~L1).X, C, L0, Flags);
 }
@@ -236,7 +209,6 @@ void SatSolver::reduceDB() {
       WatchNode &W = WatchPool[static_cast<size_t>(N)];
       if (isDeleted(W.C)) {
         *Link = W.Next;
-        W.C = NoReason; // free-node marker: flag passes must skip it
         W.Next = WatchFree;
         WatchFree = N;
       } else {
@@ -317,15 +289,6 @@ SatSolver::CRef SatSolver::propagate() {
       // Blocking literal: skip the clause without touching its memory.
       LBool BlockerVal = value(W.Blocker);
       if (BlockerVal == LBool::True) {
-        Prev = NI;
-        Link = &W.Next;
-        continue;
-      }
-      // Out-of-cone clause during a projected solve: it still holds an
-      // unassigned out-of-cone literal (the restriction keeps it that
-      // way), so it can be neither unit nor conflicting — pass over it
-      // without touching clause memory.
-      if (W.Flags & WatchSkip) {
         Prev = NI;
         Link = &W.Next;
         continue;
@@ -519,14 +482,6 @@ Lit SatSolver::pickBranchLit() {
     Var V = heapPop();
     if (!isUnassigned(V))
       continue;
-    if (ConeActive && !coneMarked(V)) {
-      // Out-of-cone: park it until the restriction lifts. Every clause
-      // that could need this variable is skip-flagged out of propagation
-      // (clauses with all unfixed vars in the cone stay active and never
-      // mention it), so deferring cannot hide an implication.
-      ConeDeferred.push_back(V);
-      continue;
-    }
     return Lit(V, Polarity[static_cast<size_t>(V)]);
   }
   return Lit();
@@ -543,213 +498,6 @@ double lv::smt::luby(double Y, int X) {
     X = X % Size;
   }
   return std::pow(Y, Seq);
-}
-
-//===----------------------------------------------------------------------===//
-// Cone-of-influence projection
-//===----------------------------------------------------------------------===//
-
-void SatSolver::markConeByConnectivity(const std::vector<Lit> &Assumps,
-                                       uint64_t &NumVars) {
-  // Live clause list: skip deleted clauses and clauses already satisfied
-  // at level 0 (they can never propagate again, so they conduct nothing).
-  LiveScratch.clear();
-  auto ScanList = [&](const std::vector<CRef> &List) {
-    for (CRef C : List) {
-      if (isDeleted(C))
-        continue;
-      uint32_t Sz = clauseSize(C);
-      bool Satisfied = false;
-      for (uint32_t K = 0; K < Sz && !Satisfied; ++K)
-        Satisfied = value(litAt(C, K)) == LBool::True;
-      if (!Satisfied)
-        LiveScratch.push_back(C);
-    }
-  };
-  ScanList(ProblemClauses);
-  ScanList(Learnts);
-
-  // Occurrence index (CSR over unfixed variables), rebuilt per solve: an
-  // O(live literals) build, i.e. about one propagation pass.
-  OccCount.assign(static_cast<size_t>(numVars()) + 1, 0);
-  for (CRef C : LiveScratch) {
-    uint32_t Sz = clauseSize(C);
-    for (uint32_t K = 0; K < Sz; ++K) {
-      Lit L = litAt(C, K);
-      if (value(L) == LBool::Undef)
-        ++OccCount[static_cast<size_t>(L.var()) + 1];
-    }
-  }
-  for (size_t V = 1; V < OccCount.size(); ++V)
-    OccCount[V] += OccCount[V - 1];
-  OccList.assign(OccCount.back(), 0);
-  std::vector<uint32_t> Fill(OccCount.begin(), OccCount.end() - 1);
-  for (uint32_t I = 0; I < LiveScratch.size(); ++I) {
-    CRef C = LiveScratch[static_cast<size_t>(I)];
-    uint32_t Sz = clauseSize(C);
-    for (uint32_t K = 0; K < Sz; ++K) {
-      Lit L = litAt(C, K);
-      if (value(L) == LBool::Undef)
-        OccList[Fill[static_cast<size_t>(L.var())]++] = I;
-    }
-  }
-
-  // BFS from the (unfixed) assumption variables.
-  std::vector<uint8_t> Reached(LiveScratch.size(), 0);
-  ConeQueue.clear();
-  auto Mark = [&](Var V) {
-    if (ConeStamp[static_cast<size_t>(V)] != ConeGen) {
-      ConeStamp[static_cast<size_t>(V)] = ConeGen;
-      ConeQueue.push_back(V);
-      ++NumVars;
-    }
-  };
-  for (Lit A : Assumps)
-    if (value(A) == LBool::Undef)
-      Mark(A.var());
-  while (!ConeQueue.empty()) {
-    Var V = ConeQueue.back();
-    ConeQueue.pop_back();
-    size_t Lo = OccCount[static_cast<size_t>(V)];
-    size_t Hi = OccCount[static_cast<size_t>(V) + 1];
-    for (size_t I = Lo; I < Hi; ++I) {
-      uint32_t CI = OccList[I];
-      if (Reached[CI])
-        continue;
-      Reached[CI] = 1;
-      CRef C = LiveScratch[CI];
-      uint32_t Sz = clauseSize(C);
-      for (uint32_t K = 0; K < Sz; ++K) {
-        Lit L = litAt(C, K);
-        if (value(L) == LBool::Undef)
-          Mark(L.var());
-      }
-    }
-  }
-
-  // Scratch is only needed during setup; empty it so forking the solver
-  // copies sizes, not dead contents.
-  LiveScratch.clear();
-  OccCount.clear();
-  OccList.clear();
-}
-
-void SatSolver::setupCone(const std::vector<Lit> &Assumps,
-                          const std::vector<Var> *ExternalCone) {
-  ConeEntryMark = Trail.size(); // level-0 prefix, fully propagated already
-  if (ConeStamp.size() < static_cast<size_t>(numVars()))
-    ConeStamp.resize(static_cast<size_t>(numVars()), 0);
-  if (++ConeGen == 0) { // generation wrap: invalidate all stale stamps
-    std::fill(ConeStamp.begin(), ConeStamp.end(), 0u);
-    ConeGen = 1;
-  }
-
-  uint64_t NumVars = 0;
-  if (ExternalCone) {
-    // Caller-computed (definitional) cone, e.g. the blaster's term cone.
-    // The assumption variables must be decidable whatever the caller sent.
-    for (Var V : *ExternalCone)
-      if (static_cast<size_t>(V) < ConeStamp.size() &&
-          ConeStamp[static_cast<size_t>(V)] != ConeGen) {
-        ConeStamp[static_cast<size_t>(V)] = ConeGen;
-        if (isUnassigned(V))
-          ++NumVars;
-      }
-    for (Lit A : Assumps) {
-      Var V = A.var();
-      if (ConeStamp[static_cast<size_t>(V)] != ConeGen) {
-        ConeStamp[static_cast<size_t>(V)] = ConeGen;
-        if (isUnassigned(V))
-          ++NumVars;
-      }
-    }
-  } else {
-    markConeByConnectivity(Assumps, NumVars);
-  }
-
-  ConeActive = NumVars > 0;
-  LastConeUsed = ConeActive;
-  if (!ConeActive) {
-    Stats.ConeVars = 0;
-    Stats.ConeClauses = 0;
-    return;
-  }
-
-  // Classify every live clause — skip iff it still has an unfixed
-  // out-of-cone literal (such a literal stays unassigned for the whole
-  // projected phase, so the clause can never propagate) — and mirror the
-  // verdict into the watcher nodes so the hot loop never touches skipped
-  // clause memory.
-  uint64_t NumClauses = 0;
-  auto Classify = [&](const std::vector<CRef> &List) {
-    for (CRef C : List) {
-      if (isDeleted(C))
-        continue;
-      uint32_t Sz = clauseSize(C);
-      bool Skip = false;
-      for (uint32_t K = 0; K < Sz; ++K) {
-        Lit L = litAt(C, K);
-        if (value(L) == LBool::Undef && !coneMarked(L.var())) {
-          Skip = true;
-          break;
-        }
-      }
-      if (Skip)
-        Arena[C + 1] |= SkipBit;
-      else {
-        Arena[C + 1] &= ~SkipBit;
-        ++NumClauses;
-      }
-    }
-  };
-  Classify(ProblemClauses);
-  Classify(Learnts);
-  for (WatchNode &W : WatchPool) {
-    if (W.C == NoReason)
-      continue; // free-list node
-    if (isSkipped(W.C))
-      W.Flags |= WatchSkip;
-    else
-      W.Flags &= ~WatchSkip;
-  }
-  ConeFlagged = true;
-
-  Stats.ConeVars = NumVars;
-  Stats.ConeClauses = NumClauses;
-}
-
-void SatSolver::clearConeFlags() {
-  if (!ConeFlagged)
-    return;
-  for (CRef C : ProblemClauses)
-    Arena[C + 1] &= ~SkipBit;
-  for (CRef C : Learnts)
-    Arena[C + 1] &= ~SkipBit;
-  for (WatchNode &W : WatchPool)
-    W.Flags &= ~WatchSkip;
-  ConeFlagged = false;
-}
-
-void SatSolver::liftCone() {
-  ConeActive = false;
-  // Restart before re-enabling the skipped clauses. Replaying a deep
-  // search trail against them is not conflict-safe: a replay conflict
-  // would backjump with QHead snapped past the unreplayed positions,
-  // leaving re-enabled clauses permanently blind to surviving trail
-  // literals (a later Sat could then violate one of them). At level 0
-  // the replay below covers exactly the literals fixed while the flags
-  // were on, and a replay conflict is a genuine root contradiction.
-  cancelUntil(0);
-  for (Var V : ConeDeferred)
-    if (isUnassigned(V))
-      heapInsert(V);
-  ConeDeferred.clear();
-  clearConeFlags();
-  // Replay every root literal fixed since the projected phase began
-  // against the re-enabled clauses: their skipped watchers never moved,
-  // so without this the solver would go blind to those clauses forever.
-  // Older trail entries were fully propagated before the phase started.
-  QHead = std::min(ConeEntryMark, Trail.size());
 }
 
 SatResult SatSolver::solve(const SatBudget &Budget) {
@@ -783,8 +531,7 @@ struct SolveMetricsGuard {
 } // namespace
 
 SatResult SatSolver::solve(const std::vector<Lit> &Assumps,
-                           const SatBudget &Budget, const SatOptions &Opts,
-                           const std::vector<Var> *ExternalCone) {
+                           const SatBudget &Budget) {
   SolveMetricsGuard Metrics(Stats);
   if (!OkFlag)
     return SatResult::Unsat;
@@ -793,26 +540,6 @@ SatResult SatSolver::solve(const std::vector<Lit> &Assumps,
     OkFlag = false;
     return SatResult::Unsat;
   }
-
-  Stats.ConeVars = 0;
-  Stats.ConeClauses = 0;
-  LastConeUsed = false;
-  ConeActive = false;
-  if (Opts.ConeProjection && !Assumps.empty())
-    setupCone(Assumps, ExternalCone);
-
-  // Non-Sat exits of a projected solve must lift the restriction and run
-  // the catch-up propagation themselves (the Sat path lifts mid-search):
-  // the solver outlives the query, and later queries rely on complete
-  // watcher state.
-  auto ProjectedExit = [&](SatResult R) {
-    if (ConeActive || ConeFlagged) {
-      liftCone();
-      if (OkFlag && propagate() != NoReason)
-        OkFlag = false; // catch-up exposed a root-level contradiction
-    }
-    return R;
-  };
 
   // Budgets are per call: measure against the counters at entry so an
   // incremental solver gets a fresh allowance for every query.
@@ -840,7 +567,7 @@ SatResult SatSolver::solve(const std::vector<Lit> &Assumps,
       ++ConflictsAtRestart;
       if (decisionLevel() == 0) {
         OkFlag = false;
-        return ProjectedExit(SatResult::Unsat);
+        return SatResult::Unsat;
       }
       int BtLevel;
       uint32_t Lbd;
@@ -863,7 +590,7 @@ SatResult SatSolver::solve(const std::vector<Lit> &Assumps,
           Stats.Propagations - StartProps >= Budget.MaxPropagations ||
           ((Stats.Conflicts & 0x3F) == 0 && CT && CT->expired())) {
         cancelUntil(0);
-        return ProjectedExit(SatResult::Unknown);
+        return SatResult::Unknown;
       }
       // Learnt-DB reduction: long-budget runs otherwise drown propagation
       // in stale learnt clauses.
@@ -879,24 +606,7 @@ SatResult SatSolver::solve(const std::vector<Lit> &Assumps,
       ConflictsAtRestart = 0;
       RestartLimit = static_cast<uint64_t>(100 * luby(2.0, ++RestartNum));
       ++Stats.Restarts;
-      int Keep = 0;
-      if (Opts.TrailReuse && decisionLevel() > 0) {
-        // Keep the assumption prefix of the trail: those decisions are
-        // re-made verbatim by the next round anyway, and re-deriving
-        // their propagation — the whole shared context — is the dominant
-        // propagation cost of budget-bound incremental queries. Search
-        // levels above the assumptions still cancel, preserving the point
-        // of the restart.
-        Keep = std::min(static_cast<int>(Assumps.size()), decisionLevel());
-        if (Keep > 0) {
-          size_t Bound = Keep < decisionLevel()
-                             ? static_cast<size_t>(
-                                   TrailLim[static_cast<size_t>(Keep)])
-                             : Trail.size();
-          Stats.TrailReused += Bound - static_cast<size_t>(TrailLim[0]);
-        }
-      }
-      cancelUntil(Keep);
+      cancelUntil(0);
       continue;
     }
     // Take pending assumptions first, one decision level each.
@@ -912,7 +622,7 @@ SatResult SatSolver::solve(const std::vector<Lit> &Assumps,
         // The clause DB (plus earlier assumptions) refutes this
         // assumption: Unsat under assumptions, solver stays usable.
         cancelUntil(0);
-        return ProjectedExit(SatResult::Unsat);
+        return SatResult::Unsat;
       } else {
         Next = P;
         break;
@@ -920,14 +630,6 @@ SatResult SatSolver::solve(const std::vector<Lit> &Assumps,
     }
     if (Next.X < 0)
       Next = pickBranchLit();
-    if (Next.X < 0 && ConeActive) {
-      // Cone exhausted without conflict: every cone clause is satisfied.
-      // Lift the restriction (a restart plus root-trail replay) and let
-      // ordinary CDCL re-derive and complete the assignment over the
-      // full DB — so Sat is never claimed from the cone alone.
-      liftCone();
-      continue;
-    }
     if (Next.X < 0) {
       // All variables assigned: SAT.
       for (size_t V = 0; V < Model.size(); ++V)
@@ -937,7 +639,7 @@ SatResult SatSolver::solve(const std::vector<Lit> &Assumps,
     }
     if ((++CancelTick & 0x3FF) == 0 && CT && CT->expired()) {
       cancelUntil(0);
-      return ProjectedExit(SatResult::Unknown);
+      return SatResult::Unknown;
     }
     ++Stats.Decisions;
     TrailLim.push_back(static_cast<int>(Trail.size()));

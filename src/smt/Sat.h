@@ -72,44 +72,6 @@ struct SatBudget {
   uint64_t MaxClauses = 3'000'000;
 };
 
-/// Query-scoped solving knobs, per solve() call. Both techniques perturb
-/// search order (and therefore which budget-bound queries come back
-/// Unknown), so callers that need verdict stability across configurations
-/// gate them behind a parity harness — see bench_table3_equivalence.
-struct SatOptions {
-  /// Cone-of-influence projection: restrict the search to the query's
-  /// cone. Decisions only pick cone variables, and clauses with an
-  /// unfixed out-of-cone literal are excluded from propagation entirely
-  /// (a skip flag mirrored into their watcher nodes), so a query against
-  /// a large shared clause DB no longer pays propagation proportional to
-  /// the whole DB. The cone is either supplied by the caller (the query
-  /// layer passes the blaster's definitional cone — see
-  /// IncrementalSolver) or, by default, computed here as clause
-  /// connectivity from the assumption roots, stopping at level-0-fixed
-  /// variables.
-  ///
-  /// Soundness: out-of-cone variables are never assigned while the
-  /// restriction holds, so a skipped clause always retains an unassigned
-  /// literal and can be neither falsified nor unit — conflicts found in
-  /// the cone are conflicts of the full DB (Unsat stays sound). When the
-  /// cone is fully assigned without conflict, the restriction lifts and
-  /// ordinary CDCL finishes the job: the search restarts to level 0,
-  /// skip flags clear, the root trail replays against the re-enabled
-  /// clauses, and search continues to a full model — so Sat is never
-  /// claimed from the cone alone. Every exit replays the root trail the
-  /// same way, keeping the watcher invariants of the shared solver
-  /// intact for later queries.
-  bool ConeProjection = false;
-  /// Restart trail reuse: after a Luby restart, keep the assumption
-  /// prefix of the trail (those decisions are re-made verbatim by the
-  /// very next round, and re-deriving their propagation — the whole
-  /// shared context — is the dominant propagation cost of budget-bound
-  /// incremental queries) instead of cancelling to level 0. Search
-  /// decisions above the assumptions are still cancelled, preserving the
-  /// purpose of the restart.
-  bool TrailReuse = false;
-};
-
 /// Aggregate solver statistics (cumulative across solve() calls).
 struct SatStats {
   uint64_t Conflicts = 0;
@@ -122,12 +84,6 @@ struct SatStats {
   uint64_t ReduceDBs = 0;     ///< Reduction passes run.
   uint64_t SumLBD = 0;        ///< Over all learnt clauses (for the mean).
   uint64_t ArenaWords = 0;    ///< Current clause-arena footprint.
-  // Query-scoped solving (SatOptions). TrailReused is cumulative;
-  // ConeVars/ConeClauses describe the most recent solve() call (0 when
-  // projection did not run).
-  uint64_t TrailReused = 0;   ///< Trail literals kept across restarts.
-  uint64_t ConeVars = 0;      ///< Cone size of the last projected solve.
-  uint64_t ConeClauses = 0;   ///< Live clauses in that cone.
 
   double avgLBD() const {
     return LearntTotal ? static_cast<double>(SumLBD) /
@@ -174,54 +130,13 @@ public:
   /// Solves under \p Assumps: satisfiability of the clause DB with every
   /// assumption literal forced true. Assumptions are retracted on return,
   /// and Unsat-under-assumptions leaves the solver usable (only a conflict
-  /// at decision level zero marks the DB permanently UNSAT). \p Opts
-  /// selects the query-scoped techniques (cone projection, trail reuse);
-  /// the defaults reproduce the classic search exactly. \p ExternalCone,
-  /// when given with ConeProjection, is the caller-computed cone variable
-  /// set (e.g. the blaster's definitional cone); otherwise the cone is
-  /// derived here by clause connectivity.
-  SatResult solve(const std::vector<Lit> &Assumps, const SatBudget &Budget,
-                  const SatOptions &Opts = SatOptions(),
-                  const std::vector<Var> *ExternalCone = nullptr);
+  /// at decision level zero marks the DB permanently UNSAT).
+  SatResult solve(const std::vector<Lit> &Assumps, const SatBudget &Budget);
 
   /// Model access after Sat.
   bool modelValue(Var V) const {
     return Model[static_cast<size_t>(V)] == LBool::True;
   }
-
-  /// True when the last solve() ran cone-projected (it had assumptions,
-  /// projection was requested, and the cone was non-empty).
-  bool lastConeActive() const { return LastConeUsed; }
-
-  /// After a projected solve: was \p V inside the query cone? The model is
-  /// total either way (the lift phase completes it), but certificates
-  /// should be read cone-restricted — out-of-cone values are an arbitrary
-  /// satisfying extension of unrelated structure.
-  bool inLastCone(Var V) const {
-    return LastConeUsed && static_cast<size_t>(V) < ConeStamp.size() &&
-           ConeStamp[static_cast<size_t>(V)] == ConeGen;
-  }
-
-  /// Branching-heuristic state (VSIDS activity, saved phases, the decay
-  /// bump). Shared-learnt sessions snapshot it at the fork point and
-  /// restore before every query, so what is shared across queries is the
-  /// clause DB — learnt lemmas included — and not heuristic warmth, which
-  /// is the dominant source of cross-query search drift.
-  struct HeuristicSnapshot {
-    std::vector<double> Activity;
-    std::vector<char> Polarity;
-    double VarInc = 1.0;
-  };
-  void saveHeuristics(HeuristicSnapshot &Out) const {
-    Out.Activity = Activity;
-    Out.Polarity = Polarity;
-    Out.VarInc = VarInc;
-  }
-  /// Restores a snapshot: snapshot values for vars that existed then,
-  /// fresh-var defaults for newer ones, and the decision heap rebuilt to
-  /// creation order — exactly the state a fork taken at the snapshot
-  /// would present to its next query.
-  void restoreHeuristics(const HeuristicSnapshot &S);
 
   /// Statistics.
   uint64_t conflicts() const { return Stats.Conflicts; }
@@ -260,11 +175,7 @@ private:
   /// the watcher carries the other literal (Blocker) and WatchBinary set,
   /// so propagation implies it without touching clause memory, and the
   /// watch never moves — gate CNF is roughly half binary clauses.
-  /// WatchSkip mirrors the clause's out-of-cone flag during a projected
-  /// solve, so skipping costs one branch on the already-loaded node
-  /// instead of a clause-memory touch.
   static constexpr uint32_t WatchBinary = 1;
-  static constexpr uint32_t WatchSkip = 2;
   struct WatchNode {
     CRef C = NoReason;
     Lit Blocker;
@@ -313,50 +224,6 @@ private:
   bool OkFlag = true;
   SatStats Stats;
 
-  // Cone-of-influence state (SatOptions::ConeProjection). ConeStamp is
-  // generation-tagged so consecutive queries never pay an O(vars) clear;
-  // the scratch buffers used to build the per-solve occurrence index are
-  // emptied after setup so forking copies only their (zero) sizes.
-  std::vector<uint32_t> ConeStamp; ///< Var in cone <=> stamp == ConeGen.
-  uint32_t ConeGen = 0;
-  bool ConeActive = false;   ///< Mid-solve: search restricted to cone.
-  bool ConeFlagged = false;  ///< Skip flags currently applied to the DB.
-  bool LastConeUsed = false; ///< Last solve ran projected (certificates).
-  size_t ConeEntryMark = 0;  ///< Trail size at projected-solve entry: the
-                             ///< catch-up replay starts here — everything
-                             ///< below was fully propagated before.
-  std::vector<Var> ConeDeferred; ///< Out-of-cone vars popped from the heap.
-  std::vector<Var> ConeQueue;    ///< BFS worklist (scratch).
-  std::vector<uint32_t> OccCount, OccList; ///< Occurrence CSR (scratch).
-  std::vector<CRef> LiveScratch;           ///< Live clauses (scratch).
-
-  // Clause skip flag: high bit of the LBD word (LBDs are tiny). Survives
-  // the arena GC because relocation copies the word before forwarding.
-  static constexpr uint32_t SkipBit = 0x80000000u;
-  bool isSkipped(CRef C) const { return Arena[C + 1] & SkipBit; }
-
-  /// Marks the cone variable set for this solve: the caller-supplied
-  /// \p ExternalCone when present, else clause connectivity from the
-  /// assumption roots. Then classifies every live clause (skip iff it has
-  /// an unfixed out-of-cone literal), mirrors the flags into the watcher
-  /// nodes, and turns the search restriction on. No-op (cone stays off)
-  /// when the resulting cone is empty.
-  void setupCone(const std::vector<Lit> &Assumps,
-                 const std::vector<Var> *ExternalCone);
-  void markConeByConnectivity(const std::vector<Lit> &Assumps,
-                              uint64_t &NumVars);
-  /// Ends the projected phase: restarts to level 0, clears the skip
-  /// flags, returns deferred vars to the heap, and rewinds QHead so the
-  /// next propagate() replays the root trail against the full DB —
-  /// catching up the watcher state (and any implication a skipped clause
-  /// was withholding). Callers on exit paths must run that propagation
-  /// before returning.
-  void liftCone();
-  void clearConeFlags();
-  bool coneMarked(Var V) const {
-    return ConeStamp[static_cast<size_t>(V)] == ConeGen;
-  }
-
   // Learnt-DB reduction schedule.
   uint64_t NextReduce = 2000;
   static constexpr uint64_t ReduceIncrement = 1000;
@@ -366,10 +233,7 @@ private:
   bool isLearnt(CRef C) const { return Arena[C] & LearntBit; }
   bool isDeleted(CRef C) const { return Arena[C] & DeletedBit; }
   void markDeleted(CRef C) { Arena[C] |= DeletedBit; }
-  uint32_t lbd(CRef C) const { return Arena[C + 1] & ~SkipBit; }
-  void setLbd(CRef C, uint32_t L) {
-    Arena[C + 1] = (Arena[C + 1] & SkipBit) | L;
-  }
+  uint32_t lbd(CRef C) const { return Arena[C + 1]; }
   Lit litAt(CRef C, uint32_t I) const {
     Lit L;
     L.X = static_cast<int>(Arena[C + 2 + I]);

@@ -22,49 +22,9 @@ void IncrementalSolver::assertAlways(TermId T) {
     RootUnsat = true;
     return;
   }
-  AssertedRoots.push_back(T); // every query's cone includes the context
   Lit Root = blastTraced(B, T);
   if (!S.addClause(Root))
     RootUnsat = true;
-}
-
-void IncrementalSolver::computeQueryCone(TermId Query) {
-  // Stamp every term reachable from the query or an asserted root.
-  if (TermStamp.size() < TT.size())
-    TermStamp.resize(TT.size(), 0);
-  if (++TermGen == 0) {
-    std::fill(TermStamp.begin(), TermStamp.end(), 0u);
-    TermGen = 1;
-  }
-  WalkStack.clear();
-  auto Push = [&](TermId Id) {
-    if (Id != NoTerm && TermStamp[static_cast<size_t>(Id)] != TermGen) {
-      TermStamp[static_cast<size_t>(Id)] = TermGen;
-      WalkStack.push_back(Id);
-    }
-  };
-  Push(Query);
-  for (TermId R : AssertedRoots)
-    Push(R);
-  while (!WalkStack.empty()) {
-    const Term &T = TT.get(WalkStack.back());
-    WalkStack.pop_back();
-    Push(T.A);
-    Push(T.B);
-    Push(T.C);
-  }
-
-  // Collect the solver variables those terms own: their interned bit
-  // literals plus every internal gate variable introduced while blasting
-  // them. One linear pass over the var table — about the cost of a single
-  // propagation sweep, replacing per-DB search costs.
-  ConeScratch.clear();
-  int N = B.numOwnedVars();
-  for (Var V = 0; V < N; ++V) {
-    TermId Owner = B.varOwner(V);
-    if (Owner != NoTerm && TermStamp[static_cast<size_t>(Owner)] == TermGen)
-      ConeScratch.push_back(V);
-  }
 }
 
 SmtResult IncrementalSolver::check(TermId Query, const SatBudget &Budget) {
@@ -87,7 +47,6 @@ SmtResult IncrementalSolver::check(TermId Query, const SatBudget &Budget) {
   const uint64_t C0 = St.Conflicts;
   const uint64_t P0 = St.Propagations;
   const uint64_t R0 = St.Restarts;
-  const uint64_t T0 = St.TrailReused;
 
   Lit Root = blastTraced(B, Query);
   Out.ClauseCount = S.numClauses();
@@ -104,32 +63,16 @@ SmtResult IncrementalSolver::check(TermId Query, const SatBudget &Budget) {
   }
   // The Tseitin root literal is *equivalent* to the query term, so solving
   // under it as an assumption decides exactly F && Query — and leaves the
-  // clause DB reusable for the next query. Projected solves get the
-  // blaster's definitional cone: the context, the query's own encoding,
-  // and nothing a sibling query left behind.
-  const std::vector<Var> *Cone = nullptr;
-  if (SolveOpts.ConeProjection) {
-    computeQueryCone(Query);
-    Cone = &ConeScratch;
-  }
-  Out.R = S.solve(std::vector<Lit>{Root}, Budget, SolveOpts, Cone);
+  // clause DB reusable for the next query.
+  Out.R = S.solve(std::vector<Lit>{Root}, Budget);
   Out.ConflictsUsed = St.Conflicts - C0;
   Out.PropagationsUsed = St.Propagations - P0;
   Out.RestartsUsed = St.Restarts - R0;
-  Out.TrailReused = St.TrailReused - T0;
-  Out.ConeVars = St.ConeVars;
-  Out.ConeClauses = St.ConeClauses;
   Out.ClauseCount = S.numClauses();
   Out.LearntLive = St.LearntLive;
   Out.AvgLBD = St.avgLBD();
   if (Out.R == SatResult::Sat) {
     for (TermId V : B.seenVars()) {
-      // Cone-projected queries report a cone-restricted certificate: a
-      // variable none of whose bits lie in the query cone carries only an
-      // arbitrary satisfying extension of unrelated structure (in shared
-      // solvers, typically an earlier query's inputs).
-      if (S.lastConeActive() && !B.varInLastCone(V, S))
-        continue;
       if (TT.isBv(V)) {
         uint32_t Val;
         if (B.modelOfVar(V, Val))

@@ -47,9 +47,6 @@ struct SmtResult {
   uint64_t ConflictsUsed = 0;
   uint64_t PropagationsUsed = 0;
   uint64_t RestartsUsed = 0;
-  uint64_t TrailReused = 0; ///< Trail literals kept across restarts.
-  uint64_t ConeVars = 0;    ///< Cone size when projection ran (else 0).
-  uint64_t ConeClauses = 0; ///< Live clauses in that cone.
   uint64_t ClauseCount = 0;
   uint64_t VarCount = 0;
   uint64_t LearntLive = 0; ///< Learnt-DB size after the query.
@@ -74,9 +71,7 @@ public:
   /// in throwaway forks are guaranteed to reproduce one-shot verdicts
   /// while still paying the shared encoding's blast cost only once.
   IncrementalSolver(const IncrementalSolver &O)
-      : TT(O.TT), S(O.S), B(O.B, S), SolveOpts(O.SolveOpts),
-        AssertedRoots(O.AssertedRoots), HeurSnap(O.HeurSnap),
-        HasHeurSnap(O.HasHeurSnap), RootUnsat(O.RootUnsat) {}
+      : TT(O.TT), S(O.S), B(O.B, S), RootUnsat(O.RootUnsat) {}
 
   IncrementalSolver &operator=(const IncrementalSolver &) = delete;
 
@@ -85,28 +80,7 @@ public:
   void assignFrom(const IncrementalSolver &O) {
     S = O.S;
     B.assignFrom(O.B);
-    SolveOpts = O.SolveOpts;
-    AssertedRoots = O.AssertedRoots;
-    HeurSnap = O.HeurSnap;
-    HasHeurSnap = O.HasHeurSnap;
     RootUnsat = O.RootUnsat;
-  }
-
-  /// Query-scoped solving knobs applied to every subsequent check().
-  void setOptions(const SatOptions &O) { SolveOpts = O; }
-  const SatOptions &options() const { return SolveOpts; }
-
-  /// Shared-learnt sessions: record the branching-heuristic state at the
-  /// fork point; restoreHeuristics() then rewinds to it before a query so
-  /// only the clause DB (learnt lemmas included) is shared across
-  /// queries, not heuristic warmth.
-  void snapshotHeuristics() {
-    S.saveHeuristics(HeurSnap);
-    HasHeurSnap = true;
-  }
-  void restoreHeuristics() {
-    if (HasHeurSnap)
-      S.restoreHeuristics(HeurSnap);
   }
 
   /// Permanently asserts \p T (e.g. the shared assumption prefix all
@@ -130,26 +104,7 @@ private:
   const TermTable &TT;
   SatSolver S;
   BitBlaster B;
-  SatOptions SolveOpts;   ///< Cone projection / trail reuse per check().
-  /// Terms asserted via assertAlways — roots of every query's cone.
-  std::vector<TermId> AssertedRoots;
-  /// Definitional-cone scratch (per check(); see computeQueryCone).
-  /// Generation-stamped so repeated queries pay no clears; emptied or
-  /// small so forks copy almost nothing.
-  std::vector<uint32_t> TermStamp;
-  uint32_t TermGen = 0;
-  std::vector<TermId> WalkStack;
-  std::vector<Var> ConeScratch;
-  SatSolver::HeuristicSnapshot HeurSnap; ///< See snapshotHeuristics().
-  bool HasHeurSnap = false;
   bool RootUnsat = false; ///< An assertAlways made the context UNSAT.
-
-  /// Computes the definitional cone of \p Query: solver variables owned
-  /// by terms reachable (in the term DAG) from the query or any asserted
-  /// root. Unlike clause connectivity, this excludes sibling queries'
-  /// gates even though they share input variables — which is what makes
-  /// shared-learnt solving pay per-query instead of per-DB costs.
-  void computeQueryCone(TermId Query);
 };
 
 /// Checks satisfiability of \p Query (a bool term in \p TT).

@@ -60,8 +60,9 @@ class BatchJournal {
 public:
   /// On-disk schema version; bump when the record layout or the service's
   /// Outcome wire format (svc::serializeOutcome) changes. Version 2
-  /// dropped the batch membership record.
-  static constexpr uint32_t SchemaVersion = 2;
+  /// dropped the batch membership record; version 3 the racer fields of
+  /// svc::StageSatWork and tv::TVResult.
+  static constexpr uint32_t SchemaVersion = 3;
 
   /// Opens (or creates) `<Dir>/journal.log`, replaying completed-task
   /// records into the in-memory index. Same degradation ladder as

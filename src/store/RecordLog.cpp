@@ -82,27 +82,37 @@ void RecordLog::openFresh() {
   File = std::fopen(Path.c_str(), "ab");
 }
 
+/// Reads the whole regular file at \p Path into \p Out; false on any
+/// failure (not a regular file, open, seek/tell, or a short read).
+static bool readWhole(const std::string &Path, std::string &Out) {
+  std::error_code EC;
+  if (!fs::is_regular_file(Path, EC))
+    return false;
+  std::FILE *F = std::fopen(Path.c_str(), "rb");
+  if (!F)
+    return false;
+  long Size = std::fseek(F, 0, SEEK_END) == 0 ? std::ftell(F) : -1;
+  bool Ok = Size >= 0 && std::fseek(F, 0, SEEK_SET) == 0;
+  if (Ok && Size > 0) {
+    Out.resize(static_cast<size_t>(Size));
+    Ok = std::fread(&Out[0], 1, Out.size(), F) == Out.size();
+  }
+  std::fclose(F);
+  return Ok;
+}
+
 void RecordLog::open(const Decoder &Decode) {
   std::error_code EC;
   fs::create_directories(Dir, EC);
 
-  if (Faults.FailLoad && Faults.FailLoad()) {
+  // An existing log that cannot be read is left alone: memory-only, like
+  // the FailLoad hook. Only a missing (or empty) log gets a fresh header.
+  std::string Bytes;
+  if ((Faults.FailLoad && Faults.FailLoad()) ||
+      (fs::exists(Path, EC) && !readWhole(Path, Bytes))) {
     Stats.ReadFailed++;
     count("read_failed");
     return;
-  }
-
-  std::string Bytes;
-  if (std::FILE *F = std::fopen(Path.c_str(), "rb")) {
-    std::fseek(F, 0, SEEK_END);
-    long Size = std::ftell(F);
-    std::fseek(F, 0, SEEK_SET);
-    if (Size > 0) {
-      Bytes.resize(static_cast<size_t>(Size));
-      if (std::fread(&Bytes[0], 1, Bytes.size(), F) != Bytes.size())
-        Bytes.clear();
-    }
-    std::fclose(F);
   }
 
   if (Bytes.empty()) {

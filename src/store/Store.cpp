@@ -94,22 +94,12 @@ void putTV(Wr &W, const tv::TVResult &V) {
   W.u64(V.Conflicts);
   W.u64(V.Propagations);
   W.u64(V.Restarts);
-  W.u64(V.TrailReused);
-  W.u64(V.ConeVars);
-  W.u64(V.ConeClauses);
   W.u64(V.Clauses);
   W.u64(V.SatVars);
   W.u64(V.LearntLive);
   W.d(V.AvgLBD);
   W.u64(V.SolveNanos);
   W.u64(static_cast<uint64_t>(V.TermCount));
-  W.u8(V.PortfolioArm);
-  W.u64(V.FastConflicts);
-  W.u64(V.FastPropagations);
-  W.u64(V.FastRestarts);
-  W.u64(V.FastTrailReused);
-  W.u64(V.FastConeVars);
-  W.u64(V.FastConeClauses);
 }
 
 bool getTV(Rd &R, tv::TVResult &V) {
@@ -122,25 +112,12 @@ bool getTV(Rd &R, tv::TVResult &V) {
   V.Conflicts = R.u64();
   V.Propagations = R.u64();
   V.Restarts = R.u64();
-  V.TrailReused = R.u64();
-  V.ConeVars = R.u64();
-  V.ConeClauses = R.u64();
   V.Clauses = R.u64();
   V.SatVars = R.u64();
   V.LearntLive = R.u64();
   V.AvgLBD = R.d();
   V.SolveNanos = R.u64();
   V.TermCount = static_cast<size_t>(R.u64());
-  uint8_t Arm = R.u8();
-  if (Arm > 2)
-    R.Fail = true;
-  V.PortfolioArm = Arm;
-  V.FastConflicts = R.u64();
-  V.FastPropagations = R.u64();
-  V.FastRestarts = R.u64();
-  V.FastTrailReused = R.u64();
-  V.FastConeVars = R.u64();
-  V.FastConeClauses = R.u64();
   return !R.Fail;
 }
 

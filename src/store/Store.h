@@ -104,13 +104,13 @@ struct ChaosFileHooks {
 };
 void setChaosFileHooks(ChaosFileHooks H);
 
-/// The persistent store. Thread-safe (one mutex over index + log handle);
-/// shareable between service instances via svc::ServiceConfig::SharedStore
-/// exactly like the in-memory cache.
+/// The persistent store. Thread-safe (one mutex over index + log handle).
 class ResultStore {
 public:
   /// On-disk schema version; bump when any serialized layout changes.
-  static constexpr uint32_t SchemaVersion = 1;
+  /// Version 2 dropped the racer and cone/trail-reuse fields of
+  /// tv::TVResult.
+  static constexpr uint32_t SchemaVersion = 2;
 
   /// Opens (or creates) the store under \p Dir, replaying the record log
   /// into the in-memory index (`store.load` span). A missing directory is

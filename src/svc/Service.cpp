@@ -189,22 +189,13 @@ static uint64_t servingSalt(const ServiceConfig &C) {
 VectorizerService::VectorizerService(ServiceConfig C)
     : Cfg(std::move(C)), Breaker(Cfg.Breaker) {
   NumWorkers = Cfg.Workers < 1 ? 1 : Cfg.Workers;
-  Cache = Cfg.SharedCache ? Cfg.SharedCache : &OwnCache;
-  if (Cfg.EnableVerdictCache) {
-    // Persistence is a tier below the verdict cache: without the cache
-    // there is nothing to read results through into (and A/B benches that
-    // disable the cache must not silently replay persisted work either).
-    if (Cfg.SharedStore) {
-      Store = Cfg.SharedStore;
-    } else if (!Cfg.StorePath.empty()) {
-      OwnStore.reset(new store::ResultStore(Cfg.StorePath));
-      Store = OwnStore.get();
-      // The bytecode-compile hook is process-global, so only a privately
-      // owned store claims it; a SharedStore's owner decides.
-      Store->enableBytecodePersistence();
-    }
-    if (Store)
-      Cache->setBacking(Store);
+  // Persistence is a tier below the verdict cache: without the cache there
+  // is nothing to read results through into (and A/B benches that disable
+  // the cache must not silently replay persisted work either).
+  if (Cfg.EnableVerdictCache && !Cfg.StorePath.empty()) {
+    Store.reset(new store::ResultStore(Cfg.StorePath));
+    Store->enableBytecodePersistence();
+    Cache.setBacking(Store.get());
   }
   if (!Cfg.JournalPath.empty()) {
     Journal.reset(new store::BatchJournal(Cfg.JournalPath));
@@ -225,10 +216,6 @@ VectorizerService::~VectorizerService() {
   WorkCv.notify_all();
   for (std::thread &T : Pool)
     T.join();
-  // Detach before OwnStore is destroyed; a shared cache must not keep a
-  // dangling pointer to a store this service owned.
-  if (Store)
-    Cache->setBacking(nullptr);
 }
 
 uint64_t VectorizerService::taskKey(const Request &R) const {
@@ -485,7 +472,7 @@ VectorizerService::drain(uint64_t DeadlineNanos) {
   return DR;
 }
 
-CacheStats VectorizerService::cacheStats() const { return Cache->stats(); }
+CacheStats VectorizerService::cacheStats() const { return Cache.stats(); }
 
 VectorizerService::ResilienceStats VectorizerService::resilienceStats() const {
   std::lock_guard<std::mutex> L(M);
@@ -634,13 +621,13 @@ VectorizerService::checkCached(const std::string &ScalarSrc,
   // Callbacks have no content identity: never cache around an override.
   if (!Cfg.EnableVerdictCache || Cfg2.SplitCellOverride) {
     if (Cfg2.SplitCellOverride)
-      Cache->noteBypass();
+      Cache.noteBypass();
     return core::checkEquivalence(ScalarSrc, CandidateSrc, Cfg2);
   }
   VerdictCache::Key K =
       VerdictCache::makeKey(ScalarSrc, CandidateSrc, Cfg2.configHash());
   core::EquivResult R;
-  if (Cache->lookupEquiv(K, ScalarSrc, CandidateSrc, R)) {
+  if (Cache.lookupEquiv(K, ScalarSrc, CandidateSrc, R)) {
     Hit = true;
     return R;
   }
@@ -648,7 +635,7 @@ VectorizerService::checkCached(const std::string &ScalarSrc,
   // A cancelled result reflects this task's deadline, not the pair: caching
   // it would poison every later lookup with a spurious Inconclusive.
   if (!R.Cancelled)
-    Cache->storeEquiv(K, ScalarSrc, CandidateSrc, R);
+    Cache.storeEquiv(K, ScalarSrc, CandidateSrc, R);
   return R;
 }
 
@@ -661,10 +648,10 @@ interp::ChecksumOutcome VectorizerService::testCached(
   VerdictCache::Key K =
       VerdictCache::makeKey(ScalarSrc, CandidateSrc, CCfg.configHash());
   interp::ChecksumOutcome O;
-  if (Cache->lookupChecksum(K, ScalarSrc, CandidateSrc, O))
+  if (Cache.lookupChecksum(K, ScalarSrc, CandidateSrc, O))
     return O;
   O = interp::runChecksumTest(Scalar, Vec, CCfg, Memo);
-  Cache->storeChecksum(K, ScalarSrc, CandidateSrc, O);
+  Cache.storeChecksum(K, ScalarSrc, CandidateSrc, O);
   return O;
 }
 
@@ -897,7 +884,7 @@ void VectorizerService::runStages(Task &T, support::CancelToken &Token) {
           if (Cfg.EnableVerdictCache) {
             VerdictCache::Key K =
                 VerdictCache::makeKey(R.ScalarSource, C.Source, CCfgHash);
-            Hit = Cache->lookupChecksum(K, R.ScalarSource, C.Source, CO);
+            Hit = Cache.lookupChecksum(K, R.ScalarSource, C.Source, CO);
           }
           if (Hit) {
             V.Plausible = CO.Verdict == interp::TestVerdict::Plausible;
@@ -928,7 +915,7 @@ void VectorizerService::runStages(Task &T, support::CancelToken &Token) {
           if (Cfg.EnableVerdictCache) {
             VerdictCache::Key K = VerdictCache::makeKey(
                 R.ScalarSource, Pending[I].Source, CCfgHash);
-            Cache->storeChecksum(K, R.ScalarSource, Pending[I].Source, CO);
+            Cache.storeChecksum(K, R.ScalarSource, Pending[I].Source, CO);
           }
           bool Plausible = CO.Verdict == interp::TestVerdict::Plausible;
           for (size_t SI : Pending[I].Samples)
@@ -1003,24 +990,12 @@ void putSatWork(store::framing::Wr &W, const StageSatWork &SW) {
   W.u64(SW.Conflicts);
   W.u64(SW.Propagations);
   W.u64(SW.Restarts);
-  W.u64(SW.TrailReused);
-  W.u64(SW.PortfolioFastWins);
-  W.u64(SW.PortfolioSoundWins);
-  W.u64(SW.PortfolioFallbacks);
-  W.u64(SW.FastConflicts);
-  W.u64(SW.FastPropagations);
 }
 
 void getSatWork(store::framing::Rd &R, StageSatWork &SW) {
   SW.Conflicts = R.u64();
   SW.Propagations = R.u64();
   SW.Restarts = R.u64();
-  SW.TrailReused = R.u64();
-  SW.PortfolioFastWins = R.u64();
-  SW.PortfolioSoundWins = R.u64();
-  SW.PortfolioFallbacks = R.u64();
-  SW.FastConflicts = R.u64();
-  SW.FastPropagations = R.u64();
 }
 
 } // namespace
@@ -1172,13 +1147,10 @@ bool lv::svc::deserializeOutcome(const std::string &Bytes, Outcome &Out) {
 
 static void appendTV(std::string &S, const char *Label,
                      const tv::TVResult &R) {
-  appendf(S, "  %s: verdict=%d conflicts=%llu clauses=%llu "
-             "portfolio=%d fastc=%llu detail=%s\n",
+  appendf(S, "  %s: verdict=%d conflicts=%llu clauses=%llu detail=%s\n",
           Label, static_cast<int>(R.V),
           static_cast<unsigned long long>(R.Conflicts),
-          static_cast<unsigned long long>(R.Clauses),
-          static_cast<int>(R.PortfolioArm),
-          static_cast<unsigned long long>(R.FastConflicts), R.Detail.c_str());
+          static_cast<unsigned long long>(R.Clauses), R.Detail.c_str());
 }
 
 std::string lv::svc::debugString(const Outcome &O) {

@@ -129,52 +129,28 @@ struct SampleVerdict {
 };
 
 /// SAT work one formal stage performed, summed over its queries (per-query
-/// deltas from tv::TVResult, so fork-per-query and shared-learnt solving
-/// report comparable numbers). Aggregated per task into Outcome; the bench
+/// deltas from tv::TVResult). Aggregated per task into Outcome; the bench
 /// drivers sum tasks into the BENCH_*.json perf trajectory.
 struct StageSatWork {
   uint64_t Conflicts = 0;
   uint64_t Propagations = 0;
   uint64_t Restarts = 0;
-  uint64_t TrailReused = 0;
 
-  /// Portfolio-mode attribution (all zero outside portfolio sessions).
-  /// Queries are classified by which racer produced the verdict:
-  /// fast-arm decided / sound fallback ran (and, of those, how many the
-  /// sound arm decided). The headline counters above already total both
-  /// racers' work; FastConflicts/FastPropagations break out the fast
-  /// racer's share (sound share = total - fast).
+  /// Always 0: stages 3-4 no longer race a fast arm. Kept only because
+  /// perfbench reports them as smt.fast_wins / smt.fallbacks; delete them
+  /// together with those metrics in the next benchmark change.
   uint64_t PortfolioFastWins = 0;
-  uint64_t PortfolioSoundWins = 0;
   uint64_t PortfolioFallbacks = 0;
-  uint64_t FastConflicts = 0;
-  uint64_t FastPropagations = 0;
 
   void add(const tv::TVResult &R) {
     Conflicts += R.Conflicts;
     Propagations += R.Propagations;
     Restarts += R.Restarts;
-    TrailReused += R.TrailReused;
-    FastConflicts += R.FastConflicts;
-    FastPropagations += R.FastPropagations;
-    if (R.PortfolioArm == 1)
-      ++PortfolioFastWins;
-    else if (R.PortfolioArm == 2) {
-      ++PortfolioFallbacks;
-      if (R.decided())
-        ++PortfolioSoundWins;
-    }
   }
   void add(const StageSatWork &O) {
     Conflicts += O.Conflicts;
     Propagations += O.Propagations;
     Restarts += O.Restarts;
-    TrailReused += O.TrailReused;
-    PortfolioFastWins += O.PortfolioFastWins;
-    PortfolioSoundWins += O.PortfolioSoundWins;
-    PortfolioFallbacks += O.PortfolioFallbacks;
-    FastConflicts += O.FastConflicts;
-    FastPropagations += O.FastPropagations;
   }
 };
 
@@ -304,8 +280,7 @@ struct CacheStats {
 
 /// Content-addressed verdict cache. Keys are (scalar source hash,
 /// candidate source hash, configHash) triples; values are the full result
-/// objects, replayed verbatim on a hit. Thread-safe; shareable between
-/// service instances via ServiceConfig::SharedCache.
+/// objects, replayed verbatim on a hit. Thread-safe.
 class VerdictCache {
 public:
   struct Key {
@@ -336,12 +311,11 @@ public:
   void noteBypass();
   CacheStats stats() const;
 
-  /// Attaches (or detaches, with null) a persistent backing store: memory
-  /// misses read through to it (a backing hit hydrates the memory map and
-  /// counts as a cache hit, so warm replays are indistinguishable from
-  /// in-process hits), and first-time stores write through. The store must
-  /// outlive the attachment; VectorizerService detaches before tearing its
-  /// own store down.
+  /// Attaches a persistent backing store: memory misses read through to
+  /// it (a backing hit hydrates the memory map and counts as a cache hit,
+  /// so warm replays are indistinguishable from in-process hits), and
+  /// first-time stores write through. The store must outlive every lookup
+  /// and store through this cache.
   void setBacking(store::ResultStore *Store);
 
 private:
@@ -365,7 +339,6 @@ struct ServiceConfig {
   int Workers = 1;                ///< Worker threads (clamped to >= 1).
   bool EnableVerdictCache = true; ///< Content-addressed result reuse.
   llm::ClientFactory MakeClient;  ///< Null: SimulatedLLM(seed below).
-  VerdictCache *SharedCache = nullptr; ///< Null: service-owned cache.
   /// Directory of a persistent result store (see store/Store.h). When set
   /// (and the verdict cache is enabled), the service opens the store at
   /// construction, reads verdicts through on cache misses, writes fresh
@@ -373,9 +346,6 @@ struct ServiceConfig {
   /// process replays bit-identical results instead of recomputing them.
   /// Empty: no persistence (the seed behaviour).
   std::string StorePath;
-  /// Already-open store shared between service instances (overrides
-  /// StorePath; must outlive the service). Null: open StorePath privately.
-  store::ResultStore *SharedStore = nullptr;
   /// Seed each task's client with taskSeed(Request.Seed, Request.Name)
   /// instead of Request.Seed verbatim. Decorrelates streams between
   /// same-seed requests whose prompts coincide — needed for client
@@ -506,9 +476,9 @@ public:
   CacheStats cacheStats() const;
   int workers() const { return NumWorkers; }
 
-  /// The attached persistent store (own or shared); null when the service
+  /// The persistent store opened from StorePath; null when the service
   /// runs without persistence.
-  store::ResultStore *resultStore() const { return Store; }
+  store::ResultStore *resultStore() const { return Store.get(); }
 
   /// Resilience tallies aggregated over every finished task.
   struct ResilienceStats {
@@ -588,10 +558,8 @@ private:
 
   ServiceConfig Cfg;
   int NumWorkers = 1;
-  VerdictCache OwnCache;
-  VerdictCache *Cache = nullptr;
-  std::unique_ptr<store::ResultStore> OwnStore; ///< Opened from StorePath.
-  store::ResultStore *Store = nullptr;
+  std::unique_ptr<store::ResultStore> Store; ///< Opened from StorePath.
+  VerdictCache Cache; ///< Declared after Store: reads through to it.
   support::CircuitBreaker Breaker; ///< Internally locked; shared by tasks.
   std::unique_ptr<store::BatchJournal> Journal; ///< From JournalPath.
   uint64_t JournalSalt = 0; ///< Serving-config hash mixed into task keys.

@@ -18,17 +18,6 @@ using namespace lv::vir;
 using smt::TermId;
 using smt::TermTable;
 
-/// Portfolio fast-arm probe divisor: the fast racer runs under
-/// MaxConflicts / PortfolioProbeDiv (floor 1) of the query's conflict
-/// budget. On a multi-core wall-clock race the sound arm's latency is
-/// unaffected by the fast arm; this sequential emulation bounds the added
-/// latency of a losing fast probe to ~1/Div of the query budget instead.
-/// Verdict-neutral: a capped fast arm can only fall back more, and the
-/// sound fork's verdict is the parity reference. Corpus data shows
-/// fast-arm wins land well under 1/8 of the budget while losses always
-/// exhaust it, so the probe keeps the wins and caps the double-pay.
-static constexpr uint64_t PortfolioProbeDiv = 8;
-
 const char *lv::tv::verdictName(TVVerdict V) {
   switch (V) {
   case TVVerdict::Equivalent: return "Equivalent";
@@ -71,23 +60,6 @@ struct RefinementSession::Impl {
   /// Reusable fork target for isolated queries (capacity persists across
   /// queries, so re-forking is allocation-free).
   std::unique_ptr<smt::IncrementalSolver> Fork;
-  /// Portfolio sessions: the fast racer's base — a copy of the pristine
-  /// sound base running shared-learnt with cone projection and trail
-  /// reuse. Queries search it directly (learnt clauses accumulate across
-  /// queries, heuristics rewound per query). The sound base IS above is
-  /// never searched, so fallback forks reproduce plain fork-per-query
-  /// verdicts bit-exactly.
-  std::unique_ptr<smt::IncrementalSolver> FastIS;
-  /// Adaptive fast-arm gate: the largest conflict budget at which the
-  /// fast racer has already exhausted itself without deciding. Queries at
-  /// that budget or below skip the race and go straight to the sound
-  /// fork — the portfolio stops paying double on budget classes where the
-  /// fast arm is known to be inconclusive (e.g. spatial splitting, whose
-  /// per-cell budget is far below the cunroll budget the fast arm already
-  /// failed at). Skipping is sound: the sound fork's verdict is the
-  /// parity reference either way. Monotone and deterministic: one probe
-  /// per budget class, never reset within a session.
-  uint64_t FastFailedBudgetHi = 0;
   /// Verdicts of completed isolated queries, keyed by the violation
   /// TermId (hash-consing makes syntactic equality an id compare) and
   /// guarded by exact budget equality. An identical query against a
@@ -180,21 +152,6 @@ struct RefinementSession::Impl {
     // The common prefix A && !UB_src is asserted once; per-query
     // violations then run under an assumption literal against it.
     IS.assertAlways(T.mkAnd(A, T.mkNot(SS.UB)));
-    if (Opts.Portfolio) {
-      // Portfolio racing: the fast arm gets its own shared-learnt base
-      // (cone projection + trail reuse), copied from the still-pristine
-      // sound base so both racers start from the identical encoding. Its
-      // branching heuristics rewind to this point before every query:
-      // sharing covers the clause DB (learnt lemmas), not VSIDS/phase
-      // warmth — warm heuristics are the main way one query's search
-      // distorts the next one's budget-bound verdict.
-      FastIS.reset(new smt::IncrementalSolver(IS));
-      smt::SatOptions FastOpts;
-      FastOpts.ConeProjection = true;
-      FastOpts.TrailReuse = true;
-      FastIS->setOptions(FastOpts);
-      FastIS->snapshotHeuristics();
-    }
     BaseTerms = T.size();
   }
 
@@ -213,41 +170,21 @@ struct RefinementSession::Impl {
   void finishResult(TVResult &Out, const smt::SmtResult &R);
   /// Re-forks the pristine base into the reusable Fork slot.
   smt::IncrementalSolver &forkBase();
-  /// The isolated solve kernel: plain fork-per-query, or the portfolio
-  /// race when the session has a fast base and \p RaceFast is set.
-  /// \p RaceFast false in a portfolio session means the adaptive gate
-  /// skipped the fast arm: the sound fork decides alone and the result is
-  /// marked PortfolioArm=2 with zero fast-arm work.
-  TVResult solveIsolated(TermId Viol, const smt::SatBudget &Budget,
-                         bool RaceFast);
 };
 
 /// Registry-counter emission for one completed query result. The counter
 /// deltas are exactly the fields StageSatWork::add(TVResult) aggregates —
-/// the bench parity gates rely on that equality — including the portfolio
-/// win/fallback tallies.
+/// the bench parity gates rely on that equality.
 static void emitQueryCounters(const TVResult &Out) {
   static obs::Counter &Queries = obs::counter("tv.queries");
   static obs::Counter &Conflicts = obs::counter("tv.conflicts");
   static obs::Counter &Props = obs::counter("tv.propagations");
   static obs::Counter &Restarts = obs::counter("tv.restarts");
-  static obs::Counter &Reused = obs::counter("tv.trail_reused");
-  static obs::Counter &FastWins = obs::counter("tv.portfolio_fast_wins");
-  static obs::Counter &SoundWins = obs::counter("tv.portfolio_sound_wins");
-  static obs::Counter &Fallbacks = obs::counter("tv.portfolio_fallbacks");
   static obs::Histogram &QueryNs = obs::histogram("tv.query_ns");
   Queries.inc();
   Conflicts.inc(Out.Conflicts);
   Props.inc(Out.Propagations);
   Restarts.inc(Out.Restarts);
-  Reused.inc(Out.TrailReused);
-  if (Out.PortfolioArm == 1) {
-    FastWins.inc();
-  } else if (Out.PortfolioArm == 2) {
-    Fallbacks.inc();
-    if (Out.decided())
-      SoundWins.inc();
-  }
   QueryNs.observe(Out.SolveNanos);
 }
 
@@ -258,7 +195,6 @@ static void emitQuerySpanArgs(obs::Span &S, const TVResult &Out, int CellLo,
   S.arg("conflicts", Out.Conflicts);
   S.arg("propagations", Out.Propagations);
   S.arg("restarts", Out.Restarts);
-  S.arg("trail_reused", Out.TrailReused);
 }
 
 /// Every session query funnels through here (checkFull, checkCell, and
@@ -311,14 +247,8 @@ bool RefinementSession::Impl::memoProbe(TermId Viol,
       It->second.Budget.MaxClauses != Budget.MaxClauses)
     return false;
   Out = It->second.Result;
-  // Report only work actually done by this replay — and no portfolio
-  // race ran, so the replay does not count as a win or a fallback.
+  // Report only work actually done by this replay.
   Out.Conflicts = Out.Propagations = Out.Restarts = 0;
-  Out.TrailReused = 0;
-  Out.ConeVars = Out.ConeClauses = 0;
-  Out.PortfolioArm = 0;
-  Out.FastConflicts = Out.FastPropagations = Out.FastRestarts = 0;
-  Out.FastTrailReused = Out.FastConeVars = Out.FastConeClauses = 0;
   return true;
 }
 
@@ -327,9 +257,6 @@ void RefinementSession::Impl::finishResult(TVResult &Out,
   Out.Conflicts = R.ConflictsUsed;
   Out.Propagations = R.PropagationsUsed;
   Out.Restarts = R.RestartsUsed;
-  Out.TrailReused = R.TrailReused;
-  Out.ConeVars = R.ConeVars;
-  Out.ConeClauses = R.ConeClauses;
   Out.Clauses = R.ClauseCount;
   Out.SatVars = R.VarCount;
   Out.LearntLive = R.LearntLive;
@@ -389,62 +316,6 @@ smt::IncrementalSolver &RefinementSession::Impl::forkBase() {
   return *Fork;
 }
 
-TVResult RefinementSession::Impl::solveIsolated(TermId Viol,
-                                                const smt::SatBudget &Budget,
-                                                bool RaceFast) {
-  TVResult Out;
-  if (FastIS && RaceFast) {
-    // Portfolio race, fast racer first: shared-learnt + cone projection +
-    // trail reuse, under a probe slice of the query budget (the test
-    // hook can pinch it further to force the fallback path).
-    smt::SatBudget FastB = Budget;
-    FastB.MaxConflicts =
-        std::max<uint64_t>(FastB.MaxConflicts / PortfolioProbeDiv, 1);
-    if (Opts.PortfolioFastMaxConflicts < FastB.MaxConflicts)
-      FastB.MaxConflicts = Opts.PortfolioFastMaxConflicts;
-    // Search the fast base itself so learnt clauses accumulate across
-    // queries (heuristics rewound per query).
-    FastIS->restoreHeuristics();
-    smt::SmtResult RF = FastIS->check(Viol, FastB);
-    Out.PortfolioArm = 1;
-    Out.FastConflicts = RF.ConflictsUsed;
-    Out.FastPropagations = RF.PropagationsUsed;
-    Out.FastRestarts = RF.RestartsUsed;
-    Out.FastTrailReused = RF.TrailReused;
-    Out.FastConeVars = RF.ConeVars;
-    Out.FastConeClauses = RF.ConeClauses;
-    if (RF.R != smt::SatResult::Unknown) {
-      // Both racers run complete searches, so a decided fast verdict is
-      // sound; accept it without paying for the sound racer at all.
-      finishResult(Out, RF);
-      return Out;
-    }
-    // Indeterminate fast racer (budget exhaustion — the only way the
-    // racers can "disagree"): fall back to the sound fork, whose verdict
-    // always stands and is bit-identical to plain fork-per-query solving
-    // because the sound base was never searched.
-    Out.PortfolioArm = 2;
-    smt::SmtResult RS = forkBase().check(Viol, Budget);
-    // Headline counters total the work of both racers, keeping the
-    // StageSatWork/span/counter parity invariant honest about cost.
-    RS.ConflictsUsed += RF.ConflictsUsed;
-    RS.PropagationsUsed += RF.PropagationsUsed;
-    RS.RestartsUsed += RF.RestartsUsed;
-    RS.TrailReused += RF.TrailReused;
-    finishResult(Out, RS);
-    return Out;
-  }
-  // Adaptive skip (portfolio session, RaceFast false): the fast arm has
-  // already proven inconclusive at this budget class, so only the sound
-  // fork runs. Marked as a fallback with zero fast-arm work — FastConflicts
-  // distinguishes "raced and lost" from "skipped".
-  if (FastIS)
-    Out.PortfolioArm = 2;
-  smt::SmtResult R = forkBase().check(Viol, Budget);
-  finishResult(Out, R);
-  return Out;
-}
-
 TVResult RefinementSession::Impl::queryBody(int CellLo, int CellHi,
                                             const smt::SatBudget &Budget,
                                             bool Isolate) {
@@ -486,19 +357,7 @@ TVResult RefinementSession::Impl::queryBody(int CellLo, int CellHi,
                         QueryTerms);
     return Out;
   }
-  if (Isolate) {
-    size_t TC = Out.TermCount;
-    bool RaceFast = FastIS && Budget.MaxConflicts > FastFailedBudgetHi;
-    Out = solveIsolated(Viol, Budget, RaceFast);
-    Out.TermCount = TC;
-    // Fast racer exhausted its budget without deciding: stop racing this
-    // budget class (and anything smaller) for the rest of the session.
-    if (RaceFast && Out.PortfolioArm == 2)
-      FastFailedBudgetHi = std::max(FastFailedBudgetHi, Budget.MaxConflicts);
-  } else {
-    smt::SmtResult R = IS.check(Viol, Budget);
-    finishResult(Out, R);
-  }
+  finishResult(Out, (Isolate ? forkBase() : IS).check(Viol, Budget));
   Out.SolveNanos = elapsed();
   QueryMemo[Viol] = MemoEntry{Budget, Out};
   return Out;
@@ -531,11 +390,8 @@ TVResult RefinementSession::checkCell(int Cell, const smt::SatBudget &Budget) {
 
 TVResult lv::tv::checkRefinement(const VFunction &Src, const VFunction &Tgt,
                                  const RefineOptions &Opts) {
-  // Single-use session: solve directly in the base, no fork needed — and
-  // no fast racer, whose base copy would never be searched.
-  RefineOptions O = Opts;
-  O.Portfolio = false;
-  RefinementSession S(Src, Tgt, O);
+  // Single-use session: solve directly in the base, no fork needed.
+  RefinementSession S(Src, Tgt, Opts);
   int Lo = 0, Hi = Opts.CompareWindow;
   if (Opts.CellFilter >= 0) {
     Lo = Opts.CellFilter;

@@ -56,25 +56,6 @@ struct RefineOptions {
                         /*MaxClauses=*/3'000'000};
                                ///< SAT budget; exceeded => Inconclusive.
   size_t MaxTerms = 2'000'000; ///< Term-DAG cap (memout analogue).
-  /// Sessions only: portfolio racing (see smt/README.md "Portfolio
-  /// mode"). Every query first runs a *fast arm* — a dedicated
-  /// shared-learnt base with cone projection and trail reuse — under a
-  /// probe slice of the query budget; a decided fast verdict is accepted
-  /// (both arms run complete searches, so any Sat/Unsat they produce is
-  /// sound), while an indeterminate one falls back to the *sound arm*, a
-  /// throwaway fork of the pristine base exactly like plain fork-per-query
-  /// solving. The sound base is never searched, so fallback verdicts are
-  /// bit-identical to Portfolio=false solving by construction. An adaptive
-  /// gate stops racing a budget class once the fast arm has exhausted it
-  /// without deciding (skipping the race is equally sound: the sound
-  /// fork's verdict is the reference either way), so budget-bound stages
-  /// like spatial splitting degrade to pure fork cost instead of paying
-  /// for both arms on every query.
-  bool Portfolio = false;
-  /// Test hook: caps the fast arm's conflict budget below the query
-  /// budget (UINT64_MAX: no cap). Tests force fast-arm budget exhaustion
-  /// with 0 to pin that the sound fork verdict wins every fallback.
-  uint64_t PortfolioFastMaxConflicts = UINT64_MAX;
 };
 
 /// Verdicts mirror the paper's Table 3 labels.
@@ -94,9 +75,6 @@ struct TVResult {
   uint64_t Conflicts = 0;
   uint64_t Propagations = 0;
   uint64_t Restarts = 0;
-  uint64_t TrailReused = 0; ///< Trail literals kept across restarts.
-  uint64_t ConeVars = 0;    ///< Query-cone size (0: projection off).
-  uint64_t ConeClauses = 0;
   uint64_t Clauses = 0;
   uint64_t SatVars = 0;
   uint64_t LearntLive = 0;  ///< Learnt-clause DB size after the query.
@@ -104,26 +82,7 @@ struct TVResult {
   uint64_t SolveNanos = 0;  ///< Wall time of encode+solve for this query.
   size_t TermCount = 0;
 
-  /// Portfolio-mode accounting (all zero outside portfolio sessions).
-  /// The headline counters above total the work of *both* racers, so
-  /// StageSatWork/span/counter parity is preserved; the Fast* fields
-  /// break out the fast racer's share (sound share = total - fast).
-  /// 0: not a portfolio query; 1: fast arm decided; 2: the sound arm
-  /// produced the verdict — either the fast racer ran and exhausted its
-  /// budget (FastConflicts > 0) or the adaptive gate skipped it outright
-  /// (all Fast* fields zero).
-  uint8_t PortfolioArm = 0;
-  uint64_t FastConflicts = 0;
-  uint64_t FastPropagations = 0;
-  uint64_t FastRestarts = 0;
-  uint64_t FastTrailReused = 0;
-  uint64_t FastConeVars = 0;   ///< Fast racer's query-cone size.
-  uint64_t FastConeClauses = 0;
-
   bool equivalent() const { return V == TVVerdict::Equivalent; }
-  bool decided() const {
-    return V == TVVerdict::Equivalent || V == TVVerdict::Inequivalent;
-  }
 };
 
 /// A reusable refinement-checking context. Symbolic execution of both
@@ -138,10 +97,9 @@ struct TVResult {
 /// like a scratch solver over the same encoding: verdicts are identical
 /// to one-shot checkRefinement by construction (learnt clauses are NOT
 /// shared across queries — warm-solver state measurably distorts
-/// budget-bounded searches). RefineOptions::Portfolio adds the fast
-/// racer, the one place learnt clauses are shared (see smt/README.md
-/// "Portfolio mode"). Identical queries (same violation TermId, same
-/// budget) replay their memoized verdict without solving.
+/// budget-bounded searches). Each query is exactly one solve, in its own
+/// fork. Identical queries (same violation TermId, same budget) replay
+/// their memoized verdict without solving.
 ///
 /// \p Src and \p Tgt must outlive the session.
 class RefinementSession {
@@ -169,8 +127,8 @@ private:
 };
 
 /// Checks that \p Tgt refines \p Src under \p Opts (one-shot wrapper
-/// around a fresh RefinementSession; it solves in the base directly and
-/// never races, so Opts.Portfolio is ignored and PortfolioArm stays 0).
+/// around a fresh RefinementSession; it solves in the base directly, which
+/// a session's fork of the same base reproduces bit for bit).
 TVResult checkRefinement(const vir::VFunction &Src, const vir::VFunction &Tgt,
                          const RefineOptions &Opts = RefineOptions());
 

@@ -415,7 +415,6 @@ TEST(Metrics, InterpCountersReproduceStageInterpWorkTally) {
   EXPECT_EQ(obs::counterValue("tv.conflicts"), SatTally.Conflicts);
   EXPECT_EQ(obs::counterValue("tv.propagations"), SatTally.Propagations);
   EXPECT_EQ(obs::counterValue("tv.restarts"), SatTally.Restarts);
-  EXPECT_EQ(obs::counterValue("tv.trail_reused"), SatTally.TrailReused);
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,7 +8,8 @@
 // agrees with one-shot checkSat across repeated queries on a shared term
 // table; (4) regression: stage-4 spatial splitting returns identical
 // EquivResult verdicts whether queries share one incremental session or
-// re-solve from scratch per cell (the seed behaviour).
+// re-solve from scratch per cell (the seed behaviour), and the stage-3
+// session query reproduces one-shot solving exactly.
 //
 //===----------------------------------------------------------------------===//
 
@@ -257,260 +258,6 @@ TEST(LubySchedule, EverySubsequenceRestartsAtOne) {
 }
 
 //===----------------------------------------------------------------------===//
-// Trail reuse: verdict parity vs scratch solving, and the stat
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Pigeonhole clauses PHP(N, N-1): hard enough to force many restarts.
-void loadPigeonhole(SatSolver &S, int N) {
-  std::vector<std::vector<Var>> P(static_cast<size_t>(N),
-                                  std::vector<Var>(static_cast<size_t>(N - 1)));
-  for (auto &Row : P)
-    for (Var &V : Row)
-      V = S.newVar();
-  for (int I = 0; I < N; ++I) {
-    std::vector<Lit> C;
-    for (int H = 0; H < N - 1; ++H)
-      C.push_back(Lit(P[static_cast<size_t>(I)][static_cast<size_t>(H)],
-                      false));
-    S.addClause(C);
-  }
-  for (int H = 0; H < N - 1; ++H)
-    for (int I = 0; I < N; ++I)
-      for (int J = I + 1; J < N; ++J)
-        S.addClause(
-            Lit(P[static_cast<size_t>(I)][static_cast<size_t>(H)], true),
-            Lit(P[static_cast<size_t>(J)][static_cast<size_t>(H)], true));
-}
-
-} // namespace
-
-class TrailReuseParityTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(TrailReuseParityTest, AgreesWithScratchSolver) {
-  Rng R(static_cast<uint64_t>(GetParam()) * 96731 + 7);
-  RandomCnf C = makeRandomCnf(R);
-
-  SatOptions Reuse;
-  Reuse.TrailReuse = true;
-
-  SatSolver Inc;
-  bool IncOk = loadCnf(Inc, C);
-  for (int Q = 0; Q < 6; ++Q) {
-    std::vector<Lit> Assumps;
-    int NumA = 1 + static_cast<int>(R.below(3));
-    for (int K = 0; K < NumA; ++K) {
-      Var V = static_cast<Var>(R.below(static_cast<uint64_t>(C.NumVars)));
-      Assumps.push_back(Lit(V, R.chance(0.5)));
-    }
-    SatSolver Scratch;
-    bool ScratchOk = loadCnf(Scratch, C);
-    for (Lit A : Assumps)
-      ScratchOk = Scratch.addClause(A) && ScratchOk;
-    SatResult Want = ScratchOk ? Scratch.solve() : SatResult::Unsat;
-    SatResult Got = IncOk ? Inc.solve(Assumps, SatBudget(), Reuse)
-                          : SatResult::Unsat;
-    ASSERT_NE(Got, SatResult::Unknown);
-    EXPECT_EQ(Got, Want) << "query " << Q;
-    if (Got == SatResult::Sat) {
-      for (Lit A : Assumps)
-        EXPECT_EQ(Inc.modelValue(A.var()), !A.sign());
-      for (const auto &Cl : C.Clauses) {
-        bool Any = false;
-        for (Lit L : Cl)
-          if (Inc.modelValue(L.var()) == !L.sign())
-            Any = true;
-        EXPECT_TRUE(Any) << "model violates a clause";
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Random, TrailReuseParityTest,
-                         ::testing::Range(0, 20));
-
-TEST(TrailReuse, ReusesAssumptionPrefixAcrossRestarts) {
-  // A hard instance under an assumption: the Luby restarts must keep the
-  // assumption level instead of re-deriving it, and the verdict must
-  // match the reuse-free solve.
-  SatSolver A, B;
-  loadPigeonhole(A, 8);
-  loadPigeonhole(B, 8);
-  Var Extra = A.newVar();
-  (void)B.newVar();
-  std::vector<Lit> Assumps{Lit(Extra, false)};
-
-  SatOptions Reuse;
-  Reuse.TrailReuse = true;
-  SatResult WithReuse = A.solve(Assumps, SatBudget(), Reuse);
-  SatResult Plain = B.solve(Assumps, SatBudget());
-  EXPECT_EQ(WithReuse, Plain);
-  EXPECT_EQ(WithReuse, SatResult::Unsat);
-  EXPECT_GT(A.stats().Restarts, 0u) << "instance too easy to restart";
-  EXPECT_GT(A.stats().TrailReused, 0u)
-      << "restarts did not reuse the assumption prefix";
-  EXPECT_EQ(B.stats().TrailReused, 0u) << "stat must be opt-in";
-}
-
-//===----------------------------------------------------------------------===//
-// Cone projection: parity with scratch solving, certificate restriction
-//===----------------------------------------------------------------------===//
-
-class ConeParityTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ConeParityTest, AgreesWithScratchSolver) {
-  // Connectivity-cone fallback on raw CNF: projected solving must agree
-  // with scratch solving on every assumption query (cone projection only
-  // reshapes the search, never the verdict).
-  Rng R(static_cast<uint64_t>(GetParam()) * 193939 + 5);
-  RandomCnf C = makeRandomCnf(R);
-
-  SatOptions Cone;
-  Cone.ConeProjection = true;
-
-  SatSolver Inc;
-  bool IncOk = loadCnf(Inc, C);
-  for (int Q = 0; Q < 6; ++Q) {
-    std::vector<Lit> Assumps;
-    int NumA = 1 + static_cast<int>(R.below(3));
-    for (int K = 0; K < NumA; ++K) {
-      Var V = static_cast<Var>(R.below(static_cast<uint64_t>(C.NumVars)));
-      Assumps.push_back(Lit(V, R.chance(0.5)));
-    }
-    SatSolver Scratch;
-    bool ScratchOk = loadCnf(Scratch, C);
-    for (Lit A : Assumps)
-      ScratchOk = Scratch.addClause(A) && ScratchOk;
-    SatResult Want = ScratchOk ? Scratch.solve() : SatResult::Unsat;
-    SatResult Got = IncOk ? Inc.solve(Assumps, SatBudget(), Cone)
-                          : SatResult::Unsat;
-    ASSERT_NE(Got, SatResult::Unknown);
-    EXPECT_EQ(Got, Want) << "query " << Q;
-    if (Got == SatResult::Sat) {
-      // The lift phase completes the assignment, so the model must still
-      // satisfy every clause — not just the cone.
-      for (const auto &Cl : C.Clauses) {
-        bool Any = false;
-        for (Lit L : Cl)
-          if (Inc.modelValue(L.var()) == !L.sign())
-            Any = true;
-        EXPECT_TRUE(Any) << "model violates a clause";
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Random, ConeParityTest, ::testing::Range(0, 20));
-
-class ExternalConeSoundnessTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ExternalConeSoundnessTest, ArbitraryConesNeverChangeVerdicts) {
-  // The solver must stay sound for ANY caller-supplied cone — including
-  // ones that cut straight through clauses (the definitional cones the
-  // query layer sends do exactly that). This stresses the skip-flagged
-  // propagation, the restart-and-replay lift, and the exit catch-up:
-  // verdicts must match scratch solving and Sat models must satisfy
-  // every clause, not just the cone.
-  Rng R(static_cast<uint64_t>(GetParam()) * 777769 + 13);
-  RandomCnf C = makeRandomCnf(R);
-
-  SatOptions Cone;
-  Cone.ConeProjection = true;
-
-  SatSolver Inc;
-  bool IncOk = loadCnf(Inc, C);
-  for (int Q = 0; Q < 8; ++Q) {
-    std::vector<Lit> Assumps;
-    int NumA = 1 + static_cast<int>(R.below(3));
-    for (int K = 0; K < NumA; ++K) {
-      Var V = static_cast<Var>(R.below(static_cast<uint64_t>(C.NumVars)));
-      Assumps.push_back(Lit(V, R.chance(0.5)));
-    }
-    // A random subset of variables as the external cone.
-    std::vector<Var> ConeVars;
-    for (Var V = 0; V < C.NumVars; ++V)
-      if (R.chance(0.4))
-        ConeVars.push_back(V);
-
-    SatSolver Scratch;
-    bool ScratchOk = loadCnf(Scratch, C);
-    for (Lit A : Assumps)
-      ScratchOk = Scratch.addClause(A) && ScratchOk;
-    SatResult Want = ScratchOk ? Scratch.solve() : SatResult::Unsat;
-    SatResult Got = IncOk ? Inc.solve(Assumps, SatBudget(), Cone, &ConeVars)
-                          : SatResult::Unsat;
-    ASSERT_NE(Got, SatResult::Unknown);
-    EXPECT_EQ(Got, Want) << "query " << Q;
-    if (Got == SatResult::Sat) {
-      for (Lit A : Assumps)
-        EXPECT_EQ(Inc.modelValue(A.var()), !A.sign());
-      for (const auto &Cl : C.Clauses) {
-        bool Any = false;
-        for (Lit L : Cl)
-          if (Inc.modelValue(L.var()) == !L.sign())
-            Any = true;
-        EXPECT_TRUE(Any) << "model violates a clause outside the cone";
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Random, ExternalConeSoundnessTest,
-                         ::testing::Range(0, 30));
-
-TEST(ConeProjection, CertificateRestrictedToQueryCone) {
-  // Shared solver holding two independent encodings (the shared-learnt
-  // pattern): after solving one query cone-projected, the certificate
-  // must mention that query's variables and not the sibling's, while the
-  // verdicts still match scratch solving.
-  TermTable T;
-  TermId XA = T.mkVar("xa");
-  TermId XB = T.mkVar("xb");
-  TermId DomA = T.mkUlt(XA, T.mkConst(100));
-  TermId DomB = T.mkUlt(XB, T.mkConst(100));
-
-  IncrementalSolver IS(T);
-  // Only A's domain is shared context (context belongs to every cone);
-  // the sibling query carries its own domain, so its variables are
-  // genuinely outside A's cone.
-  IS.assertAlways(DomA);
-  SatOptions Cone;
-  Cone.ConeProjection = true;
-  IS.setOptions(Cone);
-
-  // Sibling query first: its gates accumulate in the shared DB.
-  TermId QB = T.mkAnd(DomB, T.mkEq(T.mkMul(XB, T.mkConst(3)),
-                                   T.mkConst(33)));
-  SmtResult RB = IS.check(QB);
-  ASSERT_TRUE(RB.sat());
-  EXPECT_GT(RB.ConeVars, 0u);
-
-  // Query A, cone-projected against the now-larger DB.
-  TermId QA = T.mkEq(T.mkAdd(XA, T.mkConst(5)), T.mkConst(17));
-  SmtResult RA = IS.check(QA);
-  ASSERT_TRUE(RA.sat());
-  EXPECT_GT(RA.ConeVars, 0u);
-  EXPECT_GT(RA.ConeClauses, 0u);
-
-  // Certificate restriction: xa present (and correct), xb absent.
-  auto ItA = RA.Model.find(XA);
-  ASSERT_NE(ItA, RA.Model.end()) << "query variable missing from model";
-  EXPECT_EQ(ItA->second, 12u);
-  EXPECT_EQ(RA.Model.count(XB), 0u)
-      << "sibling variable leaked into the cone certificate";
-
-  // Scratch cross-check of both verdicts.
-  EXPECT_TRUE(checkSat(T, T.mkAnd(DomA, QA)).sat());
-  EXPECT_TRUE(checkSat(T, T.mkAnd(DomA, QB)).sat());
-
-  // An unsatisfiable cone query must refute, not drift to Unknown.
-  TermId QUnsat = T.mkAnd(T.mkEq(XA, T.mkConst(3)),
-                          T.mkEq(XA, T.mkConst(4)));
-  EXPECT_TRUE(IS.check(QUnsat).unsat());
-}
-
-//===----------------------------------------------------------------------===//
 // Learnt-clause DB reduction
 //===----------------------------------------------------------------------===//
 
@@ -610,6 +357,20 @@ const char *VectorAdd2 = R"(
     }
   })";
 
+/// a[i] = b[i] * 5 against a shift-add rewrite: equivalent, but the
+/// refinement query needs real SAT work (nsw poison on the source side).
+const char *ScalarMul5 =
+    "void f(int n, int *a, int *b) { for (int i = 0; i < n; i++) "
+    "a[i] = b[i] * 5; }";
+const char *VectorMul5 = R"(
+  void f(int n, int *a, int *b) {
+    for (int i = 0; i < n; i += 8) {
+      __m256i v = _mm256_loadu_si256((__m256i *)&b[i]);
+      __m256i x4 = _mm256_slli_epi32(v, 2);
+      _mm256_storeu_si256((__m256i *)&a[i], _mm256_add_epi32(x4, v));
+    }
+  })";
+
 /// Funnel config that forces the decision onto stage 4. \p Scratch routes
 /// every cell through one-shot tv::checkRefinement (a scratch solver per
 /// cell) instead of the shared session — the reference the session's
@@ -663,6 +424,44 @@ TEST(SpatialSplittingRegression, InequivalentPairIdenticalVerdicts) {
   for (size_t I = 0; I < Inc.SplitRes.size(); ++I)
     EXPECT_EQ(Inc.SplitRes[I].V, Scr.SplitRes[I].V) << "cell " << I;
   EXPECT_FALSE(Inc.Counterexample.empty());
+}
+
+TEST(SpatialSplittingRegression, StageThreeQueryMatchesOneShot) {
+  // Stage 3 asks the shared session one checkFull query, and that query
+  // is exactly one solve: its TVResult must equal one-shot
+  // tv::checkRefinement over the same straight-lined pair and options.
+  // The stage-4 override receives those functions and the session's
+  // options (cell filter and budget aside), so it computes the reference;
+  // a small c-unroll budget leaves stage 3 inconclusive so stage 4 runs.
+  const uint64_t CUnrollBudget = 20;
+  core::EquivConfig Cfg;
+  Cfg.EnableAlive2 = false;
+  Cfg.CUnrollBudget = CUnrollBudget;
+  bool HaveRef = false;
+  tv::TVResult Ref;
+  Cfg.SplitCellOverride = [&](const vir::VFunction &S,
+                              const vir::VFunction &V,
+                              const tv::RefineOptions &RO) {
+    if (!HaveRef) {
+      tv::RefineOptions Full = RO;
+      Full.CellFilter = -1;
+      Full.Budget.MaxConflicts = CUnrollBudget;
+      Ref = tv::checkRefinement(S, V, Full);
+      HaveRef = true;
+    }
+    return tv::checkRefinement(S, V, RO);
+  };
+  core::EquivResult Inc = core::checkEquivalence(stage4::ScalarMul5,
+                                                 stage4::VectorMul5, Cfg);
+  ASSERT_TRUE(HaveRef) << "stage 3 decided, so stage 4 never ran";
+  const tv::TVResult &S3 = Inc.CUnrollRes;
+  EXPECT_EQ(S3.V, tv::TVVerdict::Inconclusive) << S3.Detail;
+  EXPECT_GT(S3.Conflicts, 0u);
+  EXPECT_EQ(S3.V, Ref.V);
+  EXPECT_EQ(S3.Detail, Ref.Detail);
+  EXPECT_EQ(S3.Conflicts, Ref.Conflicts);
+  EXPECT_EQ(S3.Propagations, Ref.Propagations);
+  EXPECT_EQ(S3.Clauses, Ref.Clauses);
 }
 
 TEST(SpatialSplittingRegression, IncrementalSharesOneEncoding) {

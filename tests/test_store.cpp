@@ -73,11 +73,9 @@ core::EquivResult mkEquiv(int I) {
   R.Alive2Res.Detail = "budget";
   R.CUnrollRes.V = tv::TVVerdict::Equivalent;
   R.CUnrollRes.Conflicts = 40 + static_cast<uint64_t>(I);
-  R.CUnrollRes.PortfolioArm = 1;
-  R.CUnrollRes.FastConflicts = 12;
   R.SplitRes.resize(2);
   R.SplitRes[0].V = tv::TVVerdict::Equivalent;
-  R.SplitRes[0].TrailReused = 9;
+  R.SplitRes[0].Restarts = 9;
   R.SplitRes[1].V = tv::TVVerdict::Inconclusive;
   R.SplittingEligible = true;
   R.ChecksumNanos = 111;
@@ -459,6 +457,28 @@ TEST(Store, LoadFailureLeavesLogUntouched) {
   EXPECT_TRUE(S2.ok());
   EXPECT_EQ(S2.stats().LoadedEquiv, 2u);
   EXPECT_EQ(S2.stats().ReadFailed, 0u);
+}
+
+// A real read error takes the same path as the FailLoad hook: an existing
+// log that cannot be read (here: records.log is a directory) leaves the
+// store memory-only and the path untouched — no fresh header renamed over
+// it, nothing set aside.
+TEST(Store, UnreadableLogIsNotClobbered) {
+  std::string Dir = scratchDir("unreadable");
+  fs::create_directories(logPath(Dir));
+  writeFile(logPath(Dir) + "/keep", "payload");
+  {
+    ResultStore S(Dir);
+    EXPECT_FALSE(S.ok());
+    EXPECT_EQ(S.stats().ReadFailed, 1u);
+    EXPECT_EQ(S.stats().VersionSkipped, 0u);
+    seed(S, 1); // memory-only: nothing is appended
+    EXPECT_EQ(S.stats().Writes, 0u);
+  }
+  EXPECT_TRUE(fs::is_directory(logPath(Dir)));
+  EXPECT_EQ(readFile(logPath(Dir) + "/keep"), "payload");
+  EXPECT_FALSE(fs::exists(logPath(Dir) + ".skipped"));
+  EXPECT_FALSE(fs::exists(logPath(Dir) + ".tmp"));
 }
 
 } // namespace

@@ -287,14 +287,6 @@ TEST(ConfigHash, EquivFieldsDoNotAlias) {
   core::EquivConfig E;
   E.Checksum.Seed ^= 1; // nested config participates
   EXPECT_NE(E.configHash(), core::EquivConfig().configHash());
-
-  // The portfolio knob participates and does not alias the other
-  // booleans.
-  core::EquivConfig I;
-  I.PortfolioSolving = !I.PortfolioSolving;
-  EXPECT_NE(I.configHash(), core::EquivConfig().configHash());
-  EXPECT_NE(I.configHash(), C.configHash());
-  EXPECT_NE(I.configHash(), D.configHash());
 }
 
 TEST(ConfigHash, FsmFieldsDoNotAlias) {
@@ -322,10 +314,12 @@ TEST(ConfigHash, PinnedGoldenValues) {
   // Solver-mode matrix removed: EquivConfig retired tags 10 and 12-14
   // (the scratch, shared-learnt, cone-projection and trail-reuse modes).
   // Cell fan-out removed: EquivConfig retired tag 16 (SplitCellWorkers).
+  // Stage-3/4 racer removed: EquivConfig retired tag 15
+  // (PortfolioSolving).
   // Store and journal headers embed this hash, so logs written under the
   // old default are set aside on open.
   EXPECT_EQ(interp::ChecksumConfig().configHash(), 0xf48e134cc157f574ULL);
-  EXPECT_EQ(core::EquivConfig().configHash(), 0x6a5798c3cc9ccb73ULL);
+  EXPECT_EQ(core::EquivConfig().configHash(), 0xfe1451b5a1eb05fbULL);
   EXPECT_EQ(agents::FsmConfig().configHash(), 0x5052f9edddaa4b60ULL);
 }
 

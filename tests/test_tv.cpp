@@ -316,7 +316,7 @@ TEST(TV, TinyBudgetInconclusive) {
 }
 
 //===--------------------------------------------------------------------===//
-// Portfolio racing and the stage-4 cell loop
+// Session queries and the stage-4 cell loop
 //===--------------------------------------------------------------------===//
 
 const char *WidenScalar =
@@ -331,80 +331,62 @@ const char *WidenVec = R"(
       }
     })";
 
-TEST(TV, PortfolioForcedFallbackKeepsSoundVerdict) {
-  // The test hook pinches the fast racer to a zero-conflict budget, so it
-  // exhausts on every query (the forced "disagreement": fast says Unknown
-  // where the sound fork decides). The sound fork's verdict must always
-  // win, and its share of the work must equal a plain fork session
-  // bit-for-bit — the fast racer never touches the sound base.
-  VFunctionPtr S1 = mustCompile(WidenScalar), V1 = mustCompile(WidenVec);
-  VFunctionPtr S2 = mustCompile(WidenScalar), V2 = mustCompile(WidenVec);
-  RefineOptions ForkO = withDiv("n", 0);
-  ForkO.Budget.MaxConflicts = 400'000;
-  RefineOptions PortO = ForkO;
-  PortO.Portfolio = true;
-  PortO.PortfolioFastMaxConflicts = 0;
-  RefinementSession Fork(*S1, *V1, ForkO);
-  RefinementSession Port(*S2, *V2, PortO);
-
-  TVResult FF = Fork.checkFull(ForkO.Budget);
-  TVResult PF = Port.checkFull(PortO.Budget);
-  EXPECT_EQ(FF.V, TVVerdict::Equivalent) << FF.Detail;
-  EXPECT_EQ(PF.V, FF.V) << PF.Detail;
-  EXPECT_EQ(PF.Detail, FF.Detail);
-  EXPECT_EQ(PF.PortfolioArm, 2) << "pinched fast arm must lose the race";
-  // Headline counters total both racers; the sound share is the fork run.
-  EXPECT_EQ(PF.Conflicts - PF.FastConflicts, FF.Conflicts);
-  EXPECT_EQ(PF.Propagations - PF.FastPropagations, FF.Propagations);
-
-  // The fast arm exhausted this budget class, so the adaptive gate skips
-  // the race from now on: same-budget queries are pure sound forks with
-  // zero fast-arm work — bit-identical to the fork session.
-  TVResult FC = Fork.checkCell(0, ForkO.Budget);
-  TVResult PC = Port.checkCell(0, PortO.Budget);
-  EXPECT_EQ(PC.PortfolioArm, 2) << "sound arm decided (race skipped)";
-  EXPECT_EQ(PC.FastConflicts, 0u) << "adaptive gate must skip the race";
-  EXPECT_EQ(PC.FastPropagations, 0u);
-  EXPECT_EQ(PC.V, FC.V) << PC.Detail;
-  EXPECT_EQ(PC.Conflicts, FC.Conflicts);
-  EXPECT_EQ(PC.Propagations, FC.Propagations);
-}
-
-TEST(TV, PortfolioFastArmDecides) {
-  // An easy decidable query under a generous budget: the shared-learnt
-  // cone+reuse probe decides within its slice and the sound fork never
-  // runs — a fast win whose headline work is the fast arm's work alone.
-  VFunctionPtr S = mustCompile(
-      "void f(int n, int *a, int *b) { for (int i = 0; i < n; i++) "
-      "a[i] = b[i] + 1; }");
-  VFunctionPtr V = mustCompile(R"(
+const char *Add1Scalar =
+    "void f(int n, int *a, int *b) { for (int i = 0; i < n; i++) "
+    "a[i] = b[i] + 1; }";
+const char *Add1Vec = R"(
     void f(int n, int *a, int *b) {
       __m256i one = _mm256_set1_epi32(1);
       for (int i = 0; i < n; i += 8) {
         __m256i v = _mm256_loadu_si256((__m256i *)&b[i]);
         _mm256_storeu_si256((__m256i *)&a[i], _mm256_add_epi32(v, one));
       }
-    })");
-  RefineOptions O = withDiv("n", 0);
-  O.Budget.MaxConflicts = 200'000; // probe slice = 25k, plenty for this
-  O.Portfolio = true;
-  RefinementSession Sess(*S, *V, O);
-  TVResult R = Sess.checkFull(O.Budget);
-  EXPECT_EQ(R.V, TVVerdict::Equivalent) << R.Detail;
-  EXPECT_EQ(R.PortfolioArm, 1) << "fast arm should decide within the probe";
-  // A fast win's work IS the fast arm's work.
-  EXPECT_EQ(R.Conflicts, R.FastConflicts);
-  EXPECT_EQ(R.Propagations, R.FastPropagations);
+    })";
+
+void expectSameQuery(const TVResult &Got, const TVResult &Want) {
+  EXPECT_EQ(Got.V, Want.V) << Got.Detail;
+  EXPECT_EQ(Got.Detail, Want.Detail);
+  EXPECT_EQ(Got.Counterexample, Want.Counterexample);
+  EXPECT_EQ(Got.Conflicts, Want.Conflicts);
+  EXPECT_EQ(Got.Propagations, Want.Propagations);
+  EXPECT_EQ(Got.Clauses, Want.Clauses);
+}
+
+TEST(TV, SessionQueriesMatchOneShot) {
+  // Every session query is one solve in a fork of the pristine base, so
+  // checkFull and checkCell reproduce one-shot checkRefinement (a scratch
+  // solver over the same encoding) bit for bit: verdict, detail and work.
+  // The multiply pair's full-window query is the slow one (it is
+  // TinyBudgetInconclusive's one-shot reference), so only its cell runs.
+  struct Case {
+    const char *Scalar, *Vec;
+    bool Full;
+  };
+  for (const Case &C :
+       {Case{Add1Scalar, Add1Vec, true}, Case{WidenScalar, WidenVec, false}}) {
+    VFunctionPtr S = mustCompile(C.Scalar), V = mustCompile(C.Vec);
+    RefineOptions O = withDiv("n", 0);
+    O.Budget.MaxConflicts = 400'000;
+    RefinementSession Sess(*S, *V, O);
+    if (C.Full) {
+      TVResult Full = Sess.checkFull(O.Budget);
+      EXPECT_EQ(Full.V, TVVerdict::Equivalent) << Full.Detail;
+      expectSameQuery(Full, checkRefinement(*S, *V, O));
+    }
+    RefineOptions Cell0 = O;
+    Cell0.CellFilter = 0;
+    TVResult Cell = Sess.checkCell(0, O.Budget);
+    EXPECT_EQ(Cell.V, TVVerdict::Equivalent) << Cell.Detail;
+    expectSameQuery(Cell, checkRefinement(*S, *V, Cell0));
+  }
 }
 
 TEST(TV, CheckCellReplaysDuplicateCellFromTheMemo) {
-  // The stage-4 shape: one checkCell per cell, in order, on a portfolio
-  // session. Asking for cell 3 again builds the identical violation term
-  // under the identical budget, so the memo replays the first verdict
-  // with no solver work and no portfolio race.
+  // The stage-4 shape: one checkCell per cell, in order. Asking for cell 3
+  // again builds the identical violation term under the identical budget,
+  // so the memo replays the first verdict with no solver work.
   VFunctionPtr S = mustCompile(WidenScalar), V = mustCompile(WidenVec);
   RefineOptions O = withDiv("n", 0);
-  O.Portfolio = true;
   RefinementSession Sess(*S, *V, O);
   smt::SatBudget Budget;
   Budget.MaxConflicts = 400'000;
@@ -421,8 +403,6 @@ TEST(TV, CheckCellReplaysDuplicateCellFromTheMemo) {
   EXPECT_EQ(Replay.TermCount, First.TermCount);
   EXPECT_EQ(Replay.Conflicts, 0u) << "duplicate must replay";
   EXPECT_EQ(Replay.Propagations, 0u);
-  EXPECT_EQ(Replay.PortfolioArm, 0) << "a replay is not a race";
-  EXPECT_EQ(Replay.FastConflicts, 0u);
 }
 
 TEST(TV, EpilogueOnlyDifferenceCaughtWithoutDivAssumption) {

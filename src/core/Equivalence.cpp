@@ -11,6 +11,7 @@
 #include "vir/Compile.h"
 #include "vir/Lower.h"
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
 
@@ -154,6 +155,68 @@ static vir::VFunctionPtr lowerAst(const minic::Function &F,
   return std::move(R.Fn);
 }
 
+/// Stage 2: guarded symbolic unrolling of both loops (paper §3.1). When the
+/// alignment names a trip-count parameter, the stage is one query per
+/// admissible value of it, in ascending order, with the parameter pinned
+/// and both sides unrolled to ScalarMax + 2; see core/Equivalence.h.
+static TVResult checkWithAlive2Unroll(const vir::VFunction &SV,
+                                      const vir::VFunction &VV,
+                                      const Alignment &Align,
+                                      const EquivConfig &Cfg) {
+  tv::RefineOptions RO;
+  RO.ScalarMax = Cfg.ScalarMax;
+  RO.SrcExec.MemWindow = Cfg.ScalarMax + 8;
+  RO.TgtExec.MemWindow = Cfg.ScalarMax + 8;
+  RO.CompareWindow = Cfg.ScalarMax + 8;
+  RO.Budget.MaxConflicts = Cfg.Alive2Budget;
+  RO.MaxTerms = Cfg.MaxTerms;
+  if (!Align.HasDiv) {
+    RO.SrcExec.UnrollBound = static_cast<int>(Cfg.ScalarMax / Align.Step1) + 2;
+    RO.TgtExec.UnrollBound = static_cast<int>(Cfg.ScalarMax / Align.Step2) + 2;
+    return tv::checkRefinement(SV, VV, RO);
+  }
+
+  const tv::DivAssumption &D = Align.Div;
+  RO.SrcExec.UnrollBound = Cfg.ScalarMax + 2;
+  RO.TgtExec.UnrollBound = Cfg.ScalarMax + 2;
+  TVResult Sum;
+  Sum.V = TVVerdict::Equivalent;
+  std::string Cases;
+  for (int32_t N = 0; N <= Cfg.ScalarMax; ++N) {
+    int64_t E = static_cast<int64_t>(N) + D.Offset;
+    if (E < 0 || E % D.Mod != 0)
+      continue;
+    RO.Pins = {tv::ScalarPin{D.Param, N}};
+    RO.Budget.MaxConflicts =
+        Cfg.Alive2Budget - std::min(Sum.Conflicts, Cfg.Alive2Budget);
+    TVResult R = tv::checkRefinement(SV, VV, RO);
+    Sum.Conflicts += R.Conflicts;
+    Sum.Propagations += R.Propagations;
+    Sum.Restarts += R.Restarts;
+    Sum.Clauses += R.Clauses;
+    Sum.SatVars += R.SatVars;
+    Sum.SolveNanos += R.SolveNanos;
+    Sum.TermCount = std::max(Sum.TermCount, R.TermCount);
+    Sum.LearntLive = R.LearntLive;
+    Sum.AvgLBD = R.AvgLBD;
+    appendf(Cases, "%s%d", Cases.empty() ? "" : ", ", N);
+    if (R.V != TVVerdict::Equivalent) {
+      Sum.V = R.V;
+      Sum.Detail = format("%s = %d: %s", D.Param.c_str(), N, R.Detail.c_str());
+      Sum.Counterexample = std::move(R.Counterexample);
+      return Sum;
+    }
+  }
+  if (Cases.empty()) {
+    Sum.V = TVVerdict::Inconclusive;
+    Sum.Detail = format("no admissible value of %s", D.Param.c_str());
+  } else {
+    Sum.Detail = format("refinement holds on the bounded domain (%s in {%s})",
+                        D.Param.c_str(), Cases.c_str());
+  }
+  return Sum;
+}
+
 /// The staged funnel body, writing into \p Out so a cancellation unwind
 /// keeps the per-stage evidence gathered before the deadline landed.
 static void checkEquivalenceImpl(const std::string &ScalarSrc,
@@ -235,20 +298,7 @@ static void checkEquivalenceImpl(const std::string &ScalarSrc,
     bool Decided = false;
     {
       obs::Span Timer("equiv", "stage.alive2", &Out.Alive2Nanos);
-      tv::RefineOptions RO;
-      RO.ScalarMax = Cfg.ScalarMax;
-      RO.SrcExec.UnrollBound =
-          static_cast<int>(Cfg.ScalarMax / Align.Step1) + 2;
-      RO.TgtExec.UnrollBound =
-          static_cast<int>(Cfg.ScalarMax / Align.Step2) + 2;
-      RO.SrcExec.MemWindow = Cfg.ScalarMax + 8;
-      RO.TgtExec.MemWindow = Cfg.ScalarMax + 8;
-      RO.CompareWindow = Cfg.ScalarMax + 8;
-      if (Align.HasDiv)
-        RO.Divs.push_back(Align.Div);
-      RO.Budget.MaxConflicts = Cfg.Alive2Budget;
-      RO.MaxTerms = Cfg.MaxTerms;
-      Out.Alive2Res = tv::checkRefinement(*SV, *VV, RO);
+      Out.Alive2Res = checkWithAlive2Unroll(*SV, *VV, Align, Cfg);
       if (Out.Alive2Res.V == TVVerdict::Equivalent ||
           Out.Alive2Res.V == TVVerdict::Inequivalent) {
         Out.Final = Out.Alive2Res.V == TVVerdict::Equivalent

@@ -6,14 +6,40 @@
 ///
 ///   1. checksumTesting(S, V)          -> Inequivalent | Plausible
 ///   2. checkWithAlive2Unroll(S, V)    -> guarded symbolic unrolling with
-///      loop alignment and the divisibility assumption (§3.1)
+///      loop alignment, one query per admissible trip count (§3.1)
 ///   3. checkWithCUnroll(S, V)         -> C-level straight-lining of one
 ///      aligned block on both sides (§3.2)
 ///   4. checkWithSpatialSplitting(S,V) -> per-cell queries under the
 ///      conservative no-loop-carried-dependence check (§3.3)
 ///
 /// Each stage may return Inconclusive (budget exhaustion — the paper's
-/// Alive2 timeout/memout); the next stage then runs. Nested loops are
+/// Alive2 timeout/memout); the next stage then runs.
+///
+/// Stage 2 is case-split on the trip count (the paper's spatial-splitting
+/// idea applied to the loop bound instead of the cell index). When the
+/// alignment names a trip-count parameter n, the stage asks one
+/// tv::checkRefinement per admissible value v of n, in ascending order:
+/// 0 <= v <= ScalarMax, v + Div.Offset >= 0 and (v + Div.Offset) %
+/// Div.Mod == 0 — exactly the values one query under the divisibility
+/// assumption would admit. Each case pins n to v (RefineOptions::Pins), so
+/// symbolic execution folds every loop guard and induction variables stay
+/// concrete, and unrolls both sides to ScalarMax + 2.
+///   * Emptiness rule: a case whose assumptions fold to false (a loop that
+///     needs more iterations than the bound at that v) is Inconclusive,
+///     never a vacuous Equivalent.
+///   * Budget: the cases share Alive2Budget; each gets what the earlier
+///     cases left.
+///   * Verdict: all cases Equivalent => Equivalent; the first case that is
+///     not Equivalent ends the stage with its verdict (Inequivalent
+///     decides, and its counterexample prints the pinned `n = v`; Unknown
+///     leaves the stage Inconclusive).
+///   * Alive2Res sums Conflicts, Propagations, Restarts, Clauses, SatVars
+///     and SolveNanos over the cases (TermCount is the largest case's),
+///     so span sums, tv.* counters and svc::StageSatWork stay equal.
+/// Pairs without a trip-count parameter keep one query with unroll bounds
+/// ScalarMax / step + 2 per side.
+///
+/// Nested loops are
 /// handled by requiring syntactically identical outer loops and elevating
 /// the outer iterator to a parameter before stages 2-4.
 ///

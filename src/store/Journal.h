@@ -59,10 +59,12 @@ struct JournalStats {
 class BatchJournal {
 public:
   /// On-disk schema version; bump when the record layout or the service's
-  /// Outcome wire format (svc::serializeOutcome) changes. Version 2
-  /// dropped the batch membership record; version 3 the racer fields of
-  /// svc::StageSatWork and tv::TVResult.
-  static constexpr uint32_t SchemaVersion = 3;
+  /// Outcome wire format (svc::serializeOutcome) changes, or when verdicts
+  /// change under an unchanged configHash. Version 2 dropped the batch
+  /// membership record; version 3 the racer fields of svc::StageSatWork
+  /// and tv::TVResult; version 4 marks stage 2's case split on the trip
+  /// count.
+  static constexpr uint32_t SchemaVersion = 4;
 
   /// Opens (or creates) `<Dir>/journal.log`, replaying completed-task
   /// records into the in-memory index. Same degradation ladder as

@@ -107,10 +107,12 @@ void setChaosFileHooks(ChaosFileHooks H);
 /// The persistent store. Thread-safe (one mutex over index + log handle).
 class ResultStore {
 public:
-  /// On-disk schema version; bump when any serialized layout changes.
-  /// Version 2 dropped the racer and cone/trail-reuse fields of
-  /// tv::TVResult.
-  static constexpr uint32_t SchemaVersion = 2;
+  /// On-disk schema version; bump when any serialized layout changes, or
+  /// when a stage's verdicts change under an unchanged configHash (older
+  /// records would replay stale verdicts). Version 2 dropped the racer and
+  /// cone/trail-reuse fields of tv::TVResult; version 3 marks stage 2's
+  /// case split on the trip count.
+  static constexpr uint32_t SchemaVersion = 3;
 
   /// Opens (or creates) the store under \p Dir, replaying the record log
   /// into the in-memory index (`store.load` span). A missing directory is

@@ -85,6 +85,8 @@ struct RefinementSession::Impl {
   Impl(const VFunction &Src, const VFunction &Tgt, const RefineOptions &O)
       : Opts(O), In(T), IS(T) {
     T.reserve(Opts.MaxTerms);
+    for (const ScalarPin &P : Opts.Pins)
+      In.pin(P.Param, P.Value);
     {
       obs::Span Exec("tv", "tv.symexec");
       SS = executeSymbolic(Src, T, In, Opts.SrcExec);
@@ -147,6 +149,17 @@ struct RefinementSession::Impl {
         return;
       }
       MemPairs.emplace_back(&SS.Mems[I], MT);
+    }
+
+    // Unsat under an assumption prefix that admits no input proves
+    // nothing: with pinned scalars this is a loop that needs more
+    // iterations than the unroll bound, so the bound decides nothing.
+    if (T.isFalse(A)) {
+      Immediate.V = TVVerdict::Inconclusive;
+      Immediate.Detail = "assumptions admit no input (a loop needs more "
+                         "iterations than the unroll bound)";
+      HasImmediate = true;
+      return;
     }
 
     // The common prefix A && !UB_src is asserted once; per-query
@@ -278,10 +291,14 @@ void RefinementSession::Impl::finishResult(TVResult &Out,
     std::string CE;
     for (const std::string &Name : In.scalarNames()) {
       TermId P = In.scalar(Name);
-      auto It = R.Model.find(P);
-      if (It != R.Model.end())
-        appendf(CE, "%s = %d\n", Name.c_str(),
-                static_cast<int32_t>(It->second));
+      uint32_t V;
+      if (!T.isConst(P, V)) { // a pinned scalar is a constant, not a model var
+        auto It = R.Model.find(P);
+        if (It == R.Model.end())
+          continue;
+        V = It->second;
+      }
+      appendf(CE, "%s = %d\n", Name.c_str(), static_cast<int32_t>(V));
     }
     for (const std::string &Name : In.arrayNames()) {
       TermId SZ = In.arraySize(Name);

@@ -12,12 +12,16 @@
 /// where a cell/return "differs" when the source value is non-poison and
 /// the target value is poison or unequal. Unsat => Equivalent (within the
 /// bounded domain, "modulo unrolling"), Sat => Inequivalent with a concrete
-/// counterexample, Unknown => Inconclusive (the paper's timeout).
+/// counterexample, Unknown => Inconclusive (the paper's timeout). An
+/// assumption prefix that folds to false (every execution needs more loop
+/// iterations than the unroll bound, or the pins leave the domain) admits
+/// no input at all, so the query is Inconclusive rather than a vacuous
+/// Equivalent.
 ///
 /// Options carry the paper's domain-specific devices: the divisibility
 /// assumption `(end - start) % m == 0` from loop alignment (§3.1), separate
-/// unroll bounds per side, and a cell filter for spatial case splitting
-/// (§3.3).
+/// unroll bounds per side, a cell filter for spatial case splitting
+/// (§3.3), and scalar pins for stage 2's case split on the trip count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,12 +47,21 @@ struct DivAssumption {
   int32_t Mod = 8;
 };
 
+/// Binds scalar parameter `Param` to the constant `Value` (Algorithm 1's
+/// stage-2 case split on the trip count; see core/Equivalence.h).
+struct ScalarPin {
+  std::string Param;
+  int32_t Value = 0;
+};
+
 /// Verification options.
 struct RefineOptions {
   ExecOptions SrcExec{18, 24}; ///< Source unroll bound / memory window.
   ExecOptions TgtExec{4, 24};  ///< Target (vectorized) side.
   int32_t ScalarMax = 16;      ///< Scalar params constrained to [0, this].
   std::vector<DivAssumption> Divs;
+  std::vector<ScalarPin> Pins; ///< Scalars bound to constants (SharedInputs
+                               ///< folds them into the encoding).
   int CompareWindow = 24;      ///< Cells compared per region.
   int CellFilter = -1;         ///< >= 0: compare only this cell index
                                ///< (spatial case splitting).

@@ -21,7 +21,8 @@ TermId SharedInputs::scalar(const std::string &Name) {
   auto It = Scalars.find(Name);
   if (It != Scalars.end())
     return It->second;
-  TermId V = T.mkVar(Name);
+  auto Pin = Pins.find(Name);
+  TermId V = Pin != Pins.end() ? T.mkConstS(Pin->second) : T.mkVar(Name);
   Scalars.emplace(Name, V);
   ScalarOrder.push_back(Name);
   return V;

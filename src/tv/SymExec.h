@@ -117,7 +117,14 @@ class SharedInputs {
 public:
   explicit SharedInputs(smt::TermTable &T) : T(T) {}
 
-  /// Term for scalar parameter \p Name (created on first use).
+  /// Binds scalar parameter \p Name to the constant \p Value: scalar()
+  /// then returns that constant instead of a fresh variable, so every
+  /// guard and index that depends on it folds during execution. Must be
+  /// called before the first scalar(Name).
+  void pin(const std::string &Name, int32_t Value) { Pins[Name] = Value; }
+
+  /// Term for scalar parameter \p Name (created on first use; a constant
+  /// when pinned).
   smt::TermId scalar(const std::string &Name);
 
   /// Allocation size term for array \p Name (created on first use).
@@ -134,6 +141,7 @@ private:
   smt::TermTable &T;
   std::vector<std::string> ScalarOrder, ArrayOrder;
   std::unordered_map<std::string, smt::TermId> Scalars;
+  std::unordered_map<std::string, int32_t> Pins;
   std::unordered_map<std::string, smt::TermId> Sizes;
   std::unordered_map<std::string, std::vector<SymVal>> Bases;
 };

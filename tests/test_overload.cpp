@@ -553,7 +553,7 @@ TEST(Drain, GracePeriodLetsWorkFinish) {
 }
 
 TEST(Drain, CancelPropagatesIntoSplitCellLoop) {
-  // Starve stages 2-3 so the verify falls through to spatial splitting
+  // Disable stages 2-3 so the verify falls through to spatial splitting
   // with a per-cell budget far beyond what drain allows: the stage-4 loop
   // polls the task token before every cell and every query, and the SAT
   // search polls it inside its budget loop, so drain's requestCancel must
@@ -579,8 +579,8 @@ TEST(Drain, CancelPropagatesIntoSplitCellLoop) {
   R.ScalarSource = Scalar;
   R.CandidateSource = Vec;
   R.Equiv = fastEquiv();
-  R.Equiv.Alive2Budget = 1;
-  R.Equiv.CUnrollBudget = 1;
+  R.Equiv.EnableAlive2 = false;
+  R.Equiv.EnableCUnroll = false;
   R.Equiv.SplitBudget = 50'000;
   R.Equiv.MaxTerms = 200'000;
   Ticket T = S.submit(std::move(R));

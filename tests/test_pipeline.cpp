@@ -164,16 +164,118 @@ TEST(Pipeline, SimpleWidenDecidedAtAlive2Stage) {
   EXPECT_EQ(R.DecidedBy, Stage::Alive2Unroll) << stageName(R.DecidedBy);
 }
 
-TEST(Pipeline, S212DecidedAtCUnrollStage) {
-  // The paper's headline technique: plain Alive2 unrolling times out on
-  // s212-class queries; C-level unrolling of one aligned block closes it.
+TEST(Pipeline, S212DecidedAtAlive2Stage) {
+  // With the trip count pinned per case, every guard and index of s212's
+  // unrolled loops folds, so stage 2 proves it outright (one query per
+  // admissible n: 0, 8 and 16 at the default ScalarMax).
   EquivConfig Cfg;
-  Cfg.Alive2Budget = 4'000; // keep the demonstration fast
+  Cfg.Alive2Budget = 4'000;
+  EquivResult R = svc::verifyPair(S212Scalar, S212Vector, Cfg);
+  EXPECT_EQ(R.Final, EquivResult::Equivalent)
+      << R.Detail << "\n" << R.Counterexample;
+  EXPECT_EQ(R.DecidedBy, Stage::Alive2Unroll) << stageName(R.DecidedBy);
+  EXPECT_EQ(R.Alive2Res.V, tv::TVVerdict::Equivalent);
+}
+
+TEST(Pipeline, S212DecidedAtCUnrollStage) {
+  // The paper's headline technique: C-level unrolling of one aligned block
+  // closes s212 on its own (stage 2 disabled, as in the ablation).
+  EquivConfig Cfg;
+  Cfg.EnableAlive2 = false;
   EquivResult R = svc::verifyPair(S212Scalar, S212Vector, Cfg);
   EXPECT_EQ(R.Final, EquivResult::Equivalent)
       << R.Detail << "\n" << R.Counterexample;
   EXPECT_EQ(R.DecidedBy, Stage::CUnroll) << stageName(R.DecidedBy);
-  EXPECT_EQ(R.Alive2Res.V, tv::TVVerdict::Inconclusive);
+  EXPECT_EQ(R.Alive2Res.V, tv::TVVerdict::Unsupported); // stage 2 not run
+}
+
+TEST(Pipeline, S291PeelLoopDecidedAtAlive2Stage) {
+  // A peel-loop candidate: at n = 8 its epilogue loop runs 7 iterations,
+  // past a ScalarMax/8 + 2 = 3 target bound (which would leave that case
+  // Inconclusive); each case unrolls to ScalarMax + 2.
+  const char *Scalar = R"(
+    void s291(int n, int *a, int *b) {
+      int im1 = n - 1;
+      for (int i = 0; i < n; i++) {
+        a[i] = (b[i] + b[im1]) * 2;
+        im1 = i;
+      }
+    })";
+  const char *Vec = R"(
+    void s291(int n, int *a, int *b) {
+      int im1 = n - 1;
+      int i = 0;
+      for (; i < 1 && i < n; i++) {
+        a[i] = (b[i] + b[im1]) * 2;
+        im1 = i;
+      }
+      for (; i <= n - 8; i += 8) {
+        __m256i v0 = _mm256_loadu_si256((__m256i *)&b[i]);
+        __m256i v1 = _mm256_loadu_si256((__m256i *)&b[i - 1]);
+        _mm256_storeu_si256((__m256i *)&a[i],
+                            _mm256_mullo_epi32(_mm256_add_epi32(v0, v1),
+                                               _mm256_set1_epi32(2)));
+        im1 = i + 7;
+      }
+      for (; i < n; i++) {
+        a[i] = (b[i] + b[im1]) * 2;
+        im1 = i;
+      }
+    })";
+  EquivConfig Cfg;
+  Cfg.ScalarMax = 8;
+  Cfg.Alive2Budget = 500;
+  EquivResult R = svc::verifyPair(Scalar, Vec, Cfg);
+  EXPECT_EQ(R.Final, EquivResult::Equivalent)
+      << R.Detail << "\n" << R.Counterexample;
+  EXPECT_EQ(R.DecidedBy, Stage::Alive2Unroll) << stageName(R.DecidedBy);
+  EXPECT_NE(R.Detail.find("n in {0, 8}"), std::string::npos) << R.Detail;
+}
+
+/// b[i] + 1, vectorized; \p Tail is appended after the vector loop.
+static std::string widenWithTail(const char *Tail) {
+  return std::string(R"(
+    void f(int n, int *a, int *b) {
+      __m256i one = _mm256_set1_epi32(1);
+      for (int i = 0; i < n; i += 8) {
+        __m256i v = _mm256_loadu_si256((__m256i *)&b[i]);
+        _mm256_storeu_si256((__m256i *)&a[i], _mm256_add_epi32(v, one));
+      }
+)") + Tail + "}";
+}
+
+const char *WidenScalar =
+    "void f(int n, int *a, int *b) { for (int i = 0; i < n; i++) "
+    "a[i] = b[i] + 1; }";
+
+TEST(Pipeline, WrongAtOneTripCountRefutedAtAlive2Stage) {
+  // Wrong only at n == 16, which checksum testing (n in {0, 8, 64, 256})
+  // never runs: the n = 16 case refutes it, and the counterexample names
+  // the pinned value the model no longer carries.
+  EquivResult R =
+      svc::verifyPair(WidenScalar, widenWithTail("if (n == 16) a[3] = b[3];"));
+  EXPECT_EQ(R.Final, EquivResult::Inequivalent) << R.Detail;
+  EXPECT_EQ(R.DecidedBy, Stage::Alive2Unroll) << stageName(R.DecidedBy);
+  EXPECT_NE(R.Counterexample.find("n = 16\n"), std::string::npos)
+      << R.Counterexample;
+}
+
+TEST(Pipeline, UnrollBoundBelowTripCountLeavesAlive2Inconclusive) {
+  // At n = 16 the trailing loop runs 32 iterations, past the ScalarMax + 2
+  // unroll bound: that case's assumptions admit no input, so it is
+  // Inconclusive — not a vacuous proof — even though n = 0 and n = 8 hold.
+  EquivConfig Cfg;
+  Cfg.EnableCUnroll = false;
+  Cfg.EnableSplitting = false;
+  EquivResult R = svc::verifyPair(
+      WidenScalar,
+      widenWithTail("int s = 0; for (int j = 0; j < 2 * n; j++) s += 1;"),
+      Cfg);
+  EXPECT_EQ(R.Alive2Res.V, tv::TVVerdict::Inconclusive) << R.Alive2Res.Detail;
+  EXPECT_NE(R.Alive2Res.Detail.find("n = 16: assumptions admit no input"),
+            std::string::npos)
+      << R.Alive2Res.Detail;
+  EXPECT_EQ(R.Final, EquivResult::Inconclusive);
 }
 
 TEST(Pipeline, ChecksumRejectsObviouslyWrongCandidate) {

@@ -204,7 +204,7 @@ TEST(Service, ChecksumWorkAggregatesInterpCounters) {
 }
 
 /// A verify request whose pair falls through to spatial splitting:
-/// stages 2-3 are starved, stage 4 gets a generous per-cell budget.
+/// stages 2-3 are disabled, stage 4 gets a generous per-cell budget.
 Request splittingRequest() {
   Request R;
   R.Mode = RunMode::Verify;
@@ -220,8 +220,8 @@ Request splittingRequest() {
         }
       })";
   R.Equiv = fastEquiv();
-  R.Equiv.Alive2Budget = 1;
-  R.Equiv.CUnrollBudget = 1;
+  R.Equiv.EnableAlive2 = false;
+  R.Equiv.EnableCUnroll = false;
   R.Equiv.SplitBudget = 50'000;
   return R;
 }

@@ -168,17 +168,23 @@ struct Arm {
   std::vector<FunnelRecord> Records;
   FunnelTally T;
   int Mismatches = 0; ///< Tests whose (Final, DecidedBy) differ from fork.
+  /// smt.mul_abstracted / smt.mul_refined / smt.refine_rounds over the
+  /// arm's run (every stage; the seed arm's stage-4 cells run the frozen
+  /// stack, which abstracts nothing).
+  uint64_t MulAbstracted = 0, MulRefined = 0, RefineRounds = 0;
 };
 
-/// --quick test subset: budget-borderline pairs that are decided close to
-/// their stage budget, all the way into stage 4, plus enough ordinary
-/// pairs to keep the funnel-shape gate meaningful (checksum rejects,
-/// alive2/c-unroll deciders, and splitting survivors).
+/// --quick test subset: budget-borderline multiplier pairs, plus enough
+/// ordinary pairs to keep the funnel-shape gate meaningful (checksum
+/// rejects, alive2/c-unroll deciders, and splitting survivors).
 const char *QuickTests[] = {
-    // Budget-borderline pairs (s319 decided at c-unroll, the rest at
-    // spatial splitting).
+    // Budget-borderline multiplier pairs, all refuted: s253, s271, s1279
+    // and s2711 at stage 2, s272 and s319 at c-unroll. Without the
+    // multiplier abstraction all but s319 ran into spatial splitting.
     "s253", "s271", "s272", "s319", "s1279", "s2711",
-    // Splitting-stage survivors (stay inconclusive end to end).
+    // Multiplier pairs that used to survive splitting: s273 is now refuted
+    // at stage 2 and s274 at c-unroll; s276 and s2712 stay inconclusive
+    // end to end, so stage 4 still runs in both arms.
     "s273", "s274", "s276", "s2712",
     // C-unroll equivalence deciders (the four of the full corpus), one
     // alive2 decider, and checksum rejects, keeping the funnel-shape gate
@@ -322,8 +328,14 @@ int main(int argc, char **argv) {
       obs::resetMetrics();
       obs::setTracingEnabled(true);
     }
+    const uint64_t Abstracted0 = obs::counterValue("smt.mul_abstracted");
+    const uint64_t Refined0 = obs::counterValue("smt.mul_refined");
+    const uint64_t Rounds0 = obs::counterValue("smt.refine_rounds");
     A.Records = runFunnel(Corpus, Cfg, Opt.Jobs);
     A.T = tally(A.Records);
+    A.MulAbstracted = obs::counterValue("smt.mul_abstracted") - Abstracted0;
+    A.MulRefined = obs::counterValue("smt.mul_refined") - Refined0;
+    A.RefineRounds = obs::counterValue("smt.refine_rounds") - Rounds0;
     if (I == TracedArm) {
       obs::setTracingEnabled(false);
       // Scrape immediately: a later arm would keep feeding the (always-on)
@@ -416,6 +428,14 @@ int main(int argc, char **argv) {
                 static_cast<double>(A.T.SplitWallNanos) / 1e6,
                 A.Mismatches);
   }
+  std::printf("\n  multiplier abstraction by arm (all stages):\n");
+  std::printf("  %-18s %12s %12s %12s\n", "mode", "abstracted", "refined",
+              "rounds");
+  for (const Arm &A : Arms)
+    std::printf("  %-18s %12llu %12llu %12llu\n", A.Name,
+                static_cast<unsigned long long>(A.MulAbstracted),
+                static_cast<unsigned long long>(A.MulRefined),
+                static_cast<unsigned long long>(A.RefineRounds));
 
   // Gates.
   const Arm *SeedA = &Arms[SeedArm];
@@ -597,12 +617,16 @@ int main(int argc, char **argv) {
     appendf(J,
             "    {\"name\": \"%s\", \"queries\": %d, \"conflicts\": %llu, "
             "\"propagations\": %llu, \"wall_ns\": %llu, "
-            "\"mismatches\": %d}%s\n",
+            "\"mismatches\": %d, \"mul_abstracted\": %llu, "
+            "\"mul_refined\": %llu, \"refine_rounds\": %llu}%s\n",
             A.Name, A.T.SplitQueries,
             static_cast<unsigned long long>(A.T.SplitWork.Conflicts),
             static_cast<unsigned long long>(A.T.SplitWork.Propagations),
             static_cast<unsigned long long>(A.T.SplitWallNanos),
-            A.Mismatches, I + 1 < Arms.size() ? "," : "");
+            A.Mismatches, static_cast<unsigned long long>(A.MulAbstracted),
+            static_cast<unsigned long long>(A.MulRefined),
+            static_cast<unsigned long long>(A.RefineRounds),
+            I + 1 < Arms.size() ? "," : "");
   }
   appendf(J, "  ],\n");
   // Per-stage SAT work of the default configuration (the fork arm; the

@@ -65,7 +65,8 @@ namespace {
 struct Alignment {
   bool Valid = false;
   int64_t Step1 = 1;       ///< Scalar loop step.
-  int64_t Step2 = 8;       ///< Vector loop step.
+  int64_t Step2 = 8;       ///< Vector loop step (8 when not known).
+  bool Step2Known = false; ///< Stages 3-4 straight-line only a known step.
   int64_t V = 8;           ///< lcm(Step1, Step2): elements per block.
   int SrcCopies = 8;       ///< V / Step1.
   int TgtCopies = 1;       ///< V / Step2.
@@ -88,7 +89,8 @@ static Alignment computeAlignment(const minic::Function &S,
   if (!IS.Canonical || !IS.End.Valid || IS.Step <= 0)
     return A;
   A.Step1 = IS.Step;
-  A.Step2 = IV.StepKnown && IV.Step > 0 ? IV.Step : 8;
+  A.Step2Known = IV.StepKnown && IV.Step > 0;
+  A.Step2 = A.Step2Known ? IV.Step : 8;
   A.V = std::lcm(A.Step1, A.Step2);
   if (A.V <= 0 || A.V > 64)
     return A;
@@ -325,7 +327,14 @@ static void checkEquivalenceImpl(const std::string &ScalarSrc,
   UnrollResult SU, VU;
   vir::VFunctionPtr SUV, VUV;
   std::string UnrollErr;
-  if (Cfg.EnableCUnroll || Cfg.EnableSplitting) {
+  if (!Align.Step2Known) {
+    // The candidate's first loop (say, a peel loop) has no known step, so
+    // the copy count of an aligned block is a guess: a wrong one
+    // straight-lines a different block than the source's and refutes a
+    // correct candidate. Stages 3-4 are then Unsupported.
+    UnrollErr = "candidate loop step not known: the aligned block cannot "
+                "be straight-lined";
+  } else if (Cfg.EnableCUnroll || Cfg.EnableSplitting) {
     SU = unrollStraightLine(*STv, Align.SrcCopies, /*DropLaterLoops=*/true);
     VU = unrollStraightLine(*VTv, Align.TgtCopies, /*DropLaterLoops=*/true);
     if (SU.ok() && VU.ok()) {

@@ -48,7 +48,18 @@
 /// and every query (the stage-3 attempt, each stage-4 cell) is exactly one
 /// solve in a throwaway fork of the session's pristine base, so its
 /// verdict and work equal a one-shot tv::checkRefinement with the same
-/// options.
+/// options. Stages 3-4 straight-line one aligned block of V / step copies
+/// per side, so they are Unsupported when the candidate's first loop has
+/// no known step (a peel loop, say): a guessed copy count would compare a
+/// different block than the source's and could refute a correct candidate.
+///
+/// Every query of stages 2-4 abstracts its multipliers and refines them on
+/// demand (smt::IncrementalSolver::check, smt/README.md "Multiplier
+/// abstraction"): the rounds share the stage's conflict budget, Unsat
+/// stays final and a counterexample is a model the terms themselves
+/// satisfy, so a verdict means what it meant with exact multipliers;
+/// queries that used to exhaust their budget in multiplier CNF now often
+/// settle at an earlier stage.
 ///
 //===----------------------------------------------------------------------===//
 

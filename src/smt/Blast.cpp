@@ -2,6 +2,8 @@
 
 #include "smt/Blast.h"
 
+#include "obs/Metrics.h"
+
 #include <cassert>
 
 using namespace lv;
@@ -208,6 +210,27 @@ BitBlaster::Word BitBlaster::wMul(WordView A, WordView B,
   return Acc;
 }
 
+Lit BitBlaster::wMulOvf(WordView A, WordView B) {
+  // Unsigned 64-bit product of the zero-extended operands. Its low half is
+  // exactly the 32-bit Mul circuit: the low bits of every ripple add are
+  // the same gates over the same literals, so the gate memo shares them.
+  Word P = wMul(A, B, 64);
+  // Signed high half: hi(a*b) - (a < 0 ? b : 0) - (b < 0 ? a : 0).
+  Word Hi(P.begin() + 32, P.end());
+  Word NotB(32), NotA(32);
+  for (size_t I = 0; I < 32; ++I) {
+    NotB[I] = ~gAnd(A[31], B[I]);
+    NotA[I] = ~gAnd(B[31], A[I]);
+  }
+  Hi = wAdd(Hi, NotB, TrueLit, nullptr, nullptr);
+  Hi = wAdd(Hi, NotA, TrueLit, nullptr, nullptr);
+  // Overflow iff the high half is not the sign extension of bit 31.
+  Lit Ovf = falseLit();
+  for (size_t I = 0; I < 32; ++I)
+    Ovf = gOr(Ovf, gXor(Hi[I], P[31]));
+  return Ovf;
+}
+
 void BitBlaster::wUDivRem(WordView A, WordView B, Word &Q, Word &R) {
   size_t N = A.size();
   Q.assign(N, falseLit());
@@ -229,6 +252,59 @@ void BitBlaster::wUDivRem(WordView A, WordView B, Word &Q, Word &R) {
 BitBlaster::Word BitBlaster::wAbs(WordView A) {
   Lit Sign = A.back();
   return wMux(Sign, wNeg(A), A);
+}
+
+//===----------------------------------------------------------------------===//
+// Multiplier abstraction
+//===----------------------------------------------------------------------===//
+
+bool BitBlaster::abstractMul(TermId Id) {
+  const Term &T = TT.get(Id);
+  if (TT.isConst(T.A) || TT.isConst(T.B))
+    return false;
+  // Operand words are blasted now: refinement reads their model values
+  // and builds the exact circuit over them.
+  blastBv(T.A);
+  blastBv(T.B);
+  Muls.push_back(MulInstance{Id, false});
+  static obs::Counter &Abstracted = obs::counter("smt.mul_abstracted");
+  Abstracted.inc();
+  return true;
+}
+
+size_t BitBlaster::refineMismatched() {
+  size_t Refined = 0;
+  auto tie = [this](Lit Abstract, Lit Exact) {
+    S.addClause(~Abstract, Exact);
+    S.addClause(Abstract, ~Exact);
+  };
+  for (MulInstance &M : Muls) {
+    if (M.Refined)
+      continue;
+    const Term &T = TT.get(M.Id);
+    const PackedWord &A = *bvCached(T.A);
+    const PackedWord &B = *bvCached(T.B);
+    uint32_t VA = modelWord(A), VB = modelWord(B);
+    if (T.K == TK::Mul) {
+      const PackedWord &Out = *bvCached(M.Id);
+      if (modelWord(Out) == VA * VB)
+        continue;
+      Word Exact = wMul(A, B, 32);
+      for (size_t I = 0; I < 32; ++I)
+        tie(Out[I], Exact[I]);
+    } else {
+      Lit Out = BoolCache[static_cast<size_t>(M.Id)];
+      if (modelLit(Out) == mulOverflows(static_cast<int32_t>(VA),
+                                        static_cast<int32_t>(VB)))
+        continue;
+      tie(Out, wMulOvf(A, B));
+    }
+    M.Refined = true;
+    ++Refined;
+  }
+  static obs::Counter &RefinedCount = obs::counter("smt.mul_refined");
+  RefinedCount.inc(Refined);
+  return Refined;
 }
 
 //===----------------------------------------------------------------------===//
@@ -264,7 +340,13 @@ const BitBlaster::PackedWord &BitBlaster::blastBv(TermId Id) {
     break;
   }
   case TK::Mul:
-    W = wMul(blastBv(T.A), blastBv(T.B), 32);
+    if (abstractMul(Id)) {
+      W.resize(32);
+      for (size_t I = 0; I < 32; ++I)
+        W[I] = freshLit();
+    } else {
+      W = wMul(blastBv(T.A), blastBv(T.B), 32);
+    }
     break;
   case TK::SDiv:
   case TK::SRem: {
@@ -419,21 +501,9 @@ Lit BitBlaster::blastBool(TermId Id) {
     L = gAnd(DiffSign, gXor(Diff[31], A[31]));
     break;
   }
-  case TK::MulOvf: {
-    // Full 64-bit product of sign-extended operands; overflow iff the top
-    // 33 bits are not a sign-extension of bit 31.
-    const auto &PA = blastBv(T.A);
-    const auto &PB = blastBv(T.B);
-    Word A64(PA.begin(), PA.end()), B64(PB.begin(), PB.end());
-    A64.resize(64, A64[31]);
-    B64.resize(64, B64[31]);
-    Word P = wMul(A64, B64, 64);
-    Lit Ovf = falseLit();
-    for (size_t I = 32; I < 64; ++I)
-      Ovf = gOr(Ovf, gXor(P[I], P[31]));
-    L = Ovf;
+  case TK::MulOvf:
+    L = abstractMul(Id) ? freshLit() : wMulOvf(blastBv(T.A), blastBv(T.B));
     break;
-  }
   default:
     assert(false && "blastBool on a bv term");
     L = falseLit();
@@ -441,24 +511,26 @@ Lit BitBlaster::blastBool(TermId Id) {
   return internBool(Id, L);
 }
 
+bool BitBlaster::modelLit(Lit L) const {
+  bool Bit;
+  if (isConstLit(L, Bit))
+    return Bit;
+  return S.modelValue(L.var()) != L.sign();
+}
+
+uint32_t BitBlaster::modelWord(const PackedWord &Bits) const {
+  uint32_t V = 0;
+  for (size_t I = 0; I < 32; ++I)
+    if (modelLit(Bits[I]))
+      V |= 1u << I;
+  return V;
+}
+
 bool BitBlaster::modelOfVar(TermId Id, uint32_t &Out) const {
   const PackedWord *Cached = bvCached(Id);
   if (!Cached)
     return false;
-  const PackedWord &Bits = *Cached;
-  uint32_t V = 0;
-  for (int I = 0; I < 32; ++I) {
-    Lit L = Bits[static_cast<size_t>(I)];
-    bool Bit;
-    if (isConstLit(L, Bit)) {
-      // constant
-    } else {
-      Bit = S.modelValue(L.var()) != L.sign();
-    }
-    if (Bit)
-      V |= 1u << I;
-  }
-  Out = V;
+  Out = modelWord(*Cached);
   return true;
 }
 
@@ -466,11 +538,6 @@ bool BitBlaster::modelOfBVar(TermId Id, bool &Out) const {
   Lit L;
   if (!boolCached(Id, L))
     return false;
-  bool Bit;
-  if (isConstLit(L, Bit)) {
-    Out = Bit;
-    return true;
-  }
-  Out = S.modelValue(L.var()) != L.sign();
+  Out = modelLit(L);
   return true;
 }

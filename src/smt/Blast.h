@@ -2,10 +2,21 @@
 ///
 /// \file
 /// Tseitin bit-blasting of bool/BV32 terms into a SatSolver: ripple-carry
-/// adders, shift-add multipliers (with 64-bit products for the signed
-/// multiplication-overflow predicate), barrel shifters for symbolic shift
+/// adders, shift-add multipliers, barrel shifters for symbolic shift
 /// amounts, and a restoring divider for symbolic divisors. Gates are
 /// structurally hashed so shared subterms blast once.
+///
+/// Multipliers are abstracted (lemmas on demand): a Mul or MulOvf term
+/// whose operands are both non-constant blasts as fresh output literals
+/// with no constraint on them, and is recorded as an instance. After a
+/// Sat answer, refineMismatched() blasts the exact circuit of each
+/// instance whose model output is wrong for its model operands and ties it
+/// to the abstract outputs (see IncrementalSolver::check). The exact
+/// circuits are a 32-bit shift-add product for Mul and, for the signed
+/// overflow predicate, the unsigned 32x32->64 product of the operands
+/// with its high half sign-corrected; that product's low half is the Mul
+/// circuit, shared through the gate memo. A multiplier with a constant
+/// operand blasts exactly at once (it is a few shifted adds).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -115,7 +126,7 @@ public:
   BitBlaster(const BitBlaster &O, SatSolver &NewS)
       : TT(O.TT), S(NewS), TrueLit(O.TrueLit), BoolCache(O.BoolCache),
         BvPool(O.BvPool), BvCache(O.BvCache), GateCache(O.GateCache),
-        VarsSeen(O.VarsSeen), CT(O.CT) {}
+        VarsSeen(O.VarsSeen), Muls(O.Muls), CT(O.CT) {}
 
   /// Re-forks in place: like the fork constructor, but reuses this
   /// instance's existing buffer capacity (repeated forking stays pure
@@ -128,6 +139,7 @@ public:
     BvCache = O.BvCache;
     GateCache = O.GateCache;
     VarsSeen = O.VarsSeen;
+    Muls = O.Muls;
     CT = O.CT;
   }
 
@@ -147,6 +159,13 @@ public:
   /// Terms of kind Var/BVar encountered during blasting (for model dumps).
   const std::vector<TermId> &seenVars() const { return VarsSeen; }
 
+  /// After a Sat result: blasts the exact circuit of every abstract
+  /// multiplier instance whose model output differs from the product (or
+  /// overflow) of its model operands, and ties it to the instance's
+  /// outputs. Returns how many instances it refined; 0 means the model
+  /// agrees with the exact encoding of everything blasted so far.
+  size_t refineMismatched();
+
 private:
   const TermTable &TT;
   SatSolver &S;
@@ -160,6 +179,13 @@ private:
   std::vector<int32_t> BvCache; ///< TermId -> BvPool index, -1 when unset.
   GateTable GateCache;
   std::vector<TermId> VarsSeen;
+  /// An abstracted Mul/MulOvf term. Its operand words and outputs live in
+  /// the term caches; Refined is set once its exact circuit is tied in.
+  struct MulInstance {
+    TermId Id;
+    bool Refined;
+  };
+  std::vector<MulInstance> Muls;
   /// Captured at construction and preserved across fork()/assignFrom so
   /// blasters running on tv worker threads still honour the owning
   /// task's deadline. Null when no CancelScope is active.
@@ -218,6 +244,13 @@ private:
   }
 
   Lit freshLit() { return Lit(S.newVar(), false); }
+  bool modelLit(Lit L) const;
+  uint32_t modelWord(const PackedWord &Bits) const;
+
+  /// Records \p Id (a Mul or MulOvf whose operands are both non-constant)
+  /// as an abstract instance and returns true; false for a multiplier that
+  /// blasts exactly at once.
+  bool abstractMul(TermId Id);
 
   // Simplifying gate constructors.
   Lit gAnd(Lit A, Lit B);
@@ -247,6 +280,7 @@ private:
   Lit wUlt(WordView A, WordView B);
   Lit wEq(WordView A, WordView B);
   Word wMul(WordView A, WordView B, int OutWidth);
+  Lit wMulOvf(WordView A, WordView B);
   void wUDivRem(WordView A, WordView B, Word &Q, Word &R);
   Word wAbs(WordView A);
 };

@@ -2,8 +2,11 @@
 
 #include "smt/Solve.h"
 
+#include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "support/Format.h"
+
+#include <algorithm>
 
 using namespace lv;
 using namespace lv::smt;
@@ -23,8 +26,25 @@ void IncrementalSolver::assertAlways(TermId T) {
     return;
   }
   Lit Root = blastTraced(B, T);
+  Asserted.push_back(T);
   if (!S.addClause(Root))
     RootUnsat = true;
+}
+
+std::unordered_map<TermId, uint32_t> IncrementalSolver::readModel() const {
+  std::unordered_map<TermId, uint32_t> Model;
+  for (TermId V : B.seenVars()) {
+    if (TT.isBv(V)) {
+      uint32_t Val;
+      if (B.modelOfVar(V, Val))
+        Model.emplace(V, Val);
+    } else {
+      bool Bit;
+      if (B.modelOfBVar(V, Bit))
+        Model.emplace(V, Bit ? 1u : 0u);
+    }
+  }
+  return Model;
 }
 
 SmtResult IncrementalSolver::check(TermId Query, const SatBudget &Budget) {
@@ -63,27 +83,49 @@ SmtResult IncrementalSolver::check(TermId Query, const SatBudget &Budget) {
   }
   // The Tseitin root literal is *equivalent* to the query term, so solving
   // under it as an assumption decides exactly F && Query — and leaves the
-  // clause DB reusable for the next query.
-  Out.R = S.solve(std::vector<Lit>{Root}, Budget);
+  // clause DB reusable for the next query. With abstract multipliers F is
+  // weaker than the exact encoding: Unsat is final, and a Sat model counts
+  // only once it satisfies the terms themselves.
+  static obs::Counter &Rounds = obs::counter("smt.refine_rounds");
+  const std::vector<Lit> Assumps{Root};
+  for (;;) {
+    SatBudget Left = Budget;
+    Left.MaxConflicts -= std::min(St.Conflicts - C0, Budget.MaxConflicts);
+    Left.MaxPropagations -=
+        std::min(St.Propagations - P0, Budget.MaxPropagations);
+    Out.R = S.solve(Assumps, Left);
+    if (Out.R != SatResult::Sat)
+      break;
+    Out.Model = readModel();
+    bool Genuine = TT.evalBool(Query, Out.Model);
+    for (size_t I = 0; Genuine && I < Asserted.size(); ++I)
+      Genuine = TT.evalBool(Asserted[I], Out.Model);
+    if (Genuine)
+      break;
+    size_t Refined;
+    {
+      obs::Span Blast("smt", "smt.blast");
+      Refined = B.refineMismatched();
+    }
+    // No multiplier disagrees with its operands: the model satisfies the
+    // exact encoding (the evaluator and the circuits differ only where
+    // the encoding guards the value away, e.g. division by zero).
+    if (Refined == 0)
+      break;
+    Rounds.inc();
+    Out.Model.clear();
+    if (S.numClauses() > Budget.MaxClauses) {
+      Out.R = SatResult::Unknown;
+      break;
+    }
+  }
   Out.ConflictsUsed = St.Conflicts - C0;
   Out.PropagationsUsed = St.Propagations - P0;
   Out.RestartsUsed = St.Restarts - R0;
   Out.ClauseCount = S.numClauses();
+  Out.VarCount = static_cast<uint64_t>(S.numVars());
   Out.LearntLive = St.LearntLive;
   Out.AvgLBD = St.avgLBD();
-  if (Out.R == SatResult::Sat) {
-    for (TermId V : B.seenVars()) {
-      if (TT.isBv(V)) {
-        uint32_t Val;
-        if (B.modelOfVar(V, Val))
-          Out.Model.emplace(V, Val);
-      } else {
-        bool Bit;
-        if (B.modelOfBVar(V, Bit))
-          Out.Model.emplace(V, Bit ? 1u : 0u);
-      }
-    }
-  }
   return Out;
 }
 

@@ -10,6 +10,14 @@
 /// distinguishing input), Unknown => Inconclusive (the paper's timeout
 /// outcome).
 ///
+/// Every query abstracts its multipliers (lemmas on demand, see Blast.h
+/// and smt/README.md): check() solves with each non-constant Mul/MulOvf as
+/// free output bits, accepts a Sat model once the asserted terms and the
+/// query evaluate true on its inputs, and otherwise blasts the exact
+/// circuit of the multipliers the model got wrong and solves again. Unsat
+/// is final at any round because the abstraction only drops constraints;
+/// the rounds share the query's conflict and propagation budget.
+///
 /// IncrementalSolver is the persistent variant: one SatSolver plus one
 /// BitBlaster kept alive across queries over a shared TermTable. Because
 /// the Tseitin encoding is a full equivalence (root literal <=> term), each
@@ -71,7 +79,8 @@ public:
   /// in throwaway forks are guaranteed to reproduce one-shot verdicts
   /// while still paying the shared encoding's blast cost only once.
   IncrementalSolver(const IncrementalSolver &O)
-      : TT(O.TT), S(O.S), B(O.B, S), RootUnsat(O.RootUnsat) {}
+      : TT(O.TT), S(O.S), B(O.B, S), Asserted(O.Asserted),
+        RootUnsat(O.RootUnsat) {}
 
   IncrementalSolver &operator=(const IncrementalSolver &) = delete;
 
@@ -80,6 +89,7 @@ public:
   void assignFrom(const IncrementalSolver &O) {
     S = O.S;
     B.assignFrom(O.B);
+    Asserted = O.Asserted;
     RootUnsat = O.RootUnsat;
   }
 
@@ -89,8 +99,10 @@ public:
   void assertAlways(TermId T);
 
   /// Checks satisfiability of \p Query (conjoined with all prior
-  /// assertAlways terms) under \p Budget. Repeatable: the query is
-  /// retracted afterwards.
+  /// assertAlways terms) under \p Budget, refining abstract multipliers
+  /// until a model is genuine, the formula is Unsat, or the budget is
+  /// spent. Repeatable: the query is retracted afterwards (refinements
+  /// stay; they hold in every model).
   SmtResult check(TermId Query, const SatBudget &Budget = SatBudget());
 
   /// Cumulative statistics of the underlying solver.
@@ -104,7 +116,11 @@ private:
   const TermTable &TT;
   SatSolver S;
   BitBlaster B;
+  std::vector<TermId> Asserted; ///< assertAlways terms, for model checks.
   bool RootUnsat = false; ///< An assertAlways made the context UNSAT.
+
+  /// The current Sat model's values of every blasted Var/BVar.
+  std::unordered_map<TermId, uint32_t> readModel() const;
 };
 
 /// Checks satisfiability of \p Query (a bool term in \p TT).

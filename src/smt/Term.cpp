@@ -381,7 +381,7 @@ static bool subOvf(int32_t A, int32_t B) {
   int64_t R = static_cast<int64_t>(A) - B;
   return R < INT32_MIN || R > INT32_MAX;
 }
-static bool mulOvf(int32_t A, int32_t B) {
+bool lv::smt::mulOverflows(int32_t A, int32_t B) {
   int64_t R = static_cast<int64_t>(A) * B;
   return R < INT32_MIN || R > INT32_MAX;
 }
@@ -421,7 +421,8 @@ TermId TermTable::rwSubOvf(TermId X, TermId Y) {
 TermId TermTable::rwMulOvf(TermId X, TermId Y) {
   uint32_t CX, CY;
   if (isConst(X, CX) && isConst(Y, CY))
-    return mkBool(mulOvf(static_cast<int32_t>(CX), static_cast<int32_t>(CY)));
+    return mkBool(
+        mulOverflows(static_cast<int32_t>(CX), static_cast<int32_t>(CY)));
   if ((isConst(X, CX) && (CX == 0 || CX == 1)) ||
       (isConst(Y, CY) && (CY == 0 || CY == 1)))
     return FalseId;
@@ -696,89 +697,106 @@ TermId TermTable::rwIte(TermId C, TermId T0, TermId E) {
 // Evaluation
 //===----------------------------------------------------------------------===//
 
-uint32_t TermTable::evalRec(
-    TermId Id, const std::unordered_map<TermId, uint32_t> &Env,
-    std::unordered_map<TermId, uint32_t> &Memo) const {
-  auto Found = Memo.find(Id);
-  if (Found != Memo.end())
-    return Found->second;
-  const Term &T = get(Id);
-  uint32_t R = 0;
-  auto B = [&](TermId K) { return evalRec(K, Env, Memo); };
-  switch (T.K) {
-  case TK::True: R = 1; break;
-  case TK::False: R = 0; break;
-  case TK::BVar:
-  case TK::Var: {
-    auto It = Env.find(Id);
-    R = It == Env.end() ? 0u : It->second;
-    break;
+uint32_t TermTable::evalCone(
+    TermId Root, const std::unordered_map<TermId, uint32_t> &Env) const {
+  // Operands are interned before the terms that use them, so a sweep over
+  // the root's cone in ascending id order finds every operand's value
+  // ready. Marking the cone and sweeping keeps deep DAGs off the stack.
+  size_t N = static_cast<size_t>(Root) + 1;
+  std::vector<char> InCone(N, 0);
+  std::vector<uint32_t> Val(N, 0);
+  std::vector<TermId> Stack{Root};
+  InCone[N - 1] = 1;
+  while (!Stack.empty()) {
+    const Term &T = get(Stack.back());
+    Stack.pop_back();
+    for (TermId Op : {T.A, T.B, T.C}) {
+      if (Op != NoTerm && !InCone[static_cast<size_t>(Op)]) {
+        InCone[static_cast<size_t>(Op)] = 1;
+        Stack.push_back(Op);
+      }
+    }
   }
-  case TK::Not: R = B(T.A) ? 0 : 1; break;
-  case TK::And: R = (B(T.A) && B(T.B)) ? 1 : 0; break;
-  case TK::Or: R = (B(T.A) || B(T.B)) ? 1 : 0; break;
-  case TK::BIte: R = B(T.A) ? B(T.B) : B(T.C); break;
-  case TK::Eq: R = B(T.A) == B(T.B) ? 1 : 0; break;
-  case TK::Ult: R = B(T.A) < B(T.B) ? 1 : 0; break;
-  case TK::Slt:
-    R = static_cast<int32_t>(B(T.A)) < static_cast<int32_t>(B(T.B)) ? 1 : 0;
-    break;
-  case TK::AddOvf:
-    R = addOvf(static_cast<int32_t>(B(T.A)), static_cast<int32_t>(B(T.B)));
-    break;
-  case TK::SubOvf:
-    R = subOvf(static_cast<int32_t>(B(T.A)), static_cast<int32_t>(B(T.B)));
-    break;
-  case TK::MulOvf:
-    R = mulOvf(static_cast<int32_t>(B(T.A)), static_cast<int32_t>(B(T.B)));
-    break;
-  case TK::Const: R = T.CVal; break;
-  case TK::Add: R = B(T.A) + B(T.B); break;
-  case TK::Sub: R = B(T.A) - B(T.B); break;
-  case TK::Mul: R = B(T.A) * B(T.B); break;
-  case TK::SDiv: {
-    int32_t N = static_cast<int32_t>(B(T.A));
-    int32_t D = static_cast<int32_t>(B(T.B));
-    R = (D == 0 || (N == INT32_MIN && D == -1))
-            ? 0u
-            : static_cast<uint32_t>(N / D);
-    break;
+  for (size_t Id = 0; Id < N; ++Id) {
+    if (!InCone[Id])
+      continue;
+    const Term &T = Terms[Id];
+    auto B = [&](TermId K) { return Val[static_cast<size_t>(K)]; };
+    uint32_t R = 0;
+    switch (T.K) {
+    case TK::True: R = 1; break;
+    case TK::False: R = 0; break;
+    case TK::BVar:
+    case TK::Var: {
+      auto It = Env.find(static_cast<TermId>(Id));
+      R = It == Env.end() ? 0u : It->second;
+      break;
+    }
+    case TK::Not: R = B(T.A) ? 0 : 1; break;
+    case TK::And: R = (B(T.A) && B(T.B)) ? 1 : 0; break;
+    case TK::Or: R = (B(T.A) || B(T.B)) ? 1 : 0; break;
+    case TK::BIte: R = B(T.A) ? B(T.B) : B(T.C); break;
+    case TK::Eq: R = B(T.A) == B(T.B) ? 1 : 0; break;
+    case TK::Ult: R = B(T.A) < B(T.B) ? 1 : 0; break;
+    case TK::Slt:
+      R = static_cast<int32_t>(B(T.A)) < static_cast<int32_t>(B(T.B)) ? 1 : 0;
+      break;
+    case TK::AddOvf:
+      R = addOvf(static_cast<int32_t>(B(T.A)), static_cast<int32_t>(B(T.B)));
+      break;
+    case TK::SubOvf:
+      R = subOvf(static_cast<int32_t>(B(T.A)), static_cast<int32_t>(B(T.B)));
+      break;
+    case TK::MulOvf:
+      R = mulOverflows(static_cast<int32_t>(B(T.A)),
+                       static_cast<int32_t>(B(T.B)));
+      break;
+    case TK::Const: R = T.CVal; break;
+    case TK::Add: R = B(T.A) + B(T.B); break;
+    case TK::Sub: R = B(T.A) - B(T.B); break;
+    case TK::Mul: R = B(T.A) * B(T.B); break;
+    case TK::SDiv: {
+      int32_t Num = static_cast<int32_t>(B(T.A));
+      int32_t D = static_cast<int32_t>(B(T.B));
+      R = (D == 0 || (Num == INT32_MIN && D == -1))
+              ? 0u
+              : static_cast<uint32_t>(Num / D);
+      break;
+    }
+    case TK::SRem: {
+      int32_t Num = static_cast<int32_t>(B(T.A));
+      int32_t D = static_cast<int32_t>(B(T.B));
+      R = (D == 0 || (Num == INT32_MIN && D == -1))
+              ? 0u
+              : static_cast<uint32_t>(Num % D);
+      break;
+    }
+    case TK::BvAnd: R = B(T.A) & B(T.B); break;
+    case TK::BvOr: R = B(T.A) | B(T.B); break;
+    case TK::BvXor: R = B(T.A) ^ B(T.B); break;
+    case TK::BvNot: R = ~B(T.A); break;
+    case TK::Shl: R = B(T.A) << (B(T.B) & 31); break;
+    case TK::LShr: R = B(T.A) >> (B(T.B) & 31); break;
+    case TK::AShr:
+      R = static_cast<uint32_t>(static_cast<int32_t>(B(T.A)) >>
+                                (B(T.B) & 31));
+      break;
+    case TK::Ite: R = B(T.A) ? B(T.B) : B(T.C); break;
+    }
+    Val[Id] = R;
   }
-  case TK::SRem: {
-    int32_t N = static_cast<int32_t>(B(T.A));
-    int32_t D = static_cast<int32_t>(B(T.B));
-    R = (D == 0 || (N == INT32_MIN && D == -1))
-            ? 0u
-            : static_cast<uint32_t>(N % D);
-    break;
-  }
-  case TK::BvAnd: R = B(T.A) & B(T.B); break;
-  case TK::BvOr: R = B(T.A) | B(T.B); break;
-  case TK::BvXor: R = B(T.A) ^ B(T.B); break;
-  case TK::BvNot: R = ~B(T.A); break;
-  case TK::Shl: R = B(T.A) << (B(T.B) & 31); break;
-  case TK::LShr: R = B(T.A) >> (B(T.B) & 31); break;
-  case TK::AShr:
-    R = static_cast<uint32_t>(static_cast<int32_t>(B(T.A)) >>
-                              (B(T.B) & 31));
-    break;
-  case TK::Ite: R = B(T.A) ? B(T.B) : B(T.C); break;
-  }
-  Memo.emplace(Id, R);
-  return R;
+  return Val[N - 1];
 }
 
 uint32_t
 TermTable::evalBv(TermId Id,
                   const std::unordered_map<TermId, uint32_t> &Env) const {
-  std::unordered_map<TermId, uint32_t> Memo;
-  return evalRec(Id, Env, Memo);
+  return evalCone(Id, Env);
 }
 
 bool TermTable::evalBool(
     TermId Id, const std::unordered_map<TermId, uint32_t> &Env) const {
-  std::unordered_map<TermId, uint32_t> Memo;
-  return evalRec(Id, Env, Memo) != 0;
+  return evalCone(Id, Env) != 0;
 }
 
 //===----------------------------------------------------------------------===//

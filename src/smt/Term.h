@@ -61,6 +61,9 @@ struct Term {
 /// Returns true for BV32-sorted kinds.
 bool isBvKind(TK K);
 
+/// Signed 32-bit multiplication overflow: the meaning of TK::MulOvf.
+bool mulOverflows(int32_t A, int32_t B);
+
 /// The term manager: hash-consing plus construction-time simplification.
 class TermTable {
 public:
@@ -147,23 +150,20 @@ public:
   /// Pretty-prints (s-expression style, for debugging and tests).
   std::string print(TermId Id) const;
 
-  /// Evaluates a term under an assignment of variables (by ordinal).
-  /// Missing variables default to zero. Used for model validation and
-  /// property tests against the bit-blaster. Memoized per call: shared
-  /// subterms evaluate once (final TV states are deep shared DAGs).
+  /// Evaluates a term under an assignment of variables (keyed by their
+  /// TermId). Missing variables default to zero. Used to check models
+  /// (IncrementalSolver's multiplier refinement) and by property tests
+  /// against the bit-blaster. Each call evaluates every term of the cone
+  /// once, without recursion (final TV states are deep shared DAGs).
   uint32_t evalBv(TermId Id,
                   const std::unordered_map<TermId, uint32_t> &Env) const;
   bool evalBool(TermId Id,
                 const std::unordered_map<TermId, uint32_t> &Env) const;
 
 private:
-  uint32_t evalRec(TermId Id,
-                   const std::unordered_map<TermId, uint32_t> &Env,
-                   std::unordered_map<TermId, uint32_t> &Memo) const;
+  uint32_t evalCone(TermId Root,
+                    const std::unordered_map<TermId, uint32_t> &Env) const;
 
-public:
-
-private:
   struct TermHash {
     size_t operator()(const Term &T) const {
       uint64_t H = static_cast<uint64_t>(T.K);

@@ -63,8 +63,8 @@ public:
   /// change under an unchanged configHash. Version 2 dropped the batch
   /// membership record; version 3 the racer fields of svc::StageSatWork
   /// and tv::TVResult; version 4 marks stage 2's case split on the trip
-  /// count.
-  static constexpr uint32_t SchemaVersion = 4;
+  /// count; version 5 the multiplier abstraction.
+  static constexpr uint32_t SchemaVersion = 5;
 
   /// Opens (or creates) `<Dir>/journal.log`, replaying completed-task
   /// records into the in-memory index. Same degradation ladder as

@@ -111,8 +111,9 @@ public:
   /// when a stage's verdicts change under an unchanged configHash (older
   /// records would replay stale verdicts). Version 2 dropped the racer and
   /// cone/trail-reuse fields of tv::TVResult; version 3 marks stage 2's
-  /// case split on the trip count.
-  static constexpr uint32_t SchemaVersion = 3;
+  /// case split on the trip count; version 4 the multiplier abstraction
+  /// (stored Inconclusive verdicts may now be decided).
+  static constexpr uint32_t SchemaVersion = 4;
 
   /// Opens (or creates) the store under \p Dir, replaying the record log
   /// into the in-memory index (`store.load` span). A missing directory is

@@ -189,11 +189,7 @@ TEST(Pipeline, S212DecidedAtCUnrollStage) {
   EXPECT_EQ(R.Alive2Res.V, tv::TVVerdict::Unsupported); // stage 2 not run
 }
 
-TEST(Pipeline, S291PeelLoopDecidedAtAlive2Stage) {
-  // A peel-loop candidate: at n = 8 its epilogue loop runs 7 iterations,
-  // past a ScalarMax/8 + 2 = 3 target bound (which would leave that case
-  // Inconclusive); each case unrolls to ScalarMax + 2.
-  const char *Scalar = R"(
+const char *S291Scalar = R"(
     void s291(int n, int *a, int *b) {
       int im1 = n - 1;
       for (int i = 0; i < n; i++) {
@@ -201,7 +197,8 @@ TEST(Pipeline, S291PeelLoopDecidedAtAlive2Stage) {
         im1 = i;
       }
     })";
-  const char *Vec = R"(
+
+const char *S291PeelVector = R"(
     void s291(int n, int *a, int *b) {
       int im1 = n - 1;
       int i = 0;
@@ -222,14 +219,69 @@ TEST(Pipeline, S291PeelLoopDecidedAtAlive2Stage) {
         im1 = i;
       }
     })";
+
+TEST(Pipeline, S291PeelLoopDecidedAtAlive2Stage) {
+  // A peel-loop candidate: at n = 8 its epilogue loop runs 7 iterations,
+  // past a ScalarMax/8 + 2 = 3 target bound (which would leave that case
+  // Inconclusive); each case unrolls to ScalarMax + 2.
   EquivConfig Cfg;
   Cfg.ScalarMax = 8;
   Cfg.Alive2Budget = 500;
-  EquivResult R = svc::verifyPair(Scalar, Vec, Cfg);
+  EquivResult R = svc::verifyPair(S291Scalar, S291PeelVector, Cfg);
   EXPECT_EQ(R.Final, EquivResult::Equivalent)
       << R.Detail << "\n" << R.Counterexample;
   EXPECT_EQ(R.DecidedBy, Stage::Alive2Unroll) << stageName(R.DecidedBy);
   EXPECT_NE(R.Detail.find("n in {0, 8}"), std::string::npos) << R.Detail;
+}
+
+TEST(Pipeline, S291PeelLoopNotRefutedByCUnroll) {
+  // Without stage 2 the correct peel-loop candidate reaches C-unroll. Its
+  // first loop is the peel loop, whose step is not known, so no aligned
+  // block can be straight-lined: stages 3-4 are Unsupported rather than
+  // refuting a guessed block.
+  EquivConfig Cfg;
+  Cfg.ScalarMax = 8;
+  Cfg.EnableAlive2 = false;
+  EquivResult R = svc::verifyPair(S291Scalar, S291PeelVector, Cfg);
+  EXPECT_NE(R.Final, EquivResult::Inequivalent)
+      << R.Detail << "\n" << R.Counterexample;
+  EXPECT_EQ(R.CUnrollRes.V, tv::TVVerdict::Unsupported) << R.CUnrollRes.Detail;
+}
+
+TEST(Pipeline, S271UnmaskedLoadRefutedAtAlive2Stage) {
+  // s271 reads a[i] only where b[i] > 0. A candidate that masks its store
+  // and the load of c but loads a[i..i+7] unconditionally passes checksum
+  // testing (the harness allocates every array in full) yet is UB when a
+  // is shorter than the trip count: the stage-2 counterexample needs a
+  // small alloc-size(a). The multiplier b * c is abstract in the query.
+  const char *Scalar = R"(
+    void s271(int n, int *a, int *b, int *c) {
+      for (int i = 0; i < n; i++) {
+        if (b[i] > 0) {
+          a[i] = a[i] + b[i] * c[i];
+        }
+      }
+    })";
+  const char *Vec = R"(
+    void s271(int n, int *a, int *b, int *c) {
+      __m256i zero = _mm256_setzero_si256();
+      for (int i = 0; i < n; i += 8) {
+        __m256i vb = _mm256_loadu_si256((__m256i *)&b[i]);
+        __m256i mask = _mm256_cmpgt_epi32(vb, zero);
+        __m256i va = _mm256_loadu_si256((__m256i *)&a[i]);
+        __m256i vc = _mm256_maskload_epi32(&c[i], mask);
+        __m256i r = _mm256_add_epi32(va, _mm256_mullo_epi32(vb, vc));
+        _mm256_maskstore_epi32(&a[i], mask, r);
+      }
+    })";
+  EquivConfig Cfg;
+  Cfg.ScalarMax = 8;
+  Cfg.Alive2Budget = 500;
+  EquivResult R = svc::verifyPair(Scalar, Vec, Cfg);
+  EXPECT_EQ(R.Final, EquivResult::Inequivalent) << R.Detail;
+  EXPECT_EQ(R.DecidedBy, Stage::Alive2Unroll) << stageName(R.DecidedBy);
+  EXPECT_NE(R.Counterexample.find("alloc-size(a)"), std::string::npos)
+      << R.Counterexample;
 }
 
 /// b[i] + 1, vectorized; \p Tail is appended after the vector loop.

@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "obs/Metrics.h"
 #include "smt/Blast.h"
 #include "smt/Sat.h"
 #include "smt/Solve.h"
@@ -19,6 +20,8 @@
 #include "vir/Compile.h"
 
 #include <gtest/gtest.h>
+
+#include <memory>
 
 using namespace lv;
 using namespace lv::smt;
@@ -333,6 +336,8 @@ TEST(Smt, MulEquivalenceTimesOut) {
   B.MaxConflicts = 2'000;
   SmtResult R = checkSat(T, T.mkNe(L, R0), B);
   EXPECT_TRUE(R.unknown());
+  // The multiplier refinement rounds share one budget.
+  EXPECT_LE(R.ConflictsUsed, B.MaxConflicts);
 }
 
 TEST(Smt, AddOverflowPredicateCounterexample) {
@@ -450,6 +455,128 @@ TEST_P(SmtExhaustiveTest, UnsatMeansNoWitness) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, SmtExhaustiveTest, ::testing::Range(0, 50));
+
+//===----------------------------------------------------------------------===//
+// Multiplier abstraction
+//===----------------------------------------------------------------------===//
+
+static bool builtinMulOvf(int32_t A, int32_t B) {
+  int32_t P;
+  return __builtin_mul_overflow(A, B, &P);
+}
+
+TEST(MulAbstraction, ExactMulOvfMatchesBuiltin) {
+  // Each query pins the operands and asks for the wrong answer, so Unsat
+  // says the exact circuits compute __builtin_mul_overflow and the 32-bit
+  // product. A solver serves 64 pairs: its first queries refine the MulOvf
+  // and Mul instances and the rest run on their exact circuits (a longer
+  // run would re-propagate every earlier pin on each query).
+  TermTable T;
+  TermId X = T.mkVar("x"), Y = T.mkVar("y");
+  TermId Ovf = T.mkMulOvf(X, Y);
+  TermId Prod = T.mkMul(X, Y);
+  std::unique_ptr<IncrementalSolver> IS;
+  int Pairs = 0;
+  auto expectExact = [&](int32_t A, int32_t B) {
+    if (Pairs++ % 64 == 0)
+      IS.reset(new IncrementalSolver(T));
+    TermId Pin = T.mkAnd(T.mkEq(X, T.mkConstS(A)), T.mkEq(Y, T.mkConstS(B)));
+    TermId WrongOvf = builtinMulOvf(A, B) ? T.mkNot(Ovf) : Ovf;
+    uint32_t P = static_cast<uint32_t>(A) * static_cast<uint32_t>(B);
+    TermId WrongProd = T.mkNe(Prod, T.mkConst(P));
+    EXPECT_TRUE(IS->check(T.mkAnd(Pin, WrongOvf)).unsat()) << A << " * " << B;
+    EXPECT_TRUE(IS->check(T.mkAnd(Pin, WrongProd)).unsat()) << A << " * " << B;
+  };
+  const int32_t Edges[] = {
+      0,       1,          -1,      INT32_MIN,  INT32_MAX, 46340, -46340,
+      46341,   -46341,     1 << 15, -(1 << 15), 1 << 16,   -(1 << 16)};
+  for (int32_t A : Edges)
+    for (int32_t B : Edges)
+      expectExact(A, B);
+  Rng R(0x5eed);
+  for (int I = 0; I < 2000; ++I) {
+    // Half the pairs near the overflow boundary, half anywhere.
+    int32_t A = static_cast<int32_t>(R.next());
+    int32_t B = static_cast<int32_t>(R.next());
+    if (I % 2) {
+      A = static_cast<int32_t>(R.below(1 << 17)) - (1 << 16);
+      B = static_cast<int32_t>(R.below(1 << 17)) - (1 << 16);
+    }
+    expectExact(A, B);
+  }
+}
+
+/// Abstract solving against brute force: operand ranges that straddle the
+/// signed overflow boundary, predicates over the product and the overflow
+/// flag. Sat answers must carry a model that evaluates true, Unsat answers
+/// must have no witness in the ranges.
+class MulAbstractionRangeTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(MulAbstractionRangeTest, AgreesWithBruteForce) {
+  Rng R(static_cast<uint64_t>(GetParam()) * 7919 + 11);
+  TermTable T;
+  TermId X = T.mkVar("x"), Y = T.mkVar("y");
+  // 46341^2 > INT32_MAX > 46340^2; 2^16 * 2^15 == 2^31.
+  const int32_t Centers[] = {46340, -46341, 1 << 16, -(1 << 15), 3};
+  int32_t CX = Centers[R.below(5)], CY = Centers[R.below(5)];
+  if (R.chance(0.5))
+    CY = -CY;
+  const int32_t Half = 6;
+  auto inRange = [&](TermId V, int32_t C) {
+    return T.mkAnd(T.mkSge(V, T.mkConstS(C - Half)),
+                   T.mkSle(V, T.mkConstS(C + Half)));
+  };
+  TermId Dom = T.mkAnd(inRange(X, CX), inRange(Y, CY));
+  int32_t K = static_cast<int32_t>(
+      static_cast<uint32_t>(CX + static_cast<int32_t>(R.below(5)) - 2) *
+      static_cast<uint32_t>(CY + static_cast<int32_t>(R.below(5)) - 2));
+  TermId Pred;
+  switch (R.below(4)) {
+  case 0: Pred = T.mkMulOvf(X, Y); break;
+  case 1: Pred = T.mkNot(T.mkMulOvf(X, Y)); break;
+  case 2: Pred = T.mkEq(T.mkMul(X, Y), T.mkConstS(K)); break;
+  default:
+    Pred = T.mkAnd(T.mkMulOvf(X, Y), T.mkSlt(T.mkMul(X, Y), T.mkConstS(K)));
+    break;
+  }
+  if (R.chance(0.3))
+    Pred = T.mkAnd(Pred, T.mkSlt(X, T.mkConstS(CX)));
+  TermId Q = T.mkAnd(Dom, Pred);
+
+  SmtResult Res = checkSat(T, Q);
+  ASSERT_FALSE(Res.unknown());
+  bool Witness = false;
+  std::unordered_map<TermId, uint32_t> Env;
+  for (int32_t A = CX - Half; A <= CX + Half && !Witness; ++A)
+    for (int32_t B = CY - Half; B <= CY + Half && !Witness; ++B) {
+      Env[X] = static_cast<uint32_t>(A);
+      Env[Y] = static_cast<uint32_t>(B);
+      Witness = T.evalBool(Q, Env);
+    }
+  EXPECT_EQ(Res.sat(), Witness) << T.print(Q);
+  if (Res.sat())
+    EXPECT_TRUE(T.evalBool(Q, Res.Model)) << T.print(Q);
+}
+
+INSTANTIATE_TEST_SUITE_P(Random, MulAbstractionRangeTest,
+                         ::testing::Range(0, 40));
+
+TEST(MulAbstraction, SpuriousFirstModelIsRefinedToUnsat) {
+  // With x*y abstract the first model can pick x = 2, y = 4 and a product
+  // of 6; refinement blasts the exact multiplier and the query is Unsat.
+  TermTable T;
+  TermId X = T.mkVar("x"), Y = T.mkVar("y");
+  TermId Q = T.mkAnd(T.mkEq(T.mkMul(X, Y), T.mkConst(6)),
+                     T.mkAnd(T.mkEq(X, T.mkConst(2)), T.mkEq(Y, T.mkConst(4))));
+  uint64_t Abstracted = obs::counterValue("smt.mul_abstracted");
+  uint64_t Refined = obs::counterValue("smt.mul_refined");
+  uint64_t Rounds = obs::counterValue("smt.refine_rounds");
+  SmtResult R = checkSat(T, Q);
+  EXPECT_TRUE(R.unsat());
+  EXPECT_EQ(obs::counterValue("smt.mul_abstracted") - Abstracted, 1u);
+  EXPECT_GT(obs::counterValue("smt.mul_refined") - Refined, 0u);
+  EXPECT_GT(obs::counterValue("smt.refine_rounds") - Rounds, 0u);
+}
 
 //===----------------------------------------------------------------------===//
 // CNF identity

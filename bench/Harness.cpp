@@ -109,7 +109,6 @@ struct ServiceStatTally {
   svc::CacheStats Cache;
   store::StoreStats Store;
   svc::VectorizerService::ResilienceStats Resilience;
-  support::BreakerStats Breaker;
 };
 
 ServiceStatTally &statTally() {
@@ -138,12 +137,6 @@ void lv::bench::noteServiceStats(const svc::VectorizerService &Service) {
   T.Resilience.Internal += R.Internal;
   T.Resilience.Shed += R.Shed;
   T.Resilience.JournalReplayed += R.JournalReplayed;
-  support::BreakerStats B = Service.breakerStats();
-  T.Breaker.Admitted += B.Admitted;
-  T.Breaker.Rejected += B.Rejected;
-  T.Breaker.Trips += B.Trips;
-  T.Breaker.Probes += B.Probes;
-  T.Breaker.Reclosed += B.Reclosed;
 }
 
 bool lv::bench::writeBenchJson(const std::string &BenchName,
@@ -192,14 +185,6 @@ bool lv::bench::writeBenchJson(const std::string &BenchName,
             static_cast<unsigned long long>(T.Resilience.Internal),
             static_cast<unsigned long long>(T.Resilience.Shed),
             static_cast<unsigned long long>(T.Resilience.JournalReplayed));
-    appendf(J,
-            "  \"breaker\": {\"admitted\": %llu, \"rejected\": %llu, "
-            "\"trips\": %llu, \"probes\": %llu, \"reclosed\": %llu},\n",
-            static_cast<unsigned long long>(T.Breaker.Admitted),
-            static_cast<unsigned long long>(T.Breaker.Rejected),
-            static_cast<unsigned long long>(T.Breaker.Trips),
-            static_cast<unsigned long long>(T.Breaker.Probes),
-            static_cast<unsigned long long>(T.Breaker.Reclosed));
   }
   J += PayloadMembers;
   J += "\n}\n";

@@ -1,23 +1,28 @@
 //===- bench/bench_chaos_funnel.cpp - fault-injection funnel gates ------------===//
 //
 // The chaos harness: drives the TSVC pipeline funnel through
-// svc::VectorizerService under escalating injected transport faults
-// (llm/Chaos.h) and storage faults (store::ChaosFileHooks), gating the
-// fault-tolerance contract of src/svc/README.md "Failure model":
+// svc::VectorizerService under injected transport faults (llm/Chaos.h),
+// storage faults (store::ChaosFileHooks) and an interrupted journaled
+// batch, gating the contracts of src/svc/README.md "Failure model" and
+// "Drain & recovery". Every arm also gates that each failed task carries
+// a non-None FailureKind and that the batch lands within a harness budget
+// enforced via waitBatchFor (no crash, no hang).
 //
-//   * no crash at any fault rate — every injected fault ends as a
-//     classified Outcome, never an escaped exception;
-//   * zero-chaos runs are debugString-bit-identical at 1/2/8 workers
-//     (chaos plumbing must not perturb the determinism contract);
-//   * absorbed transient faults are invisible: a task that succeeded
-//     after retries is bit-identical (modulo the resilience tally line)
-//     to the fault-free run of the same schedule;
-//   * every failed task carries a non-None FailureKind;
-//   * no task outlives its deadline by more than the cooperative-
-//     checkpoint grace, and the whole batch lands within a harness
-//     budget enforced via waitBatchFor;
-//   * a store whose log dies mid-run degrades to memory-only with the
-//     failure counted, without changing a single verdict.
+//   arm 0  baseline: a zero-chaos run has no failed task, and its
+//          outcomes are debugString-bit-identical at 1/2/8 workers;
+//   arm 1  absorbed: a scripted transient fault on every task's first
+//          call is retried once, and each task is bit-identical to the
+//          fault-free run modulo the resilience tally line;
+//   arm 2  chaos ladder: random faults plus per-task deadlines; no
+//          timed-out task overran deadline + checkpoint grace (SKIPPED,
+//          out of the exit code, when no task timed out);
+//   arm 3  store chaos: a store whose appends fail mid-run degrades to
+//          memory-only without changing a verdict, and a failed load
+//          leaves the log intact;
+//   arm 4  kill/resume: drain(0) interrupts a journaled batch mid-run; a
+//          fresh service on the same journal replays exactly the
+//          journaled completions and the resumed batch is byte-identical
+//          to the uninterrupted run.
 //
 // `--smoke` shrinks the suite slice and fault ladder for CI.
 //
@@ -47,6 +52,12 @@ void gate(bool Ok, const std::string &What) {
     ++GateFailures;
 }
 
+/// A gate whose precondition did not occur on this run: reported, but
+/// kept out of the exit code.
+void skipped(const std::string &What, const std::string &Why) {
+  std::printf("  [SKIPPED] %s (%s)\n", What.c_str(), Why.c_str());
+}
+
 /// debugString minus the ` resilience:` tally line — the one line the
 /// failure model *expects* to differ between an absorbed-fault run and a
 /// fault-free run (retry counts live there).
@@ -67,7 +78,6 @@ std::string stripResilience(const std::string &S) {
 struct ArmResult {
   std::vector<svc::Outcome> Outcomes;
   svc::VectorizerService::ResilienceStats Stats;
-  support::BreakerStats Breaker;
   bool BudgetHit = false; ///< A task outlived the harness wait budget.
 };
 
@@ -79,13 +89,7 @@ struct ArmSpec {
   uint64_t BackoffNanos = 0; ///< 0 in gates: backoff only stretches wall.
   uint64_t HarnessBudgetNanos = 600'000'000'000ULL;
   std::string StorePath;
-  // Overload / recovery knobs (PR 10).
-  size_t MaxQueueDepth = 0; ///< 0 = unbounded.
-  svc::ServiceConfig::AdmissionPolicy Admission =
-      svc::ServiceConfig::AdmissionPolicy::Shed;
-  support::BreakerConfig Breaker;
   std::string JournalPath;
-  bool UsePriorities = false; ///< Priority = submit index % 3.
 };
 
 /// --store DIR: every arm that does not pin its own store directory (the
@@ -100,9 +104,6 @@ svc::ServiceConfig makeConfig(const ArmSpec &Spec) {
   SC.ClientRetries = Spec.ClientRetries;
   SC.RetryBackoffNanos = Spec.BackoffNanos;
   SC.StorePath = Spec.StorePath.empty() ? DefaultStorePath : Spec.StorePath;
-  SC.MaxQueueDepth = Spec.MaxQueueDepth;
-  SC.Admission = Spec.Admission;
-  SC.Breaker = Spec.Breaker;
   SC.JournalPath = Spec.JournalPath;
   return SC;
 }
@@ -113,17 +114,15 @@ makeBatch(const std::vector<const tsvc::TsvcTest *> &Tests,
           int MaxAttempts) {
   std::vector<svc::Request> Batch;
   Batch.reserve(Tests.size());
-  for (size_t I = 0; I < Tests.size(); ++I) {
+  for (const tsvc::TsvcTest *T : Tests) {
     svc::Request R;
     R.Mode = svc::RunMode::Pipeline;
-    R.Name = Tests[I]->Name;
-    R.ScalarSource = Tests[I]->Source;
+    R.Name = T->Name;
+    R.ScalarSource = T->Source;
     R.Seed = ExperimentSeed;
     R.Fsm.MaxAttempts = MaxAttempts;
     R.Equiv = Equiv;
     R.DeadlineNanos = Spec.DeadlineNanos;
-    if (Spec.UsePriorities)
-      R.Priority = static_cast<int>(I % 3);
     Batch.push_back(std::move(R));
   }
   return Batch;
@@ -152,7 +151,6 @@ ArmResult runArm(const std::vector<const tsvc::TsvcTest *> &Tests,
     Out.Outcomes.push_back(*O);
   }
   Out.Stats = Service.resilienceStats();
-  Out.Breaker = Service.breakerStats();
   noteServiceStats(Service);
   return Out;
 }
@@ -166,8 +164,7 @@ std::string armJson(const char *Name, const ArmResult &A) {
           "    {\"arm\": \"%s\", \"tasks\": %zu, \"failed\": %llu, "
           "\"retries\": %llu, \"timeouts\": %llu, \"degraded\": %llu, "
           "\"client_transient\": %llu, \"client_permanent\": %llu, "
-          "\"internal\": %llu, \"shed\": %llu, \"journal_replayed\": %llu, "
-          "\"breaker_trips\": %llu, \"breaker_rejected\": %llu}",
+          "\"internal\": %llu, \"shed\": %llu, \"journal_replayed\": %llu}",
           Name, A.Outcomes.size(), static_cast<unsigned long long>(Failed),
           static_cast<unsigned long long>(A.Stats.Retries),
           static_cast<unsigned long long>(A.Stats.Timeouts),
@@ -176,9 +173,7 @@ std::string armJson(const char *Name, const ArmResult &A) {
           static_cast<unsigned long long>(A.Stats.ClientPermanent),
           static_cast<unsigned long long>(A.Stats.Internal),
           static_cast<unsigned long long>(A.Stats.Shed),
-          static_cast<unsigned long long>(A.Stats.JournalReplayed),
-          static_cast<unsigned long long>(A.Breaker.Trips),
-          static_cast<unsigned long long>(A.Breaker.Rejected));
+          static_cast<unsigned long long>(A.Stats.JournalReplayed));
   return J;
 }
 
@@ -285,17 +280,27 @@ int main(int argc, char **argv) {
     std::string Arm = format("chaos rate=%.2f", Rate);
     gateClassified(Arm.c_str(), R);
     bool DeadlineHeld = true;
-    for (const svc::Outcome &O : R.Outcomes)
-      if (O.Failure == svc::FailureKind::TimedOut &&
-          O.WallNanos > Deadline + Grace) {
+    size_t TimedOut = 0;
+    for (const svc::Outcome &O : R.Outcomes) {
+      if (O.Failure != svc::FailureKind::TimedOut)
+        continue;
+      ++TimedOut;
+      if (O.WallNanos > Deadline + Grace) {
         DeadlineHeld = false;
         std::fprintf(stderr,
                      "    overrun: %s wall=%.2fs deadline=%.2fs err=%s\n",
                      O.Name.c_str(), O.WallNanos * 1e-9, Deadline * 1e-9,
                      O.Error.c_str());
       }
-    gate(DeadlineHeld,
-         Arm + ": no timed-out task overran deadline + checkpoint grace");
+    }
+    std::printf("  %s: %zu of %zu tasks timed out\n", Arm.c_str(), TimedOut,
+                R.Outcomes.size());
+    std::string What =
+        Arm + ": no timed-out task overran deadline + checkpoint grace";
+    if (TimedOut == 0)
+      skipped(What, "no task timed out");
+    else
+      gate(DeadlineHeld, What);
     LadderResults.push_back(std::move(R));
   }
 
@@ -342,86 +347,7 @@ int main(int argc, char **argv) {
   }
   fs::remove_all(Dir, EC);
 
-  printHeader("arm 4: 4x overload — deterministic priority shedding");
-  // The batch is 4x the admission queue: admission happens under one lock
-  // hold, so exactly N - depth tasks lose (evict-weakest by priority, ties
-  // keep the earlier submission) and the shed set is a pure function of
-  // batch content — identical at every worker count.
-  ArmSpec Over;
-  Over.UsePriorities = true;
-  Over.MaxQueueDepth = Tests.size() / 4 > 0 ? Tests.size() / 4 : 1;
-  size_t ExpectShed = Tests.size() - Over.MaxQueueDepth;
-  Over.Workers = 1;
-  ArmResult OverBase = runArm(Tests, Over, Equiv, MaxAttempts);
-  gateClassified("overload", OverBase);
-  auto shedNames = [](const ArmResult &A) {
-    std::vector<std::string> N;
-    for (const svc::Outcome &O : A.Outcomes)
-      if (O.Failure == svc::FailureKind::Shed)
-        N.push_back(O.Name);
-    return N;
-  };
-  std::vector<std::string> ShedSet = shedNames(OverBase);
-  gate(ShedSet.size() == ExpectShed,
-       format("overload: exactly %zu of %zu tasks shed (queue depth %zu)",
-              ExpectShed, Tests.size(), Over.MaxQueueDepth));
-  {
-    bool SurvivorsClean = true;
-    for (size_t I = 0; I < OverBase.Outcomes.size(); ++I)
-      if (OverBase.Outcomes[I].Failure != svc::FailureKind::Shed)
-        SurvivorsClean = SurvivorsClean &&
-                         svc::debugString(OverBase.Outcomes[I]) ==
-                             svc::debugString(Baseline.Outcomes[I]);
-    gate(SurvivorsClean,
-         "overload: surviving tasks bit-identical to the unloaded baseline");
-  }
-  for (int W : {2, 8}) {
-    ArmSpec S = Over;
-    S.Workers = W;
-    ArmResult R = runArm(Tests, S, Equiv, MaxAttempts);
-    gate(shedNames(R) == ShedSet,
-         format("overload: %d workers shed the identical task set", W));
-  }
-  {
-    // Block policy under the same overload: nobody is shed, nobody is
-    // lost, and the submitter never deadlocks against the workers.
-    ArmSpec Block = Over;
-    Block.Workers = 2;
-    Block.Admission = svc::ServiceConfig::AdmissionPolicy::Block;
-    ArmResult R = runArm(Tests, Block, Equiv, MaxAttempts);
-    gateClassified("overload-block", R);
-    bool NoneShed = true, Identical = true;
-    for (size_t I = 0; I < R.Outcomes.size(); ++I) {
-      NoneShed =
-          NoneShed && R.Outcomes[I].Failure != svc::FailureKind::Shed;
-      Identical = Identical && svc::debugString(R.Outcomes[I]) ==
-                                   svc::debugString(Baseline.Outcomes[I]);
-    }
-    gate(NoneShed, "overload-block: blocking admission sheds nothing");
-    gate(Identical, "overload-block: results bit-identical to baseline");
-  }
-
-  printHeader("arm 5: circuit breaker");
-  ArmResult Tripped;
-  {
-    // Fault rates high enough that consecutive failures trip the breaker;
-    // rejected calls surface as transient client errors and classify like
-    // any fast-failing endpoint.
-    ArmSpec S;
-    S.Workers = 2;
-    S.Chaos.TransientRate = 0.9;
-    S.ClientRetries = 1;
-    S.Breaker.Enabled = true;
-    S.Breaker.TripFailures = 2;
-    S.Breaker.OpenRejects = 3;
-    Tripped = runArm(Tests, S, Equiv, MaxAttempts);
-    gateClassified("breaker", Tripped);
-    gate(Tripped.Breaker.Trips > 0, "breaker: tripped under sustained faults");
-    gate(Tripped.Breaker.Rejected > 0,
-         "breaker: open state rejected calls without touching the backend");
-  }
-
-  printHeader("arm 6: kill/resume — crash-recovery batch journal");
+  printHeader("arm 4: kill/resume — crash-recovery batch journal");
   std::string JDir =
       (fs::temp_directory_path() / "lv_chaos_bench_journal").string();
   fs::remove_all(JDir, EC);
@@ -505,8 +431,6 @@ int main(int argc, char **argv) {
                        LadderResults[I]);
   }
   Payload += ",\n";
-  Payload += armJson("overload", OverBase) + ",\n";
-  Payload += armJson("breaker", Tripped) + ",\n";
   Payload += armJson("kill_resume", Resumed);
   Payload += "\n  ]";
   writeBenchJson("chaos_funnel", Opt, Payload, "BENCH_chaos.json");

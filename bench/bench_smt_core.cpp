@@ -137,24 +137,27 @@ static void BM_SplitCellsScratch(benchmark::State &State) {
 BENCHMARK(BM_SplitCellsScratch);
 
 static void BM_SplitCellsIncremental(benchmark::State &State) {
-  // Incremental backend: the shared encoding blasts once; per-cell
-  // queries run under assumption literals with learnt-clause reuse.
+  // The pattern tv::RefinementSession ships: the shared encoding blasts
+  // once into a pristine base, and each per-cell query runs in a fork
+  // re-copied from it (assignFrom), under an assumption literal.
   uint64_t Conflicts = 0, Props = 0;
   uint64_t Restarts = 0, Learnt = 0;
   double AvgLBD = 0;
   for (auto _ : State) {
     SplitFixture F(SplitCells);
-    smt::IncrementalSolver IS(F.T);
-    IS.assertAlways(F.Domain);
+    smt::IncrementalSolver Base(F.T);
+    Base.assertAlways(F.Domain);
+    smt::IncrementalSolver Fork(Base);
     for (smt::TermId Q : F.CellQueries) {
-      smt::SmtResult R = IS.check(Q);
+      Fork.assignFrom(Base);
+      smt::SmtResult R = Fork.check(Q);
       benchmark::DoNotOptimize(R.R);
       Conflicts += R.ConflictsUsed;
       Props += R.PropagationsUsed;
+      Restarts += Fork.stats().Restarts;
+      Learnt += Fork.stats().LearntTotal;
+      AvgLBD = Fork.stats().avgLBD();
     }
-    Restarts += IS.stats().Restarts;
-    Learnt += IS.stats().LearntTotal;
-    AvgLBD = IS.stats().avgLBD();
   }
   State.counters["conflicts"] = static_cast<double>(Conflicts);
   State.counters["propagations"] = static_cast<double>(Props);

@@ -19,16 +19,20 @@
 /// the rounds share the query's conflict and propagation budget.
 ///
 /// IncrementalSolver is the persistent variant: one SatSolver plus one
-/// BitBlaster kept alive across queries over a shared TermTable. Because
-/// the Tseitin encoding is a full equivalence (root literal <=> term), each
-/// query is decided by passing its root literal as a SAT *assumption* — no
-/// clause is ever retracted and the shared encoding blasts exactly once.
-/// Repeated check() calls on one instance additionally share learnt
-/// clauses (useful when queries are related and budgets generous); the
-/// translation validator instead forks a pristine instance per query for
-/// verdict stability — see tv::RefinementSession. Either way the
+/// BitBlaster over a shared TermTable. Because the Tseitin encoding is a
+/// full equivalence (root literal <=> term), a query is decided by passing
+/// its root literal as a SAT *assumption* — no clause is ever retracted.
+/// The shipped pattern blasts the shared encoding once into a pristine
+/// base that is never searched, and runs every query in a fork of it
+/// (copy constructor or assignFrom) — see tv::RefinementSession. So the
 /// spatial-splitting stage pays O(formula + cells) blasting instead of
-/// O(cells * formula).
+/// O(cells * formula), and each query's verdict and work equal a one-shot
+/// solve. Repeated check() calls on one instance stay correct and carry
+/// learnt clauses over, but no production query runs that way: a
+/// budget-bounded verdict then depends on query order, and every query's
+/// gates stay in the clause database for later queries to re-propagate
+/// (per-query propagations grew from 6.5k to 91k over 1800 pinned MulOvf
+/// queries on one instance).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,8 +70,9 @@ struct SmtResult {
 };
 
 /// Persistent solver context for a family of queries over one TermTable.
-/// Queries run under assumption literals, so results are independent but
-/// the blasted encoding and learnt clauses are shared.
+/// Queries run under assumption literals; forking a pristine instance per
+/// query (the copy constructor or assignFrom) keeps each query's search
+/// independent of the others while the shared encoding blasts once.
 class IncrementalSolver {
 public:
   explicit IncrementalSolver(const TermTable &TT) : TT(TT), B(TT, S) {}
@@ -102,7 +107,9 @@ public:
   /// assertAlways terms) under \p Budget, refining abstract multipliers
   /// until a model is genuine, the formula is Unsat, or the budget is
   /// spent. Repeatable: the query is retracted afterwards (refinements
-  /// stay; they hold in every model).
+  /// stay; they hold in every model). Its gates and learnt clauses stay
+  /// too and shape later checks on the same instance, so production
+  /// queries each run in a fork of a pristine base instead.
   SmtResult check(TermId Query, const SatBudget &Budget = SatBudget());
 
   /// Cumulative statistics of the underlying solver.

@@ -2,7 +2,6 @@
 
 #include "svc/Service.h"
 
-#include "llm/Resilience.h"
 #include "obs/Flight.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
@@ -13,7 +12,6 @@
 #include "support/Rng.h"
 #include "vir/Compile.h"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
@@ -163,13 +161,13 @@ void publishOutcome(const Outcome &O); // defined with the worker loop below
 } // namespace
 
 /// Hashes the serving-policy knobs that can alter a *completed* outcome's
-/// bytes (chaos schedule, seed derivation, retry budget, breaker)
-/// so journal task keys never collide across configs whose outcomes could
-/// differ — a journal shared between a chaos run and a clean run must not
-/// replay one into the other.
+/// bytes (retry budget, chaos schedule) so journal task keys never
+/// collide across configs whose outcomes could differ — a journal shared
+/// between a chaos run and a clean run must not replay one into the
+/// other. Retired tags, never to be reused: 1 (per-task seed derivation),
+/// 10-12 (circuit breaker), 13 (hedging).
 static uint64_t servingSalt(const ServiceConfig &C) {
   uint64_t H = 0x5A17;
-  H = hashField(H, 1, C.PerTaskSeedDerivation ? 1 : 0);
   H = hashField(H, 2, static_cast<uint64_t>(C.ClientRetries));
   H = hashField(H, 3, C.Chaos.ChaosSeed);
   H = hashField(H, 4, bitsOfDouble(C.Chaos.TransientRate));
@@ -180,14 +178,11 @@ static uint64_t servingSalt(const ServiceConfig &C) {
   H = hashField(H, 9, C.Chaos.TransientCallScript.size());
   for (uint64_t I : C.Chaos.TransientCallScript)
     H = hashCombine(H, I);
-  H = hashField(H, 10, C.Breaker.Enabled ? 1 : 0);
-  H = hashField(H, 11, C.Breaker.TripFailures);
-  H = hashField(H, 12, C.Breaker.OpenRejects);
   return H;
 }
 
 VectorizerService::VectorizerService(ServiceConfig C)
-    : Cfg(std::move(C)), Breaker(Cfg.Breaker) {
+    : Cfg(std::move(C)) {
   NumWorkers = Cfg.Workers < 1 ? 1 : Cfg.Workers;
   // Persistence is a tier below the verdict cache: without the cache there
   // is nothing to read results through into (and A/B benches that disable
@@ -249,10 +244,9 @@ void VectorizerService::publishShed(const std::vector<Ticket> &Shed) {
   DoneCv.notify_all();
 }
 
-/// The admission decision for one request, M held via \p L. Returns the
-/// ticket (always valid; a shed request's task is Done immediately).
-Ticket VectorizerService::admitLocked(std::unique_lock<std::mutex> &L,
-                                      Request R, std::vector<Ticket> &ShedOut) {
+/// The admission decision for one request, M held. Returns the ticket
+/// (always valid; a shed request's task is Done immediately).
+Ticket VectorizerService::admitLocked(Request R, std::vector<Ticket> &ShedOut) {
   Ticket T = Tasks.size();
   Tasks.push_back(std::unique_ptr<Task>(new Task()));
   Task &Tk = *Tasks.back();
@@ -285,59 +279,7 @@ Ticket VectorizerService::admitLocked(std::unique_lock<std::mutex> &L,
     }
   }
 
-  // Bounded admission queue.
-  if (Cfg.MaxQueueDepth > 0 && Pending.size() >= Cfg.MaxQueueDepth) {
-    if (Cfg.Admission == ServiceConfig::AdmissionPolicy::Block) {
-      // Backpressure: wait for a slot (workers drain Pending without
-      // needing this lock's waiter — wait() releases M).
-      auto HasSlot = [&] {
-        return Stopping || Draining || Pending.size() < Cfg.MaxQueueDepth;
-      };
-      if (Cfg.AdmissionBlockNanos == 0) {
-        AdmitCv.wait(L, HasSlot);
-      } else if (!AdmitCv.wait_for(
-                     L, std::chrono::nanoseconds(Cfg.AdmissionBlockNanos),
-                     HasSlot)) {
-        shedLocked(Tk, "admission queue full (block deadline)");
-        ShedOut.push_back(T);
-        return T;
-      }
-      if (Stopping || Draining) {
-        shedLocked(Tk, "service draining");
-        ShedOut.push_back(T);
-        return T;
-      }
-    } else {
-      // Deterministic priority shedding: find the weakest pending task —
-      // lowest priority, latest submission on ties (so ties keep older
-      // work). The incoming request must strictly beat it to enter.
-      auto Weakest = std::min_element(
-          Pending.begin(), Pending.end(), [&](size_t A, size_t B) {
-            int PA = Tasks[A]->Req.Priority, PB = Tasks[B]->Req.Priority;
-            if (PA != PB)
-              return PA < PB;
-            return A > B; // later submission is weaker
-          });
-      if (Weakest != Pending.end() &&
-          Tk.Req.Priority > Tasks[*Weakest]->Req.Priority) {
-        Task &Victim = *Tasks[*Weakest];
-        shedLocked(Victim, "evicted by higher-priority admission");
-        ShedOut.push_back(*Weakest);
-        Pending.erase(Weakest);
-      } else {
-        shedLocked(Tk, "admission queue full");
-        ShedOut.push_back(T);
-        return T;
-      }
-    }
-  }
-
   Pending.push_back(T);
-  // Wake a worker now, not at the end of the batch: Block-policy
-  // admission of a *later* batch member may sleep on AdmitCv waiting for
-  // workers to drain this very task — a batch-end notify would deadlock
-  // against it.
-  WorkCv.notify_one();
   return T;
 }
 
@@ -345,8 +287,8 @@ Ticket VectorizerService::submit(Request R) {
   std::vector<Ticket> Shed;
   Ticket T;
   {
-    std::unique_lock<std::mutex> L(M);
-    T = admitLocked(L, std::move(R), Shed);
+    std::lock_guard<std::mutex> L(M);
+    T = admitLocked(std::move(R), Shed);
   }
   publishShed(Shed);
   WorkCv.notify_one();
@@ -359,14 +301,9 @@ std::vector<Ticket> VectorizerService::submitBatch(std::vector<Request> B) {
   Out.reserve(B.size());
 
   {
-    // The whole batch is admitted under one mutex hold (Shed policy;
-    // Block waits release it), so admission decisions are a pure function
-    // of batch content + queue state, never of worker scheduling — the
-    // overload arm's shed-set identity across worker counts rests on
-    // this.
-    std::unique_lock<std::mutex> L(M);
+    std::lock_guard<std::mutex> L(M);
     for (Request &R : B)
-      Out.push_back(admitLocked(L, std::move(R), Shed));
+      Out.push_back(admitLocked(std::move(R), Shed));
   }
   publishShed(Shed);
   WorkCv.notify_all();
@@ -425,7 +362,6 @@ VectorizerService::drain(uint64_t DeadlineNanos) {
   {
     std::unique_lock<std::mutex> L(M);
     Draining = true;
-    AdmitCv.notify_all(); // blocked submitters wake up and shed
 
     size_t DoneBefore = 0;
     for (const std::unique_ptr<Task> &T : Tasks)
@@ -537,8 +473,8 @@ void publishOutcome(const Outcome &O) {
 void VectorizerService::workerLoop() {
   // RAII in-flight slot: released exactly once per dequeued task, on every
   // exit path (normal completion, classified failure, a throw from the
-  // publication code below). Losing a slot would wedge MaxInflight gating
-  // and leave drain() waiting on Inflight forever.
+  // publication code below). Losing a slot would leave drain() waiting on
+  // Inflight forever.
   struct SlotGuard {
     VectorizerService *S;
     ~SlotGuard() {
@@ -546,20 +482,14 @@ void VectorizerService::workerLoop() {
         std::lock_guard<std::mutex> L(S->M);
         --S->Inflight;
       }
-      S->WorkCv.notify_all();  // an inflight-capped worker may proceed
-      S->AdmitCv.notify_all(); // a blocked submitter may re-check
-      S->DoneCv.notify_all();  // drain() waits on Inflight == 0
+      S->DoneCv.notify_all(); // drain() waits on Inflight == 0
     }
   };
   for (;;) {
     Task *T;
     {
       std::unique_lock<std::mutex> L(M);
-      WorkCv.wait(L, [&] {
-        return Stopping ||
-               (!Pending.empty() &&
-                (Cfg.MaxInflight == 0 || Inflight < Cfg.MaxInflight));
-      });
+      WorkCv.wait(L, [&] { return Stopping || !Pending.empty(); });
       if (Stopping)
         return; // queued-but-unstarted tasks are abandoned on shutdown
       T = Tasks[Pending.front()].get(); // stable: deque of owning pointers
@@ -567,7 +497,6 @@ void VectorizerService::workerLoop() {
       T->Started = true;
       ++Inflight;
     }
-    AdmitCv.notify_all(); // a queue slot freed up
     SlotGuard Slot{this};
     try {
       runTask(*T);
@@ -605,7 +534,7 @@ void VectorizerService::workerLoop() {
       case FailureKind::TimedOut: ++RStats.Timeouts; break;
       case FailureKind::StageDegraded: ++RStats.Degraded; break;
       case FailureKind::Internal: ++RStats.Internal; break;
-      case FailureKind::Shed: ++RStats.Shed; break; // defensive: sheds bypass workers
+      case FailureKind::Shed: ++RStats.Shed; break; // defensive: drain() sheds
       }
       T->Done = true;
     }
@@ -738,14 +667,10 @@ void VectorizerService::runTask(Task &T) {
 
 std::unique_ptr<llm::LLMClient>
 VectorizerService::makeTaskClient(const Request &R) {
-  uint64_t TS = taskSeed(R.Seed, R.Name);
-  std::unique_ptr<llm::LLMClient> C =
-      Cfg.MakeClient(Cfg.PerTaskSeedDerivation ? TS : R.Seed);
+  std::unique_ptr<llm::LLMClient> C = Cfg.MakeClient(R.Seed);
   if (Cfg.Chaos.enabled())
-    C = llm::wrapChaos(std::move(C), Cfg.Chaos, TS);
-  // Breaker sits above chaos: injected faults count toward the trip
-  // threshold, and a rejected call never consumes a chaos call index.
-  return llm::wrapBreaker(std::move(C), &Breaker);
+    C = llm::wrapChaos(std::move(C), Cfg.Chaos, taskSeed(R.Seed, R.Name));
+  return C;
 }
 
 void VectorizerService::runStages(Task &T, support::CancelToken &Token) {

@@ -14,12 +14,10 @@
 ///     client, interpreter images, TermTable, solvers — so nothing below
 ///     the service needs to be thread-safe.
 ///   * **Determinism.** A task's result is a pure function of its Request:
-///     the default client derives per-task RNG streams from (seed,
-///     function source, sample index) internally (see llm/Client.h), and
-///     checksum inputs come from the config seed. For client factories
-///     without internal prompt namespacing, ServiceConfig::
-///     PerTaskSeedDerivation seeds each task with taskSeed(seed, name)
-///     instead. Either way no task reads another task's state, so
+///     the client factory receives Request.Seed verbatim and the default
+///     client derives per-task RNG streams from (seed, function source,
+///     sample index) internally (see llm/Client.h), and checksum inputs
+///     come from the config seed. No task reads another task's state, so
 ///     verdicts, stage attribution, and FSM transcripts are bit-identical
 ///     at any worker count (tests/test_svc.cpp pins 1/2/8 workers).
 ///   * **Caching.** A content-addressed verdict cache keyed by
@@ -41,7 +39,6 @@
 #include "core/Equivalence.h"
 #include "llm/Chaos.h"
 #include "llm/Client.h"
-#include "support/Breaker.h"
 #include "support/Cancel.h"
 
 #include <condition_variable>
@@ -84,9 +81,10 @@ enum class FailureKind : uint8_t {
   StageDegraded,   ///< A stage threw but earlier stages produced usable
                    ///< partial results (kept on the Outcome).
   Internal,        ///< Unexpected failure before any stage produced output.
-  Shed,            ///< Refused admission (queue full, lower priority than
-                   ///< the competition, or the service was draining). The
-                   ///< task never ran; nothing is cached or journaled.
+  Shed,            ///< Never ran because of drain(): submitted while the
+                   ///< service was draining ("draining"), or still queued
+                   ///< when the drain deadline fired ("drain deadline").
+                   ///< Nothing is cached or journaled.
 };
 
 const char *failureKindName(FailureKind K);
@@ -113,12 +111,6 @@ struct Request {
   /// fuel checks, and SAT budget loops poll; an expired task unwinds into
   /// a classified TimedOut outcome with its partial progress intact.
   uint64_t DeadlineNanos = 0;
-  /// Admission priority under overload (higher = keep). When the bounded
-  /// queue is full under the Shed policy, the lowest-priority pending
-  /// task loses its slot; ties keep the earlier submission. Priority is
-  /// serving metadata, not task identity — it does not participate in
-  /// cache keys or the journal task key.
-  int Priority = 0;
 };
 
 /// One classified completion (Sample mode).
@@ -346,14 +338,6 @@ struct ServiceConfig {
   /// process replays bit-identical results instead of recomputing them.
   /// Empty: no persistence (the seed behaviour).
   std::string StorePath;
-  /// Seed each task's client with taskSeed(Request.Seed, Request.Name)
-  /// instead of Request.Seed verbatim. Decorrelates streams between
-  /// same-seed requests whose prompts coincide — needed for client
-  /// factories that do not namespace by prompt internally. Off by
-  /// default: the simulated client derives its stream from
-  /// (seed, prompt, sample index) itself, and the paper-reproduction
-  /// benches pin their expected streams to the verbatim layout.
-  bool PerTaskSeedDerivation = false;
   /// Retry budget for transient client errors (llm::ClientError with
   /// Transient set), per task. The whole failed stage re-runs on the SAME
   /// client instance, so a deterministic chaos schedule advances past the
@@ -366,50 +350,15 @@ struct ServiceConfig {
   /// Transport-fault injection (llm/Chaos.h). When enabled, every task's
   /// client is wrapped in the chaos decorator keyed by
   /// taskSeed(Request.Seed, Request.Name) — per-task deterministic
-  /// schedules regardless of PerTaskSeedDerivation.
+  /// schedules.
   llm::ChaosConfig Chaos;
-
-  //===------------------------------------------------------------------===//
-  // Overload protection + crash recovery (see svc/README.md "Overload &
-  // recovery"). All defaults preserve the pre-overload behaviour exactly:
-  // unbounded admission, no breaker, no journal.
-  //===------------------------------------------------------------------===//
-
-  /// What a full admission queue does with new work.
-  enum class AdmissionPolicy : uint8_t {
-    Shed, ///< Deterministic priority eviction: the lowest-priority pending
-          ///< task is shed (ties keep the earlier submission); an incoming
-          ///< request that does not beat the weakest pending one is shed
-          ///< itself. Decisions depend only on queue content, never on
-          ///< worker scheduling, so the shed set is identical at any
-          ///< worker count for a burst into an idle service.
-    Block, ///< submit() blocks until a slot frees or AdmissionBlockNanos
-           ///< elapses (then the request is shed). Backpressure for
-           ///< callers that prefer waiting to losing work.
-  };
-
-  /// Pending tasks the admission queue holds (0 = unbounded, the seed
-  /// behaviour). Tasks already running do not count against the depth.
-  size_t MaxQueueDepth = 0;
-  /// Concurrently *running* tasks (0 = no cap beyond Workers). Lets a
-  /// wide pool be throttled without resizing it, e.g. while draining.
-  size_t MaxInflight = 0;
-  AdmissionPolicy Admission = AdmissionPolicy::Shed;
-  /// Block policy: how long submit() may wait for a queue slot before
-  /// shedding the request anyway. 0 = wait forever.
-  uint64_t AdmissionBlockNanos = 0;
-
-  /// Circuit breaker over every task's LLM client (support/Breaker.h).
-  /// Per-service shared state, counter-driven; disabled by default — an
-  /// enabled breaker deliberately couples tasks through the failure path,
-  /// so the worker-count bit-identity gates run with it off.
-  support::BreakerConfig Breaker;
 
   /// Directory of the crash-recovery batch journal (store/Journal.h).
   /// When set, completed (non-failed) task outcomes are journaled as they
   /// finish, and submissions whose task key is already journaled replay
   /// the stored outcome instead of running — so a process killed
-  /// mid-batch re-runs only the remainder after restart. Empty: off.
+  /// mid-batch re-runs only the remainder after restart (see
+  /// svc/README.md "Drain & recovery"). Empty: off.
   std::string JournalPath;
 };
 
@@ -429,15 +378,15 @@ public:
   VectorizerService(const VectorizerService &) = delete;
   VectorizerService &operator=(const VectorizerService &) = delete;
 
-  /// Enqueues one request; workers pick it up immediately. Under a full
-  /// bounded queue the request (or a weaker pending one) is shed per the
-  /// admission policy — the ticket is always valid, and a shed task is
-  /// immediately Done with FailureKind::Shed.
+  /// Enqueues one request at the back of the FIFO queue; workers pick it
+  /// up in submission order. The ticket is always valid: after drain()
+  /// the request is shed instead (immediately Done with
+  /// FailureKind::Shed).
   Ticket submit(Request R);
 
   /// Enqueues a batch; tickets are in input order. With a journal
-  /// attached, batch membership is journaled and already-completed tasks
-  /// replay their stored outcomes instead of running.
+  /// attached, tasks whose completion is already journaled replay their
+  /// stored outcomes instead of running.
   std::vector<Ticket> submitBatch(std::vector<Request> Batch);
 
   /// Blocks until the ticket's task finished. The reference stays valid
@@ -449,8 +398,7 @@ public:
 
   /// wait() with a timeout: returns the outcome, or null when the task
   /// has not finished within \p TimeoutNanos (the timed-out sentinel —
-  /// the task keeps running; poll again, wait(), or walk away). First
-  /// step toward the async poll API of ROADMAP item 1.
+  /// the task keeps running; poll again, wait(), or walk away).
   const Outcome *waitFor(Ticket T, uint64_t TimeoutNanos);
 
   /// Per-task disposition of a timed batch wait: a slow task and a shed
@@ -459,7 +407,8 @@ public:
   enum class TaskState : uint8_t {
     Done,    ///< Finished (successfully or with any non-shed failure).
     Pending, ///< Still queued or running when the wait deadline fired.
-    Shed,    ///< Refused admission; the Outcome carries FailureKind::Shed.
+    Shed,    ///< Never ran because of drain(); the Outcome carries
+             ///< FailureKind::Shed.
   };
   struct TaskStatus {
     TaskState State = TaskState::Pending;
@@ -488,13 +437,10 @@ public:
     uint64_t ClientTransient = 0; ///< Tasks failed ClientTransient.
     uint64_t ClientPermanent = 0; ///< Tasks failed ClientPermanent.
     uint64_t Internal = 0;        ///< Tasks failed Internal.
-    uint64_t Shed = 0;            ///< Tasks shed at admission or drain.
+    uint64_t Shed = 0;            ///< Tasks shed by drain().
     uint64_t JournalReplayed = 0; ///< Tasks served from the batch journal.
   };
   ResilienceStats resilienceStats() const;
-
-  /// The per-service circuit breaker's tallies (all zero when disabled).
-  support::BreakerStats breakerStats() const { return Breaker.stats(); }
 
   /// The attached batch journal; null when JournalPath was empty.
   store::BatchJournal *journal() const { return Journal.get(); }
@@ -530,8 +476,8 @@ private:
   void workerLoop();
   void runTask(Task &T);
   void runStages(Task &T, support::CancelToken &Token);
-  /// Builds a task's LLM client stack: factory client, then the chaos
-  /// and breaker decorators as configured (innermost first).
+  /// Builds a task's LLM client: the factory client, wrapped in the chaos
+  /// decorator when chaos is configured.
   std::unique_ptr<llm::LLMClient> makeTaskClient(const Request &R);
   void backoffSleep(int Attempt);
   core::EquivResult checkCached(const std::string &ScalarSrc,
@@ -544,11 +490,10 @@ private:
                                      const interp::ChecksumConfig &Cfg,
                                      interp::ScalarRefMemo *Memo = nullptr);
 
-  /// Admits \p R under the mutex (already held): journal replay, drain
-  /// shedding, and bounded-queue policy. Appends any evicted victim's
-  /// ticket to \p ShedOut so the caller can publish it outside the lock.
-  Ticket admitLocked(std::unique_lock<std::mutex> &L, Request R,
-                     std::vector<Ticket> &ShedOut);
+  /// Admits \p R with M held: sheds it when draining, replays it from
+  /// the journal, or queues it. Appends a shed ticket to \p ShedOut so
+  /// the caller can publish it outside the lock.
+  Ticket admitLocked(Request R, std::vector<Ticket> &ShedOut);
   /// Marks an un-run task shed (under M) — outcome, stats, wakeups.
   void shedLocked(Task &T, const char *Why);
   /// Publishes counters/flight records for tasks shed while M was held.
@@ -560,14 +505,12 @@ private:
   int NumWorkers = 1;
   std::unique_ptr<store::ResultStore> Store; ///< Opened from StorePath.
   VerdictCache Cache; ///< Declared after Store: reads through to it.
-  support::CircuitBreaker Breaker; ///< Internally locked; shared by tasks.
   std::unique_ptr<store::BatchJournal> Journal; ///< From JournalPath.
   uint64_t JournalSalt = 0; ///< Serving-config hash mixed into task keys.
 
   mutable std::mutex M;
   std::condition_variable WorkCv;  ///< Signals workers: queue or shutdown.
   std::condition_variable DoneCv;  ///< Signals waiters: a task finished.
-  std::condition_variable AdmitCv; ///< Signals Block-policy submitters.
   std::deque<std::unique_ptr<Task>> Tasks; ///< Stable storage per ticket.
   std::deque<size_t> Pending;
   size_t Inflight = 0;    ///< Started-but-unfinished tasks (guarded by M).
@@ -583,11 +526,11 @@ private:
 
 /// Content hash of a request's *task identity* — everything that
 /// determines its outcome (name, mode, sources, seed, sample count,
-/// config hashes) and nothing that doesn't (deadline, priority: only
-/// completed outcomes are journaled, and completed outcomes are pure
-/// functions of the identity fields). Serving-policy knobs that can alter
-/// outcomes (chaos schedule, seed derivation, breaker) are mixed in by
-/// the service on top of this (see ServiceConfig::JournalPath).
+/// config hashes) and nothing that doesn't (the deadline: only completed
+/// outcomes are journaled, and completed outcomes are pure functions of
+/// the identity fields). Serving-policy knobs that can alter outcomes
+/// (retry budget, chaos schedule) are mixed in by the service on top of
+/// this (see ServiceConfig::JournalPath).
 uint64_t requestKey(const Request &R);
 
 /// Exactness string compared on journal hits, so a 64-bit key collision

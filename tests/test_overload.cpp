@@ -1,23 +1,18 @@
-//===- tests/test_overload.cpp - admission, shedding, breaker, journal --------===//
+//===- tests/test_overload.cpp - timed waits, slots, journal, drain -----------===//
 //
-// The overload-safety contract (src/svc/README.md "Overload & recovery"):
-// (1) the bounded admission queue sheds deterministically by priority —
-// the shed set is a pure function of batch content, identical at any
-// worker count; (2) blocking admission never deadlocks against the
-// workers and sheds only on its own deadline; (3) every shed or rejected
-// task is a classified Outcome (FailureKind::Shed) that is never cached
-// or journaled; (4) admission slots are released exactly once, even when
-// the task body throws; (5) the circuit breaker walks its counter-based
-// state machine and rejected calls classify like fast-failing endpoints;
-// (6) the crash-recovery journal replays completed tasks across a process
-// boundary byte-identically and re-runs only the remainder; (7) drain()
-// settles every task and cancellation reaches the stage-4 cell loop.
+// The drain and crash-recovery contract (src/svc/README.md "Drain &
+// recovery"): (1) timed batch waits report each task's state without
+// blocking on slow ones; (2) in-flight slots are released exactly once,
+// even when the task body throws; (3) the crash-recovery journal replays
+// completed tasks across a process boundary byte-identically and re-runs
+// only the remainder; (4) drain() settles every task, sheds what never
+// started and admissions that arrive after it, and cancellation reaches
+// the stage-4 cell loop.
 //
 //===----------------------------------------------------------------------===//
 
 #include "llm/Chaos.h"
 #include "store/Journal.h"
-#include "support/Breaker.h"
 #include "svc/Service.h"
 #include "tsvc/Suite.h"
 
@@ -73,18 +68,6 @@ std::vector<Request> pipelineBatch(int N) {
   return Out;
 }
 
-/// Names of the batch's shed outcomes, in ticket order.
-std::vector<std::string> shedNames(VectorizerService &S,
-                                   const std::vector<Ticket> &Tickets) {
-  std::vector<std::string> Out;
-  for (Ticket T : Tickets) {
-    const Outcome &O = S.wait(T);
-    if (O.Failure == FailureKind::Shed)
-      Out.push_back(O.Name);
-  }
-  return Out;
-}
-
 std::filesystem::path tempDir(const char *Leaf) {
   std::filesystem::path P = std::filesystem::temp_directory_path() / Leaf;
   std::error_code EC;
@@ -93,153 +76,23 @@ std::filesystem::path tempDir(const char *Leaf) {
 }
 
 //===----------------------------------------------------------------------===//
-// Admission control + deterministic shedding
+// Timed waits
 //===----------------------------------------------------------------------===//
 
-TEST(Admission, PriorityEvictionIsExact) {
-  // Queue depth 1, one worker, ascending priorities: each later submission
-  // strictly beats the queued weakest, so only the last survives the
-  // queue. (The whole batch is admitted under one lock hold, so no worker
-  // can drain the queue mid-admission.)
-  ServiceConfig SC;
-  SC.Workers = 1;
-  SC.MaxQueueDepth = 1;
-  VectorizerService S(SC);
-  std::vector<Request> B = pipelineBatch(3);
-  std::string Last = B[2].Name;
-  for (size_t I = 0; I < B.size(); ++I)
-    B[I].Priority = static_cast<int>(I);
-  std::vector<Ticket> Tickets = S.submitBatch(std::move(B));
-  std::vector<std::string> Shed = shedNames(S, Tickets);
-  ASSERT_EQ(Shed.size(), 2u);
-  for (Ticket T : Tickets) {
-    const Outcome &O = S.wait(T);
-    if (O.Name == Last) {
-      EXPECT_FALSE(O.Failed) << "highest priority survives";
-      EXPECT_NE(O.Failure, FailureKind::Shed);
-    } else {
-      EXPECT_TRUE(O.Failed);
-      EXPECT_EQ(O.Failure, FailureKind::Shed);
-      EXPECT_NE(O.Error.find("shed:"), std::string::npos);
-    }
-  }
-  EXPECT_EQ(S.resilienceStats().Shed, 2u);
-}
-
-TEST(Admission, EqualPriorityKeepsTheEarlierSubmission) {
-  // Ties: an incoming task must STRICTLY beat the queued weakest, so with
-  // equal priorities the incumbent stays and the newcomers shed.
-  ServiceConfig SC;
-  SC.Workers = 1;
-  SC.MaxQueueDepth = 1;
-  VectorizerService S(SC);
-  std::vector<Request> B = pipelineBatch(3);
-  std::string First = B[0].Name;
-  std::vector<Ticket> Tickets = S.submitBatch(std::move(B));
-  for (Ticket T : Tickets) {
-    const Outcome &O = S.wait(T);
-    if (O.Name == First)
-      EXPECT_FALSE(O.Failed);
-    else
-      EXPECT_EQ(O.Failure, FailureKind::Shed);
-  }
-}
-
-TEST(Admission, ShedSetIsWorkerCountInvariant) {
-  auto runAt = [](int Workers) {
-    ServiceConfig SC;
-    SC.Workers = Workers;
-    SC.MaxQueueDepth = 2;
-    VectorizerService S(SC);
-    std::vector<Request> B = pipelineBatch(6);
-    for (size_t I = 0; I < B.size(); ++I)
-      B[I].Priority = static_cast<int>(I % 3);
-    std::vector<Ticket> Tickets = S.submitBatch(std::move(B));
-    return shedNames(S, Tickets);
-  };
-  std::vector<std::string> One = runAt(1);
-  EXPECT_EQ(One.size(), 4u) << "6 tasks into depth 2: exactly 4 shed";
-  EXPECT_EQ(runAt(2), One);
-  EXPECT_EQ(runAt(8), One);
-}
-
-TEST(Admission, ShedOutcomesAreNeverCached) {
-  // A shed task must not poison the verdict cache: rerunning the same
-  // request on an unloaded service produces a real verdict with no hit.
-  ServiceConfig SC;
-  SC.Workers = 1;
-  SC.MaxQueueDepth = 1;
-  VectorizerService S(SC);
-  std::vector<Request> B = pipelineBatch(2);
-  Request Again = B[1]; // will shed (equal priority, later submission)
-  std::vector<Ticket> Tickets = S.submitBatch(std::move(B));
-  const Outcome &ShedO = S.wait(Tickets[1]);
-  ASSERT_EQ(ShedO.Failure, FailureKind::Shed);
-  S.wait(Tickets[0]); // free the queue slot before resubmitting
-
-  const Outcome &Rerun = S.wait(S.submit(std::move(Again)));
-  EXPECT_FALSE(Rerun.Failed);
-  EXPECT_FALSE(Rerun.VerdictCacheHit);
-}
-
-TEST(Admission, BlockPolicyNeverSheds) {
-  ServiceConfig SC;
-  SC.Workers = 2;
-  SC.MaxQueueDepth = 1;
-  SC.Admission = ServiceConfig::AdmissionPolicy::Block;
-  VectorizerService S(SC);
-  std::vector<Ticket> Tickets = S.submitBatch(pipelineBatch(6));
-  for (Ticket T : Tickets) {
-    const Outcome &O = S.wait(T);
-    EXPECT_FALSE(O.Failed) << O.Name << ": " << O.Error;
-  }
-  EXPECT_EQ(S.resilienceStats().Shed, 0u);
-}
-
-TEST(Admission, BlockDeadlineShedsWhenTheQueueStaysFull) {
-  // One worker parked on a 5s injected-latency task, queue depth 1
-  // already full: a third submission with a 2ms admission deadline must
-  // shed instead of blocking forever.
-  ServiceConfig SC;
-  SC.Workers = 1;
-  SC.MaxQueueDepth = 1;
-  SC.Admission = ServiceConfig::AdmissionPolicy::Block;
-  SC.AdmissionBlockNanos = 2'000'000;
-  SC.Chaos.LatencyRate = 1.0;
-  SC.Chaos.LatencyNanos = 5'000'000'000ULL;
-  VectorizerService S(SC);
-  std::vector<Request> B = pipelineBatch(3);
-  for (Request &R : B)
-    R.DeadlineNanos = 100'000'000; // latency sleeps cancel at the deadline
-  Ticket T0 = S.submit(std::move(B[0]));
-  // Give the worker time to dequeue task 0, so task 1 owns the queue slot.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  Ticket T1 = S.submit(std::move(B[1]));
-  Ticket T2 = S.submit(std::move(B[2]));
-  EXPECT_EQ(S.wait(T2).Failure, FailureKind::Shed)
-      << "block deadline expired while the queue stayed full";
-  // The earlier two settle normally (timed out by their own deadline).
-  S.wait(T0);
-  S.wait(T1);
-}
-
 TEST(Admission, WaitBatchForReportsPerTaskStatus) {
+  // The Shed state is covered by Drain.SettlesEveryTaskAndShedsLateAdmissions.
   ServiceConfig SC;
   SC.Workers = 1;
-  SC.MaxQueueDepth = 1;
   SC.Chaos.LatencyRate = 1.0;
   SC.Chaos.LatencyNanos = 300'000'000;
   VectorizerService S(SC);
-  std::vector<Ticket> Tickets = S.submitBatch(pipelineBatch(2));
-  // Task 1 shed instantly; task 0 still sleeping on injected latency.
+  std::vector<Ticket> Tickets = S.submitBatch(pipelineBatch(1));
+  // The task is still sleeping on injected latency.
   std::vector<VectorizerService::TaskStatus> St =
       S.waitBatchFor(Tickets, 1'000'000);
-  ASSERT_EQ(St.size(), 2u);
+  ASSERT_EQ(St.size(), 1u);
   EXPECT_EQ(St[0].State, VectorizerService::TaskState::Pending);
   EXPECT_EQ(St[0].Out, nullptr);
-  EXPECT_EQ(St[1].State, VectorizerService::TaskState::Shed);
-  ASSERT_NE(St[1].Out, nullptr);
-  EXPECT_EQ(St[1].Out->Failure, FailureKind::Shed);
 
   const Outcome *Done = S.waitFor(Tickets[0], 60'000'000'000ULL);
   ASSERT_NE(Done, nullptr);
@@ -249,19 +102,16 @@ TEST(Admission, WaitBatchForReportsPerTaskStatus) {
 }
 
 //===----------------------------------------------------------------------===//
-// Slot release (satellite: exactly once, even for throwing tasks)
+// Slot release (exactly once, even for throwing tasks)
 //===----------------------------------------------------------------------===//
 
 TEST(Admission, ThrowingTasksReleaseTheirSlotExactlyOnce) {
   // Every client call throws a non-client exception: each task fails
-  // Internal. With MaxInflight=1 and queue depth 1 under Block policy,
-  // losing a single slot would wedge the service — all six tasks
-  // completing proves each slot was released exactly once.
+  // Internal. drain() waits on Inflight == 0, so a slot released zero
+  // times hangs it and one released twice wraps Inflight around to a
+  // value that never returns to 0.
   ServiceConfig SC;
   SC.Workers = 2;
-  SC.MaxInflight = 1;
-  SC.MaxQueueDepth = 1;
-  SC.Admission = ServiceConfig::AdmissionPolicy::Block;
   SC.MakeClient = [](uint64_t) -> std::unique_ptr<llm::LLMClient> {
     class Bomb : public llm::LLMClient {
       llm::Completion complete(const llm::Prompt &, uint64_t) override {
@@ -281,101 +131,6 @@ TEST(Admission, ThrowingTasksReleaseTheirSlotExactlyOnce) {
   VectorizerService::DrainResult DR = S.drain(0);
   EXPECT_EQ(DR.Cancelled, 0u);
   EXPECT_EQ(DR.Shed, 0u);
-}
-
-//===----------------------------------------------------------------------===//
-// Circuit breaker
-//===----------------------------------------------------------------------===//
-
-TEST(Breaker, CounterStateMachine) {
-  support::BreakerConfig C;
-  C.Enabled = true;
-  C.TripFailures = 3;
-  C.OpenRejects = 2;
-  support::CircuitBreaker B(C);
-  using St = support::CircuitBreaker::State;
-
-  // Closed: admits; trips after TripFailures consecutive failures.
-  for (int I = 0; I < 3; ++I) {
-    EXPECT_TRUE(B.admit());
-    B.onFailure();
-  }
-  EXPECT_EQ(B.state(), St::Open);
-  EXPECT_EQ(B.stats().Trips, 1u);
-
-  // Open: rejects OpenRejects times, then the next admission is the probe.
-  EXPECT_FALSE(B.admit());
-  EXPECT_TRUE(B.admit()) << "second rejection reaches the probe threshold";
-  EXPECT_EQ(B.state(), St::HalfOpen);
-  EXPECT_EQ(B.stats().Probes, 1u);
-
-  // HalfOpen: only one probe in flight.
-  EXPECT_FALSE(B.admit());
-  // Probe failure reopens.
-  B.onFailure();
-  EXPECT_EQ(B.state(), St::Open);
-  EXPECT_EQ(B.stats().Trips, 2u);
-
-  // Ride to the next probe; success recloses and resets the streak.
-  EXPECT_FALSE(B.admit());
-  EXPECT_TRUE(B.admit());
-  B.onSuccess();
-  EXPECT_EQ(B.state(), St::Closed);
-  EXPECT_EQ(B.stats().Reclosed, 1u);
-
-  // A success in Closed resets the consecutive-failure count.
-  EXPECT_TRUE(B.admit());
-  B.onFailure();
-  EXPECT_TRUE(B.admit());
-  B.onSuccess();
-  EXPECT_TRUE(B.admit());
-  B.onFailure();
-  EXPECT_EQ(B.state(), St::Closed) << "streak was reset by the success";
-}
-
-TEST(Breaker, AbandonedProbeFreesTheSlot) {
-  support::BreakerConfig C;
-  C.Enabled = true;
-  C.TripFailures = 1;
-  C.OpenRejects = 1;
-  support::CircuitBreaker B(C);
-  EXPECT_TRUE(B.admit());
-  B.onFailure(); // Open
-  EXPECT_TRUE(B.admit()) << "OpenRejects=1: the first open-state call probes";
-  EXPECT_FALSE(B.admit()) << "only one probe in flight at a time";
-  B.onAbandoned(); // e.g. cancelled before the backend answered
-  EXPECT_TRUE(B.admit()) << "the probe slot must be reusable";
-}
-
-TEST(Breaker, DisabledBreakerIsInert) {
-  support::CircuitBreaker B; // default config: disabled
-  for (int I = 0; I < 100; ++I) {
-    EXPECT_TRUE(B.admit());
-    B.onFailure();
-  }
-  EXPECT_EQ(B.state(), support::CircuitBreaker::State::Closed);
-  EXPECT_EQ(B.stats().Admitted, 0u) << "disabled breaker counts nothing";
-}
-
-TEST(Breaker, ServiceTripsUnderSustainedFaultsAndClassifies) {
-  ServiceConfig SC;
-  SC.Workers = 1;
-  SC.ClientRetries = 1;
-  SC.Chaos.TransientRate = 1.0; // every backend call faults
-  SC.Breaker.Enabled = true;
-  SC.Breaker.TripFailures = 2;
-  SC.Breaker.OpenRejects = 2;
-  VectorizerService S(SC);
-  std::vector<Ticket> Tickets = S.submitBatch(pipelineBatch(4));
-  for (Ticket T : Tickets) {
-    const Outcome &O = S.wait(T);
-    EXPECT_TRUE(O.Failed);
-    EXPECT_EQ(O.Failure, FailureKind::ClientTransient)
-        << "breaker rejections classify like fast-failing transients";
-  }
-  support::BreakerStats BS = S.breakerStats();
-  EXPECT_GT(BS.Trips, 0u);
-  EXPECT_GT(BS.Rejected, 0u);
 }
 
 //===----------------------------------------------------------------------===//

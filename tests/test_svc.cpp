@@ -329,34 +329,6 @@ TEST(Service, TaskSeedDerivation) {
   EXPECT_EQ(taskSeed(7, "s241"), taskSeed(7, "s241"));
 }
 
-TEST(Service, PerTaskSeedDerivationDecorrelatesSameSeedRequests) {
-  // A factory with no internal prompt namespacing sees only the seed the
-  // service hands it; with derivation on, same-seed requests that differ
-  // in name must receive different seeds.
-  std::vector<uint64_t> SeenSeeds;
-  ServiceConfig SC;
-  SC.PerTaskSeedDerivation = true;
-  SC.MakeClient = [&](uint64_t Seed) -> std::unique_ptr<llm::LLMClient> {
-    SeenSeeds.push_back(Seed); // single worker: no synchronization needed
-    return std::unique_ptr<llm::LLMClient>(new llm::SimulatedLLM(Seed));
-  };
-  VectorizerService S(SC);
-  const char *Src =
-      "void f(int n, int *a) { for (int i = 0; i < n; i++) a[i] = 1; }";
-  Request A, B;
-  A.Mode = B.Mode = RunMode::Generate;
-  A.ScalarSource = B.ScalarSource = Src;
-  A.Seed = B.Seed = 7;
-  A.Name = "alpha";
-  B.Name = "beta";
-  A.Fsm.MaxAttempts = B.Fsm.MaxAttempts = 1;
-  (void)S.waitBatch(S.submitBatch({std::move(A), std::move(B)}));
-  ASSERT_EQ(SeenSeeds.size(), 2u);
-  EXPECT_NE(SeenSeeds[0], SeenSeeds[1]);
-  EXPECT_EQ(SeenSeeds[0], taskSeed(7, "alpha"));
-  EXPECT_EQ(SeenSeeds[1], taskSeed(7, "beta"));
-}
-
 TEST(Service, TaskFailureIsCapturedNotFatal) {
   ServiceConfig SC;
   SC.MakeClient = [](uint64_t) -> std::unique_ptr<llm::LLMClient> {

@@ -37,10 +37,10 @@ inline constexpr uint64_t ExperimentSeed = 0xC60;
 /// writes Chrome trace-event JSON at exit; `--metrics <file>` scrapes the
 /// obs metrics registry to a file (both via writeObsArtifacts).
 /// `--store DIR` points the service layer at a persistent result store
-/// (store/Store.h): verdicts and compiled bytecode persist across
-/// processes, so a second run of the same bench starts warm. Verdicts are
-/// replay-identical by the store's exactness contract, so --store only
-/// moves wall time, never a verdict.
+/// (store/Store.h): verdicts persist across processes, so a second run
+/// of the same bench starts warm. Verdicts are replay-identical by the
+/// store's exactness contract, so --store only moves wall time, never a
+/// verdict.
 struct BenchOptions {
   int Jobs = 1;
   bool JobsSet = false; ///< --jobs appeared explicitly on the command line.

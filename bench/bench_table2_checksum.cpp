@@ -8,10 +8,10 @@
 //   arm "tree_walk"       — the seed path: per-candidate sequential
 //                           runChecksumTest on the tree-walk interpreter
 //                           (scalar reference re-run per candidate).
-//   arm "bytecode_batch"  — the PR-5 path: compile-once bytecode VM +
-//                           runChecksumBatch (inputs built and scalar run
-//                           once per input set, candidates replayed via
-//                           image restore).
+//   arm "bytecode_batch"  — the PR-5 path: bytecode VM (one compile per
+//                           function per batch) + runChecksumBatch
+//                           (inputs built and scalar run once per input
+//                           set, candidates replayed via image restore).
 //
 // Exit gates: bit-identical checksum verdicts between the arms on every
 // (test, candidate) pair; bit-identical modeled cycle counts between the
@@ -165,9 +165,8 @@ int main(int argc, char **argv) {
 
   // Both arms run Reps times; the minimum wall is the noise-robust
   // steady-state estimate on a shared host (every repetition redoes the
-  // full classification — RNG draws, scalar runs, candidate runs — and
-  // repetitions after the first measure the warm bytecode-program cache,
-  // which is precisely the compile-once amortization the VM claims).
+  // full classification — compiles, RNG draws, scalar runs, candidate
+  // runs).
   const int Reps = Smoke ? 1 : 3;
 
   // [2/4] Arm A — seed path: tree-walk, sequential, per-candidate scalar
@@ -295,8 +294,7 @@ int main(int argc, char **argv) {
       interp::MemoryImage M2 = M1;
       interp::ExecResult RT = interp::execute(F, Args, M1, EC);
       interp::ExecResult RB =
-          interp::execBytecode(*interp::compileBytecodeCached(F), Args,
-                               M2, EC);
+          interp::execBytecode(interp::compileBytecode(F), Args, M2, EC);
       bool Ok = RT.St == RB.St && RT.Steps == RB.Steps &&
                 std::memcmp(&RT.Cycles, &RB.Cycles, sizeof(double)) == 0 &&
                 RT.RetVal == RB.RetVal && RT.TrapMsg == RB.TrapMsg;
@@ -580,7 +578,6 @@ int main(int argc, char **argv) {
     std::printf("  METRICS JSON INVALID: %s\n", JsonErr.c_str());
   bool OverheadOk = Smoke || OverheadPct < 3.0;
 
-  interp::BytecodeCacheStats BcStats = interp::bytecodeCacheStats();
   std::printf("\n  checksum-stage wall: %8.1fms tree-walk, %8.1fms "
               "bytecode+batch (%.2fx)\n",
               static_cast<double>(TreeNanos) / 1e6,
@@ -590,9 +587,6 @@ int main(int argc, char **argv) {
               static_cast<unsigned long long>(TreeScalarRuns),
               static_cast<unsigned long long>(BcScalarRuns),
               static_cast<unsigned long long>(BcInputSets));
-  std::printf("  bytecode programs: %zu compiled, %llu cache hits\n",
-              BcStats.Entries,
-              static_cast<unsigned long long>(BcStats.Hits));
   std::printf("  svc sample arm: %.1fms at %d worker(s); interp work: "
               "%llu instrs, %llu cand runs, %llu scalar runs (%llu "
               "saved)\n",
@@ -689,11 +683,6 @@ int main(int argc, char **argv) {
           static_cast<unsigned long long>(SvcWork.InputSets),
           static_cast<unsigned long long>(SvcWork.Traps),
           static_cast<unsigned long long>(SvcWork.Hangs));
-  appendf(J,
-          "  \"bytecode_cache\": {\"entries\": %zu, \"hits\": %llu, "
-          "\"misses\": %llu},\n",
-          BcStats.Entries, static_cast<unsigned long long>(BcStats.Hits),
-          static_cast<unsigned long long>(BcStats.Misses));
   appendf(J,
           "  \"obs\": {\"traced_wall_ns\": %llu, \"overhead_pct\": %.3f, "
           "\"trace_events\": %zu, \"trace_threads\": %zu, "

@@ -30,8 +30,7 @@ void saxpyish(int n, int s, int *a, int *b) {
   std::printf("Input scalar loop:\n%s\n\n", Scalar);
 
   // One Pipeline request = FSM generation + formal verification. With
-  // --store DIR the verdict (and the compiled bytecode) persists, so a
-  // rerun answers from disk.
+  // --store DIR the verdict persists, so a rerun answers from disk.
   svc::Request R;
   R.Mode = svc::RunMode::Pipeline;
   R.Name = "saxpyish";

@@ -13,10 +13,6 @@
 #include "obs/Metrics.h"
 #include "support/Cancel.h"
 #include "support/Format.h"
-#include "support/Rng.h"
-
-#include <mutex>
-#include <unordered_map>
 
 using namespace lv;
 using namespace lv::interp;
@@ -298,17 +294,20 @@ private:
 } // namespace
 
 BytecodeProgram lv::interp::compileBytecode(const VFunction &F) {
-  BytecodeProgram P = Flattener(F).run();
-  P.Key = bytecodeKey(F);
-  return P;
+  static obs::Counter &Compiles = obs::counter("interp.bc_compiles");
+  Compiles.inc();
+  return Flattener(F).run();
+}
+
+BytecodeCacheStats lv::interp::bytecodeCacheStats() {
+  return {obs::counterValue("interp.bc_compiles")};
 }
 
 namespace {
 
 /// Compact injective structural serializer — every semantically relevant
 /// field, tagged and length-prefixed, appended as raw little-endian bytes.
-/// Orders of magnitude cheaper than printFunction (no printf formatting),
-/// and the cache probes it on every checksum run.
+/// Orders of magnitude cheaper than printFunction (no printf formatting).
 class KeyBuilder {
 public:
   std::string Out;
@@ -390,120 +389,6 @@ std::string lv::interp::bytecodeKey(const VFunction &F) {
     B.u8(static_cast<uint8_t>(T));
   B.region(F.Body);
   return std::move(B.Out);
-}
-
-//===----------------------------------------------------------------------===//
-// Program cache
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-struct ProgramCache {
-  std::mutex M;
-  std::unordered_map<uint64_t,
-                     std::vector<std::shared_ptr<const BytecodeProgram>>>
-      Map;
-  uint64_t Hits = 0, Misses = 0;
-  size_t Entries = 0;
-};
-
-ProgramCache &progCache() {
-  static ProgramCache C;
-  return C;
-}
-
-/// Process-wide backing-store hooks (see setBytecodeStoreHooks). Guarded
-/// separately from the cache mutex so hook callbacks never run under it.
-struct StoreHookSlot {
-  std::mutex M;
-  BytecodeStoreHooks H;
-};
-
-StoreHookSlot &storeHooks() {
-  static StoreHookSlot S;
-  return S;
-}
-
-} // namespace
-
-void lv::interp::setBytecodeStoreHooks(BytecodeStoreHooks Hooks) {
-  StoreHookSlot &S = storeHooks();
-  std::lock_guard<std::mutex> L(S.M);
-  S.H = std::move(Hooks);
-}
-
-/// FNV-1a over the whole buffer (keys are binary and contain NULs).
-static uint64_t hashBytes(const std::string &S) {
-  uint64_t H = 1469598103934665603ULL;
-  for (char C : S) {
-    H ^= static_cast<uint8_t>(C);
-    H *= 1099511628211ULL;
-  }
-  return H;
-}
-
-std::shared_ptr<const BytecodeProgram>
-lv::interp::compileBytecodeCached(const VFunction &F) {
-  std::string Key = bytecodeKey(F);
-  uint64_t H = hashBytes(Key);
-  ProgramCache &C = progCache();
-  {
-    std::lock_guard<std::mutex> L(C.M);
-    auto It = C.Map.find(H);
-    if (It != C.Map.end())
-      for (const auto &E : It->second)
-        if (E->Key == Key) {
-          ++C.Hits;
-          obs::counter("interp.bc_cache_hits").inc();
-          return E;
-        }
-    ++C.Misses;
-  }
-  // Consult the backing store (if installed) before paying a compile; an
-  // adopted program joins the memory cache so later calls hit in memory.
-  BytecodeStoreHooks Hooks;
-  {
-    StoreHookSlot &S = storeHooks();
-    std::lock_guard<std::mutex> L(S.M);
-    Hooks = S.H;
-  }
-  if (Hooks.Lookup) {
-    std::shared_ptr<const BytecodeProgram> FromStore = Hooks.Lookup(Key);
-    if (FromStore && FromStore->Key == Key) {
-      std::lock_guard<std::mutex> L(C.M);
-      auto &Bucket = C.Map[H];
-      for (const auto &E : Bucket)
-        if (E->Key == Key)
-          return E; // a concurrent adopt/compile won
-      Bucket.push_back(FromStore);
-      ++C.Entries;
-      return FromStore;
-    }
-  }
-  obs::counter("interp.bc_compiles").inc();
-  // Compile outside the lock; losing a store race just duplicates work.
-  auto Prog = std::make_shared<BytecodeProgram>(Flattener(F).run());
-  Prog->Key = std::move(Key);
-  if (Hooks.Write)
-    Hooks.Write(*Prog); // write-through (the store dedups by key)
-  std::lock_guard<std::mutex> L(C.M);
-  auto &Bucket = C.Map[H];
-  for (const auto &E : Bucket)
-    if (E->Key == Prog->Key)
-      return E; // a concurrent compile won; reuse its program
-  Bucket.push_back(Prog);
-  ++C.Entries;
-  return Prog;
-}
-
-BytecodeCacheStats lv::interp::bytecodeCacheStats() {
-  ProgramCache &C = progCache();
-  std::lock_guard<std::mutex> L(C.M);
-  BytecodeCacheStats S;
-  S.Hits = C.Hits;
-  S.Misses = C.Misses;
-  S.Entries = C.Entries;
-  return S;
 }
 
 //===----------------------------------------------------------------------===//

@@ -7,9 +7,9 @@
 /// register type), direct branch targets — and executed by a tight
 /// dispatch loop with none of the tree-walk's per-node pointer chasing or
 /// per-run re-decoding. Checksum testing runs the same function
-/// `RunsPerN x |NValues| x candidates` times, so one compile amortizes
-/// across the whole Table-2 testing stage; compiled programs are cached
-/// globally by content hash (exactness-checked, like svc::VerdictCache).
+/// `RunsPerN x |NValues| x candidates` times, so one compile per batch
+/// amortizes across all of that function's runs. There is no program
+/// cache: a compile costs less than a content-keyed lookup would.
 ///
 /// Semantics are *bit-identical* to interp::execute by construction: the
 /// flattener emits exactly one charged event per tree-walk charge point
@@ -30,8 +30,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -79,7 +77,7 @@ struct BInst {
 
 /// A compiled function: the instruction stream plus the parameter/region
 /// binding metadata execution needs (copied out of the VFunction, so a
-/// cached program outlives the IR it was compiled from).
+/// program outlives the IR it was compiled from).
 struct BytecodeProgram {
   std::vector<BInst> Code;
   std::vector<int32_t> Extra; ///< Operand pool (VBuild lanes).
@@ -98,47 +96,25 @@ struct BytecodeProgram {
     int64_t LocalSize = 0;
   };
   std::vector<MemBind> Mems;
-
-  std::string Key; ///< Content key (cache exactness check).
 };
 
 /// Canonical content key of \p F: a compact injective binary
 /// serialization of every semantically relevant field (params, memories,
 /// register types, body). Two functions with equal keys compile to
-/// identical programs. The string is binary — compare whole buffers, not
-/// c_str().
+/// identical programs; interp::ScalarRefMemo uses it as the scalar's
+/// identity. The string is binary — compare whole buffers, not c_str().
 std::string bytecodeKey(const vir::VFunction &F);
 
-/// Lowers \p F to bytecode (always compiles; see compileBytecodeCached).
+/// Lowers \p F to bytecode. Thread-safe; keeps no state between calls.
 BytecodeProgram compileBytecode(const vir::VFunction &F);
 
-/// Content-hash-cached compilation: repeated candidates (FSM repair
-/// attempts, sampled corpora, RunsPerN re-execution) compile once
-/// process-wide. Thread-safe; a hash collision degrades to a fresh
-/// compile, never a wrong program.
-std::shared_ptr<const BytecodeProgram>
-compileBytecodeCached(const vir::VFunction &F);
-
-/// Program-cache counters (for tests and bench JSON).
+/// Compile counter. Misses is the number of compileBytecode calls since
+/// the process started (the `interp.bc_compiles` obs counter, so
+/// obs::resetMetrics() zeroes it too).
 struct BytecodeCacheStats {
-  uint64_t Hits = 0;
   uint64_t Misses = 0;
-  size_t Entries = 0;
 };
 BytecodeCacheStats bytecodeCacheStats();
-
-/// Backing-store hooks for compileBytecodeCached: on an in-memory miss the
-/// Lookup hook is consulted (a hit is adopted into the memory cache and
-/// skips compilation); every fresh compile is offered to the Write hook.
-/// Installed process-wide by store::ResultStore::enableBytecodePersistence;
-/// both callbacks must be thread-safe. Default-constructed (null) hooks
-/// restore pure in-memory behaviour.
-struct BytecodeStoreHooks {
-  std::function<std::shared_ptr<const BytecodeProgram>(const std::string &)>
-      Lookup;
-  std::function<void(const BytecodeProgram &)> Write;
-};
-void setBytecodeStoreHooks(BytecodeStoreHooks Hooks);
 
 /// Reusable register-file storage. Optional: passing one to execBytecode
 /// across runs (the checksum harness replays the same candidate

@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 using namespace lv;
 using namespace lv::interp;
@@ -61,18 +62,20 @@ argsFor(const VFunction &F,
 }
 
 /// One function bound to an execution engine per ChecksumConfig::
-/// UseBytecode (the compiled program is cache-shared process-wide; the
-/// scratch register file is reused across this engine's runs).
+/// UseBytecode. The bytecode engine compiles its function once, when the
+/// batch starts, and owns the program; nothing is shared across batches
+/// (a compile costs less than a content-keyed cache lookup would). The
+/// scratch register file is reused across this engine's runs.
 struct Engine {
   const VFunction *Fn = nullptr;
-  std::shared_ptr<const BytecodeProgram> Prog; ///< Null => tree-walk.
+  std::optional<BytecodeProgram> Prog; ///< Empty => tree-walk.
   BytecodeScratch Scratch;
 
   static Engine make(const VFunction &F, bool Bytecode) {
     Engine E;
     E.Fn = &F;
     if (Bytecode)
-      E.Prog = compileBytecodeCached(F);
+      E.Prog = compileBytecode(F);
     return E;
   }
   ExecResult run(const std::vector<int32_t> &Args, MemoryImage &Mem) {
@@ -80,7 +83,7 @@ struct Engine {
                 : execute(*Fn, Args, Mem);
   }
   /// Content key of the bound function (memo identity).
-  std::string key() const { return Prog ? Prog->Key : bytecodeKey(*Fn); }
+  std::string key() const { return bytecodeKey(*Fn); }
 };
 
 } // namespace

@@ -21,7 +21,6 @@ constexpr uint32_t FileMagic = 0x4C565354; // "LVST"
 enum RecordKind : uint8_t {
   KindEquiv = 1,
   KindChecksum = 2,
-  KindProgram = 3,
 };
 
 //===----------------------------------------------------------------------===//
@@ -172,97 +171,6 @@ bool getEquiv(Rd &R, core::EquivResult &E) {
   return !R.Fail;
 }
 
-void putProgram(Wr &W, const interp::BytecodeProgram &P) {
-  W.str(P.Key);
-  W.u32(static_cast<uint32_t>(P.Code.size()));
-  for (const interp::BInst &I : P.Code) {
-    W.u8(static_cast<uint8_t>(I.Op));
-    W.u8(I.Cls);
-    W.i32(I.Rd);
-    W.i32(I.A);
-    W.i32(I.B);
-    W.i32(I.C);
-    W.i64(I.Imm);
-  }
-  W.u32(static_cast<uint32_t>(P.Extra.size()));
-  for (int32_t V : P.Extra)
-    W.i32(V);
-  W.i32(P.NumRegs);
-  W.u8(P.ReturnsValue ? 1 : 0);
-  W.u32(static_cast<uint32_t>(P.Params.size()));
-  for (const interp::BytecodeProgram::ParamBind &B : P.Params) {
-    W.u8(B.IsPointer ? 1 : 0);
-    W.i32(B.Reg);
-  }
-  W.u32(static_cast<uint32_t>(P.Mems.size()));
-  for (const interp::BytecodeProgram::MemBind &B : P.Mems) {
-    W.str(B.Name);
-    W.u8(B.IsParam ? 1 : 0);
-    W.i64(B.LocalSize);
-  }
-}
-
-bool getProgram(Rd &R, interp::BytecodeProgram &P) {
-  P.Key = R.str();
-  uint32_t NCode = R.u32();
-  if (NCode > 1u << 24)
-    R.Fail = true;
-  P.Code.clear();
-  for (uint32_t I = 0; I < NCode && !R.Fail; ++I) {
-    interp::BInst Inst;
-    uint8_t Op = R.u8();
-    if (Op >= interp::kNumBC)
-      R.Fail = true;
-    Inst.Op = static_cast<interp::BC>(Op);
-    Inst.Cls = R.u8();
-    if (Inst.Cls >= interp::kNumOpClasses)
-      R.Fail = true;
-    Inst.Rd = R.i32();
-    Inst.A = R.i32();
-    Inst.B = R.i32();
-    Inst.C = R.i32();
-    Inst.Imm = R.i64();
-    P.Code.push_back(Inst);
-  }
-  uint32_t NExtra = R.u32();
-  if (NExtra > 1u << 24)
-    R.Fail = true;
-  P.Extra.clear();
-  for (uint32_t I = 0; I < NExtra && !R.Fail; ++I)
-    P.Extra.push_back(R.i32());
-  P.NumRegs = R.i32();
-  P.ReturnsValue = R.u8() != 0;
-  uint32_t NParams = R.u32();
-  if (NParams > 1u << 16)
-    R.Fail = true;
-  P.Params.clear();
-  for (uint32_t I = 0; I < NParams && !R.Fail; ++I) {
-    interp::BytecodeProgram::ParamBind B;
-    B.IsPointer = R.u8() != 0;
-    B.Reg = R.i32();
-    P.Params.push_back(B);
-  }
-  uint32_t NMems = R.u32();
-  if (NMems > 1u << 16)
-    R.Fail = true;
-  P.Mems.clear();
-  for (uint32_t I = 0; I < NMems && !R.Fail; ++I) {
-    interp::BytecodeProgram::MemBind B;
-    B.Name = R.str();
-    B.IsParam = R.u8() != 0;
-    B.LocalSize = R.i64();
-    P.Mems.push_back(std::move(B));
-  }
-  return !R.Fail && !P.Key.empty();
-}
-
-//===----------------------------------------------------------------------===//
-// Bytecode persistence hook (process-global, one owner)
-//===----------------------------------------------------------------------===//
-
-std::mutex HookM;
-ResultStore *HookOwner = nullptr;
-
 // Chaos file-fault hooks (see ChaosFileHooks in Store.h).
 std::mutex ChaosM;
 lv::store::ChaosFileHooks ChaosHooks;
@@ -319,19 +227,6 @@ bool lv::store::deserializeChecksumOutcome(const std::string &Bytes,
   return getChecksum(R, Out) && R.done();
 }
 
-std::string lv::store::serializeProgram(const interp::BytecodeProgram &P) {
-  std::string Out;
-  Wr W{Out};
-  putProgram(W, P);
-  return Out;
-}
-
-bool lv::store::deserializeProgram(const std::string &Bytes,
-                                   interp::BytecodeProgram &Out) {
-  Rd R(Bytes);
-  return getProgram(R, Out) && R.done();
-}
-
 //===----------------------------------------------------------------------===//
 // ResultStore
 //===----------------------------------------------------------------------===//
@@ -350,12 +245,9 @@ ResultStore::ResultStore(const std::string &D)
   const LogStats &LS = Log.stats();
   LoadSpan.arg("equiv", Stats.LoadedEquiv);
   LoadSpan.arg("checksum", Stats.LoadedChecksum);
-  LoadSpan.arg("programs", Stats.LoadedPrograms);
   LoadSpan.arg("corrupt_skipped", LS.CorruptSkipped);
   LoadSpan.arg("version_skipped", LS.VersionSkipped);
 }
-
-ResultStore::~ResultStore() { disableBytecodePersistence(); }
 
 bool ResultStore::decodeRecord(Rd &R) {
   switch (R.u8()) {
@@ -379,15 +271,6 @@ bool ResultStore::decodeRecord(Rd &R) {
       return false;
     Checksum.emplace(K, std::move(E));
     Stats.LoadedChecksum++;
-    return true;
-  }
-  case KindProgram: {
-    auto P = std::make_shared<interp::BytecodeProgram>();
-    if (!getProgram(R, *P) || !R.done())
-      return false;
-    std::string Key = P->Key;
-    Programs.emplace(std::move(Key), std::move(P));
-    Stats.LoadedPrograms++;
     return true;
   }
   default:
@@ -472,61 +355,6 @@ void ResultStore::storeChecksum(uint64_t ScalarH, uint64_t CandH,
   W.str(CandSrc);
   putChecksum(W, O);
   Log.append(Payload);
-}
-
-std::shared_ptr<const interp::BytecodeProgram>
-ResultStore::lookupProgram(const std::string &Key) {
-  std::lock_guard<std::mutex> L(M);
-  auto It = Programs.find(Key);
-  if (It == Programs.end()) {
-    Stats.Misses++;
-    obs::counter("store.misses").inc();
-    return nullptr;
-  }
-  Stats.Hits++;
-  obs::counter("store.hits").inc();
-  return It->second;
-}
-
-void ResultStore::storeProgram(const interp::BytecodeProgram &P) {
-  if (P.Key.empty())
-    return; // only content-keyed programs are addressable
-  std::lock_guard<std::mutex> L(M);
-  auto Ins =
-      Programs.emplace(P.Key, std::make_shared<interp::BytecodeProgram>(P));
-  if (!Ins.second)
-    return;
-  std::string Payload;
-  Wr W{Payload};
-  W.u8(KindProgram);
-  putProgram(W, P);
-  Log.append(Payload);
-}
-
-void ResultStore::enableBytecodePersistence() {
-  std::lock_guard<std::mutex> L(HookM);
-  HookOwner = this;
-  interp::setBytecodeStoreHooks(interp::BytecodeStoreHooks{
-      [this](const std::string &Key) { return lookupProgram(Key); },
-      [this](const interp::BytecodeProgram &P) { storeProgram(P); }});
-  {
-    std::lock_guard<std::mutex> L2(M);
-    OwnsBytecodeHook = true;
-  }
-}
-
-void ResultStore::disableBytecodePersistence() {
-  std::lock_guard<std::mutex> L(HookM);
-  {
-    std::lock_guard<std::mutex> L2(M);
-    if (!OwnsBytecodeHook)
-      return;
-    OwnsBytecodeHook = false;
-  }
-  if (HookOwner == this) {
-    HookOwner = nullptr;
-    interp::setBytecodeStoreHooks(interp::BytecodeStoreHooks{});
-  }
 }
 
 void ResultStore::flush() {

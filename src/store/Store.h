@@ -1,13 +1,11 @@
 //===- store/Store.h - persistent content-addressed result store -*- C++ -*-===//
 ///
 /// \file
-/// On-disk persistence for the two process-lifetime caches that make
-/// repeat traffic cheap: `svc::VerdictCache` entries (full `EquivResult`
-/// and `ChecksumOutcome` objects, keyed by (scalar hash, candidate hash,
-/// configHash)) and compiled bytecode programs (keyed by
-/// `interp::bytecodeKey`). A verified verdict never expires, so a store
-/// directory turns every bench rerun, CI job, and service restart from a
-/// cold start into a warm one.
+/// On-disk persistence for `svc::VerdictCache`: full `EquivResult` and
+/// `ChecksumOutcome` objects, keyed by (scalar hash, candidate hash,
+/// configHash). A verified verdict never expires, so a store directory
+/// turns every bench rerun, CI job, and service restart from a cold start
+/// into a warm one.
 ///
 /// Layout: one append-only record log (`<dir>/records.log`, a RecordLog —
 /// see RecordLog.h) holding a versioned header followed by CRC-framed
@@ -40,12 +38,10 @@
 #define LV_STORE_STORE_H
 
 #include "core/Equivalence.h"
-#include "interp/Bytecode.h"
 #include "store/RecordLog.h"
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -53,9 +49,9 @@
 namespace lv {
 namespace store {
 
-/// Store counters. Hits/Misses cover backing-store lookups of all three
-/// record kinds; Writes counts records appended this session;
-/// CorruptSkipped / VersionSkipped count load-time salvage events (also
+/// Store counters. Hits/Misses cover backing-store lookups of both record
+/// kinds (equivalence and checksum); Writes counts records appended this
+/// session; CorruptSkipped / VersionSkipped count load-time salvage events (also
 /// exported as `store.corrupt_skipped` / `store.version_skipped`).
 struct StoreStats {
   uint64_t Hits = 0;
@@ -69,7 +65,6 @@ struct StoreStats {
                                 ///< memory-only; `store.read_failed`).
   uint64_t LoadedEquiv = 0;     ///< Equivalence records loaded on open.
   uint64_t LoadedChecksum = 0;  ///< Checksum records loaded on open.
-  uint64_t LoadedPrograms = 0;  ///< Bytecode programs loaded on open.
 
   void add(const StoreStats &O) {
     Hits += O.Hits;
@@ -81,7 +76,6 @@ struct StoreStats {
     ReadFailed += O.ReadFailed;
     LoadedEquiv += O.LoadedEquiv;
     LoadedChecksum += O.LoadedChecksum;
-    LoadedPrograms += O.LoadedPrograms;
   }
 };
 
@@ -112,8 +106,9 @@ public:
   /// records would replay stale verdicts). Version 2 dropped the racer and
   /// cone/trail-reuse fields of tv::TVResult; version 3 marks stage 2's
   /// case split on the trip count; version 4 the multiplier abstraction
-  /// (stored Inconclusive verdicts may now be decided).
-  static constexpr uint32_t SchemaVersion = 4;
+  /// (stored Inconclusive verdicts may now be decided); version 5 removed
+  /// the compiled-program record kind.
+  static constexpr uint32_t SchemaVersion = 5;
 
   /// Opens (or creates) the store under \p Dir, replaying the record log
   /// into the in-memory index (`store.load` span). A missing directory is
@@ -121,7 +116,6 @@ public:
   /// in-memory store (ok() stays true as long as appends can be written —
   /// a store must never turn a warm start into a failed run).
   explicit ResultStore(const std::string &Dir);
-  ~ResultStore();
 
   ResultStore(const ResultStore &) = delete;
   ResultStore &operator=(const ResultStore &) = delete;
@@ -147,19 +141,6 @@ public:
   void storeChecksum(uint64_t ScalarH, uint64_t CandH, uint64_t CfgH,
                      const std::string &ScalarSrc, const std::string &CandSrc,
                      const interp::ChecksumOutcome &O);
-
-  /// Program lookup by full `interp::bytecodeKey` content key (the key is
-  /// an injective serialization, so exactness is inherent — no source
-  /// re-check needed).
-  std::shared_ptr<const interp::BytecodeProgram>
-  lookupProgram(const std::string &Key);
-  void storeProgram(const interp::BytecodeProgram &P);
-
-  /// Routes `interp::compileBytecodeCached` misses through this store
-  /// (process-global hook; at most one store owns it at a time — a second
-  /// enable steals it, the owner's destructor releases it).
-  void enableBytecodePersistence();
-  void disableBytecodePersistence();
 
   /// Forces buffered log bytes to the OS (appendRecord already flushes per
   /// record; drain calls this so teardown is explicit about durability).
@@ -191,11 +172,7 @@ private:
   RecordLog Log; ///< records.log; memory-only once writes fail.
   std::unordered_map<Key3, Entry<core::EquivResult>, Key3Hash> Equiv;
   std::unordered_map<Key3, Entry<interp::ChecksumOutcome>, Key3Hash> Checksum;
-  std::unordered_map<std::string,
-                     std::shared_ptr<const interp::BytecodeProgram>>
-      Programs;
   StoreStats Stats; ///< Index counters; the log keeps its own.
-  bool OwnsBytecodeHook = false;
 };
 
 /// Canonical binary serializations, exposed so tests and the bench gates
@@ -206,9 +183,6 @@ bool deserializeEquivResult(const std::string &Bytes, core::EquivResult &Out);
 std::string serializeChecksumOutcome(const interp::ChecksumOutcome &O);
 bool deserializeChecksumOutcome(const std::string &Bytes,
                                 interp::ChecksumOutcome &Out);
-std::string serializeProgram(const interp::BytecodeProgram &P);
-bool deserializeProgram(const std::string &Bytes,
-                        interp::BytecodeProgram &Out);
 
 } // namespace store
 } // namespace lv

@@ -189,7 +189,6 @@ VectorizerService::VectorizerService(ServiceConfig C)
   // the cache must not silently replay persisted work either).
   if (Cfg.EnableVerdictCache && !Cfg.StorePath.empty()) {
     Store.reset(new store::ResultStore(Cfg.StorePath));
-    Store->enableBytecodePersistence();
     Cache.setBacking(Store.get());
   }
   if (!Cfg.JournalPath.empty()) {

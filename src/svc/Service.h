@@ -333,10 +333,9 @@ struct ServiceConfig {
   llm::ClientFactory MakeClient;  ///< Null: SimulatedLLM(seed below).
   /// Directory of a persistent result store (see store/Store.h). When set
   /// (and the verdict cache is enabled), the service opens the store at
-  /// construction, reads verdicts through on cache misses, writes fresh
-  /// verdicts through, and persists compiled bytecode programs — so a new
-  /// process replays bit-identical results instead of recomputing them.
-  /// Empty: no persistence (the seed behaviour).
+  /// construction, reads verdicts through on cache misses and writes fresh
+  /// verdicts through — so a new process replays bit-identical results
+  /// instead of recomputing them. Empty: no persistence (the seed behaviour).
   std::string StorePath;
   /// Retry budget for transient client errors (llm::ClientError with
   /// Transient set), per task. The whole failed stage re-runs on the SAME

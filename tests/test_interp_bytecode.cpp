@@ -71,8 +71,7 @@ static void expectEngineParity(const VFunction &F, int N, uint64_t Seed,
   RunSetup Tree = makeSetup(F, N, Seed, 64);
   RunSetup Bc = Tree; // identical images
   ExecResult RT = execute(F, Tree.Args, Tree.Mem, Cfg);
-  std::shared_ptr<const BytecodeProgram> P = compileBytecodeCached(F);
-  ExecResult RB = execBytecode(*P, Bc.Args, Bc.Mem, Cfg);
+  ExecResult RB = execBytecode(compileBytecode(F), Bc.Args, Bc.Mem, Cfg);
 
   ASSERT_EQ(RT.St, RB.St) << Label;
   EXPECT_EQ(RT.TrapMsg, RB.TrapMsg) << Label;
@@ -138,7 +137,7 @@ TEST(Bytecode, TrapParityDivByZero) {
   ASSERT_TRUE(C.ok());
   MemoryImage M1, M2;
   ExecResult RT = execute(*C.Fn, {0}, M1);
-  ExecResult RB = execBytecode(*compileBytecodeCached(*C.Fn), {0}, M2);
+  ExecResult RB = execBytecode(compileBytecode(*C.Fn), {0}, M2);
   EXPECT_EQ(RT.St, ExecResult::Trap);
   EXPECT_EQ(RB.St, ExecResult::Trap);
   EXPECT_EQ(RB.Cause, TrapKind::DivByZero);
@@ -152,7 +151,7 @@ TEST(Bytecode, TrapParityOutOfBounds) {
   M1.Regions = {std::vector<int32_t>(4, 0)};
   M2 = M1;
   ExecResult RT = execute(*C.Fn, {100}, M1);
-  ExecResult RB = execBytecode(*compileBytecodeCached(*C.Fn), {100}, M2);
+  ExecResult RB = execBytecode(compileBytecode(*C.Fn), {100}, M2);
   EXPECT_EQ(RT.St, ExecResult::Trap);
   EXPECT_EQ(RB.St, ExecResult::Trap);
   EXPECT_EQ(RB.Cause, TrapKind::OutOfBounds);
@@ -166,7 +165,7 @@ TEST(Bytecode, HangBudgetParity) {
   Cfg.MaxSteps = 10'000;
   MemoryImage M1, M2;
   ExecResult RT = execute(*C.Fn, {1}, M1, Cfg);
-  ExecResult RB = execBytecode(*compileBytecodeCached(*C.Fn), {1}, M2, Cfg);
+  ExecResult RB = execBytecode(compileBytecode(*C.Fn), {1}, M2, Cfg);
   EXPECT_EQ(RT.St, ExecResult::OutOfFuel);
   EXPECT_EQ(RB.St, ExecResult::OutOfFuel);
   EXPECT_EQ(RT.Steps, RB.Steps);
@@ -194,7 +193,7 @@ TEST(Bytecode, BreakContinueReturnParity) {
     M1.Regions = {{5, -1, 7, Marker, 4, 4, 4, 4, 4, 4}};
     MemoryImage M2 = M1;
     ExecResult RT = execute(*C.Fn, {10}, M1);
-    ExecResult RB = execBytecode(*compileBytecodeCached(*C.Fn), {10}, M2);
+    ExecResult RB = execBytecode(compileBytecode(*C.Fn), {10}, M2);
     EXPECT_EQ(RT.RetVal, RB.RetVal) << Marker;
     EXPECT_EQ(RT.Steps, RB.Steps) << Marker;
   }
@@ -270,7 +269,7 @@ TEST(Bytecode, BreakContinueInStepRegionBindToEnclosingLoop) {
     VFunctionPtr F = build(K);
     MemoryImage M1, M2;
     ExecResult RT = execute(*F, {}, M1);
-    ExecResult RB = execBytecode(*compileBytecodeCached(*F), {}, M2);
+    ExecResult RB = execBytecode(compileBytecode(*F), {}, M2);
     ASSERT_EQ(RT.St, RB.St) << static_cast<int>(K);
     EXPECT_EQ(RT.RetVal, RB.RetVal) << static_cast<int>(K);
     EXPECT_EQ(RT.Steps, RB.Steps) << static_cast<int>(K);
@@ -285,23 +284,31 @@ TEST(Bytecode, BreakContinueInStepRegionBindToEnclosingLoop) {
   EXPECT_EQ(execute(*build(Node::Break), {}, M2).RetVal, 1);
 }
 
-TEST(Bytecode, CacheSharesPrograms) {
-  CompileResult C = compileFunction(
-      "void uniq_cache_probe(int n, int *a) { for (int i = 0; i < n; i++) "
-      "a[i] = i * 3; }");
-  ASSERT_TRUE(C.ok());
-  BytecodeCacheStats Before = bytecodeCacheStats();
-  std::shared_ptr<const BytecodeProgram> P1 = compileBytecodeCached(*C.Fn);
-  std::shared_ptr<const BytecodeProgram> P2 = compileBytecodeCached(*C.Fn);
-  EXPECT_EQ(P1.get(), P2.get()) << "recompile must hit the cache";
-  // A structurally identical recompile of the same source shares too.
-  CompileResult C2 = compileFunction(
-      "void uniq_cache_probe(int n, int *a) { for (int i = 0; i < n; i++) "
-      "a[i] = i * 3; }");
-  ASSERT_TRUE(C2.ok());
-  EXPECT_EQ(compileBytecodeCached(*C2.Fn).get(), P1.get());
-  BytecodeCacheStats After = bytecodeCacheStats();
-  EXPECT_GE(After.Hits, Before.Hits + 2);
+TEST(Bytecode, KeyIsStructuralAndExact) {
+  // bytecodeKey is the ScalarRefMemo identity: equal for independent
+  // lowerings of one source, different after any one-token edit.
+  auto key = [](const char *Src) {
+    CompileResult C = compileFunction(Src);
+    EXPECT_TRUE(C.ok()) << C.Error;
+    return C.ok() ? bytecodeKey(*C.Fn) : std::string();
+  };
+  const char *Base = "void f(int n, int *a) { for (int i = 0; i < n; i++) "
+                     "a[i] = i * 3; }";
+  std::string K = key(Base);
+  ASSERT_FALSE(K.empty());
+  EXPECT_EQ(key(Base), K);
+  // Constant.
+  EXPECT_NE(key("void f(int n, int *a) { for (int i = 0; i < n; i++) "
+                "a[i] = i * 4; }"),
+            K);
+  // Parameter name.
+  EXPECT_NE(key("void f(int m, int *a) { for (int i = 0; i < m; i++) "
+                "a[i] = i * 3; }"),
+            K);
+  // Body opcode.
+  EXPECT_NE(key("void f(int n, int *a) { for (int i = 0; i < n; i++) "
+                "a[i] = i + 3; }"),
+            K);
 }
 
 TEST(Bytecode, WorkCountersAreExact) {
@@ -313,7 +320,7 @@ TEST(Bytecode, WorkCountersAreExact) {
   ASSERT_TRUE(C.ok());
   MemoryImage M;
   M.Regions = {std::vector<int32_t>(16, 0), std::vector<int32_t>(16, 7)};
-  ExecResult R = execBytecode(*compileBytecodeCached(*C.Fn), {8}, M);
+  ExecResult R = execBytecode(compileBytecode(*C.Fn), {8}, M);
   ASSERT_TRUE(R.ok());
   EXPECT_EQ(R.Work.loads(), 8u);
   EXPECT_EQ(R.Work.stores(), 8u);
@@ -474,6 +481,25 @@ TEST(ChecksumMemo, ScalarReferenceReused) {
       runChecksumTest(*F.Scalar, *F.Cands[0], Cfg2, &Memo);
   EXPECT_GT(Third.Work.ScalarRuns, 0u);
   EXPECT_EQ(Third.Verdict, TestVerdict::Plausible);
+  // So does a different scalar with the same signature: its references
+  // are recomputed, not replayed from the old scalar's runs. Against this
+  // scalar the s453 candidate is wrong, which a stale replay would hide.
+  CompileResult Other = compileFunction(R"(
+    void s453(int *a, int *b, int n) {
+      int s = 0;
+      for (int i = 0; i < n; i++) {
+        s += 3;
+        a[i] = s * b[i];
+      }
+    })");
+  ASSERT_TRUE(Other.ok()) << Other.Error;
+  ChecksumOutcome Fourth =
+      runChecksumTest(*Other.Fn, *F.Cands[0], Cfg2, &Memo);
+  EXPECT_GT(Fourth.Work.ScalarRuns, 0u);
+  EXPECT_EQ(Memo.ScalarRuns, Fourth.Work.ScalarRuns); // reset, then refilled
+  EXPECT_EQ(Fourth.Verdict, TestVerdict::NotEquivalent);
+  EXPECT_EQ(verdictString(Fourth),
+            verdictString(runChecksumTest(*Other.Fn, *F.Cands[0], Cfg2)));
 }
 
 TEST(ChecksumEngines, VerdictParityOverTsvcSamples) {

@@ -1,8 +1,7 @@
 //===- tests/test_store.cpp - persistent result-store tests -------------------===//
 //
 // The store contract: (1) round-trips are bit-exact — a reopened store
-// replays the serialized EquivResult / ChecksumOutcome / BytecodeProgram
-// byte for byte; (2) it never returns a wrong verdict — key collisions and
+// replays the serialized EquivResult / ChecksumOutcome byte for byte; (2) it never returns a wrong verdict — key collisions and
 // damaged bytes (torn tail, flipped bits, incompatible header) all degrade
 // to misses, with the damaged suffix dropped and the log repaired in
 // place; (3) warm starts are invisible — a fresh VectorizerService over a
@@ -101,28 +100,8 @@ interp::ChecksumOutcome mkChecksum(int I) {
   return O;
 }
 
-interp::BytecodeProgram mkProgram(int I) {
-  interp::BytecodeProgram P;
-  P.Code.resize(3);
-  P.Code[0].Op = interp::BC::Halt;
-  P.Code[0].Cls = 1;
-  P.Code[0].Rd = 2;
-  P.Code[0].Imm = 42 + I;
-  P.Extra = {1, 2, 3};
-  P.NumRegs = 7;
-  P.ReturnsValue = true;
-  P.Params.resize(1);
-  P.Params[0].IsPointer = true;
-  P.Params[0].Reg = 0;
-  P.Mems.resize(1);
-  P.Mems[0].Name = "a";
-  P.Mems[0].LocalSize = 0;
-  P.Key = "prog-key-" + std::to_string(I);
-  return P;
-}
-
 /// Seeds \p S with \p N equiv + checksum records (distinct keys and
-/// sources) and one program per index.
+/// sources).
 void seed(ResultStore &S, int N) {
   for (int I = 0; I < N; ++I) {
     std::string Scalar = "scalar-" + std::to_string(I);
@@ -131,7 +110,6 @@ void seed(ResultStore &S, int N) {
     uint64_t CH = hashString(Cand.c_str());
     S.storeEquiv(SH, CH, 7, Scalar, Cand, mkEquiv(I));
     S.storeChecksum(SH, CH, 9, Scalar, Cand, mkChecksum(I));
-    S.storeProgram(mkProgram(I));
   }
 }
 
@@ -151,29 +129,32 @@ int equivReplays(ResultStore &S, int N) {
   return Ok;
 }
 
+/// True when seeded checksum entry \p I replays bit-identically from \p S.
+bool lookupSeededChecksum(ResultStore &S, int I) {
+  std::string Scalar = "scalar-" + std::to_string(I);
+  std::string Cand = "cand-" + std::to_string(I);
+  interp::ChecksumOutcome Out;
+  return S.lookupChecksum(hashString(Scalar.c_str()),
+                          hashString(Cand.c_str()), 9, Scalar, Cand, Out) &&
+         serializeChecksumOutcome(Out) ==
+             serializeChecksumOutcome(mkChecksum(I));
+}
+
 TEST(Store, RoundTripBitExactAcrossReopen) {
   std::string Dir = scratchDir("roundtrip");
   {
     ResultStore S(Dir);
     ASSERT_TRUE(S.ok());
     seed(S, 4);
-    EXPECT_EQ(S.stats().Writes, 12u);
+    EXPECT_EQ(S.stats().Writes, 8u);
   }
   ResultStore S(Dir);
   EXPECT_EQ(S.stats().LoadedEquiv, 4u);
   EXPECT_EQ(S.stats().LoadedChecksum, 4u);
-  EXPECT_EQ(S.stats().LoadedPrograms, 4u);
   EXPECT_EQ(equivReplays(S, 4), 4);
-  interp::ChecksumOutcome CO;
-  ASSERT_TRUE(S.lookupChecksum(hashString("scalar-2"), hashString("cand-2"),
-                               9, "scalar-2", "cand-2", CO));
-  EXPECT_EQ(serializeChecksumOutcome(CO),
-            serializeChecksumOutcome(mkChecksum(2)));
-  std::shared_ptr<const interp::BytecodeProgram> P =
-      S.lookupProgram("prog-key-3");
-  ASSERT_TRUE(P != nullptr);
-  EXPECT_EQ(serializeProgram(*P), serializeProgram(mkProgram(3)));
-  EXPECT_EQ(S.lookupProgram("prog-key-99"), nullptr);
+  for (int I = 0; I < 4; ++I)
+    EXPECT_TRUE(lookupSeededChecksum(S, I)) << I;
+  EXPECT_FALSE(lookupSeededChecksum(S, 99));
 }
 
 TEST(Store, KeyCollisionDegradesToMiss) {
@@ -197,13 +178,13 @@ TEST(Store, DuplicateKeyWritesOnce) {
     ResultStore S(Dir);
     S.storeEquiv(1, 2, 3, "s", "c", mkEquiv(0));
     S.storeEquiv(1, 2, 3, "s", "c", mkEquiv(0));
-    S.storeProgram(mkProgram(0));
-    S.storeProgram(mkProgram(0));
+    S.storeChecksum(1, 2, 3, "s", "c", mkChecksum(0));
+    S.storeChecksum(1, 2, 3, "s", "c", mkChecksum(0));
     EXPECT_EQ(S.stats().Writes, 2u);
   }
   ResultStore S(Dir);
   EXPECT_EQ(S.stats().LoadedEquiv, 1u);
-  EXPECT_EQ(S.stats().LoadedPrograms, 1u);
+  EXPECT_EQ(S.stats().LoadedChecksum, 1u);
 }
 
 TEST(Store, TruncatedTailDropsOnlyTornRecord) {
@@ -219,21 +200,23 @@ TEST(Store, TruncatedTailDropsOnlyTornRecord) {
     ResultStore S(Dir);
     StoreStats St = S.stats();
     EXPECT_EQ(St.CorruptSkipped, 1u);
-    // 9 records survive: the torn one (the third program) is gone.
-    EXPECT_EQ(St.LoadedEquiv + St.LoadedChecksum + St.LoadedPrograms, 8u);
+    // 5 of 6 records survive: the torn one (the third checksum) is gone.
+    EXPECT_EQ(St.LoadedEquiv, 3u);
+    EXPECT_EQ(St.LoadedChecksum, 2u);
     EXPECT_EQ(equivReplays(S, 3), 3);
-    EXPECT_EQ(S.lookupProgram("prog-key-2"), nullptr);
+    EXPECT_FALSE(lookupSeededChecksum(S, 2));
   }
   // The load truncated the log back to the last good record, so a
   // re-open is clean and appends resume from there.
   {
     ResultStore S(Dir);
     EXPECT_EQ(S.stats().CorruptSkipped, 0u);
-    S.storeProgram(mkProgram(2));
+    S.storeChecksum(hashString("scalar-2"), hashString("cand-2"), 9,
+                    "scalar-2", "cand-2", mkChecksum(2));
   }
   ResultStore S(Dir);
   EXPECT_EQ(S.stats().CorruptSkipped, 0u);
-  EXPECT_NE(S.lookupProgram("prog-key-2"), nullptr);
+  EXPECT_TRUE(lookupSeededChecksum(S, 2));
 }
 
 TEST(Store, FlippedByteDropsDamagedSuffix) {
@@ -252,8 +235,8 @@ TEST(Store, FlippedByteDropsDamagedSuffix) {
   ResultStore S(Dir);
   StoreStats St = S.stats();
   EXPECT_EQ(St.CorruptSkipped, 1u);
-  uint64_t Loaded = St.LoadedEquiv + St.LoadedChecksum + St.LoadedPrograms;
-  EXPECT_LT(Loaded, 9u);
+  uint64_t Loaded = St.LoadedEquiv + St.LoadedChecksum;
+  EXPECT_LT(Loaded, 6u);
   // Whatever survived replays exactly; entry 0 precedes byte 120 only if
   // the first record is shorter than that, so just assert per-entry
   // consistency: a hit must be bit-identical.
@@ -284,7 +267,7 @@ TEST(Store, VersionMismatchSetsStoreAsideCleanly) {
     ResultStore S(Dir);
     StoreStats St = S.stats();
     EXPECT_EQ(St.VersionSkipped, 1u);
-    EXPECT_EQ(St.LoadedEquiv + St.LoadedChecksum + St.LoadedPrograms, 0u);
+    EXPECT_EQ(St.LoadedEquiv + St.LoadedChecksum, 0u);
     EXPECT_TRUE(S.ok());
     EXPECT_TRUE(fs::exists(logPath(Dir) + ".skipped"));
     // The fresh store is fully usable.
@@ -393,7 +376,7 @@ TEST(Store, AppendFailureMidRunDegradesToMemoryOnly) {
   setChaosFileHooks(H);
   {
     ResultStore S(Dir);
-    seed(S, 3); // 9 appends attempted; only the first lands on disk
+    seed(S, 3); // 6 appends attempted; only the first lands on disk
     setChaosFileHooks(ChaosFileHooks());
     EXPECT_FALSE(S.ok()) << "the log must close on the first failed append";
     EXPECT_EQ(S.stats().AppendFailed, 1u)

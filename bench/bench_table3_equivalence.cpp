@@ -33,7 +33,8 @@
 // (an arm with missing records fails it) and (b) the seed->fork splitting
 // win, SKIPPED — and out of the exit code — when neither arm did stage-4
 // work.
-// Everything is mirrored to BENCH_table3.json for CI tracking.
+// Everything is mirrored to BENCH_table3.json for CI tracking, including
+// the fork arm's per-test "name final decided-by" lines (`verdicts`).
 //
 //===----------------------------------------------------------------------===//
 
@@ -160,6 +161,18 @@ double ratio(uint64_t Before, uint64_t After) {
   return static_cast<double>(Before) / static_cast<double>(After);
 }
 
+/// One "name final decided-by" line per test: comparable across arms and
+/// runs (stable under wall-clock jitter), and mirrored to the JSON so a
+/// verdict change can be located from the artifact alone.
+std::vector<std::string> verdictLines(const std::vector<FunnelRecord> &Recs) {
+  std::vector<std::string> Lines;
+  for (const FunnelRecord &R : Recs)
+    Lines.push_back(format("%s %s %s", R.Name.c_str(),
+                           core::outcomeName(R.Result.Final),
+                           core::stageName(R.Result.DecidedBy)));
+  return Lines;
+}
+
 /// One arm: a stage-3/4 solving configuration of the funnel.
 struct Arm {
   const char *Name;
@@ -182,10 +195,13 @@ const char *QuickTests[] = {
     // and s2711 at stage 2, s272 and s319 at c-unroll. Without the
     // multiplier abstraction all but s319 ran into spatial splitting.
     "s253", "s271", "s272", "s319", "s1279", "s2711",
-    // Multiplier pairs that used to survive splitting: s273 is now refuted
-    // at stage 2 and s274 at c-unroll; s276 and s2712 stay inconclusive
-    // end to end, so stage 4 still runs in both arms.
+    // Multiplier pairs that used to survive splitting: s273 is refuted at
+    // stage 2 and s274 at c-unroll; the mask-idiom ite lifts prove s2712
+    // at stage 2 and s276 at c-unroll.
     "s273", "s274", "s276", "s2712",
+    // A stage-4 survivor (its two branches multiply different operands),
+    // so the seed->fork splitting gate has work to measure in both arms.
+    "s443",
     // C-unroll equivalence deciders (the four of the full corpus), one
     // alive2 decider, and checksum rejects, keeping the funnel-shape gate
     // meaningful.
@@ -244,8 +260,7 @@ int main(int argc, char **argv) {
   // still owns the trace buffers at artifact-write time.
   struct StoreRun {
     std::string Bits;    ///< Concatenated serializeEquivResult records.
-    std::string Summary; ///< "name final decided-by" lines (arm-comparable:
-                         ///< stable under wall-clock jitter, unlike Bits).
+    std::vector<std::string> Summary; ///< verdictLines of the run.
     ServiceRunStats Stats;
     uint64_t StageNs = 0; ///< stage.checksum + stage.split span walls.
     uint64_t WallNs = 0;
@@ -267,10 +282,8 @@ int main(int argc, char **argv) {
     for (const FunnelRecord &R : Recs) {
       Out.Bits += R.Name;
       Out.Bits += store::serializeEquivResult(R.Result);
-      appendf(Out.Summary, "%s %s %s\n", R.Name.c_str(),
-              core::outcomeName(R.Result.Final),
-              core::stageName(R.Result.DecidedBy));
     }
+    Out.Summary = verdictLines(Recs);
     return Out;
   };
   std::printf("  [store] cold/warm funnel on a scratch store...\n");
@@ -380,11 +393,8 @@ int main(int argc, char **argv) {
 
   // The store runs used the unmodified Base config, as the fork arm did,
   // so their (Final, DecidedBy) funnel must match the fork arm exactly.
-  std::string ForkSummary;
-  for (const FunnelRecord &R : Arms[ForkArm].Records)
-    appendf(ForkSummary, "%s %s %s\n", R.Name.c_str(),
-            core::outcomeName(R.Result.Final),
-            core::stageName(R.Result.DecidedBy));
+  const std::vector<std::string> ForkSummary =
+      verdictLines(Arms[ForkArm].Records);
   bool StoreArmParityOk = ColdRun.Summary == ForkSummary;
 
   const FunnelTally &TA = Arms[ForkArm].T; // funnel shape from fork arm
@@ -650,6 +660,13 @@ int main(int argc, char **argv) {
   appendf(J, "  \"seed_sat_ratio\": %.3f,\n  \"seed_wall_ratio\": %.3f,\n",
           SeedSatRatio, SeedWallRatio);
   appendf(J, "  \"total_mismatches\": %d,\n", TotalMismatches);
+  // The fork arm's per-test verdicts, one "name final decided-by" string
+  // per line: diffing two runs' artifacts locates a verdict change.
+  appendf(J, "  \"verdicts\": [\n");
+  for (size_t I = 0; I < ForkSummary.size(); ++I)
+    appendf(J, "    \"%s\"%s\n", ForkSummary[I].c_str(),
+            I + 1 < ForkSummary.size() ? "," : "");
+  appendf(J, "  ],\n");
   appendf(J,
           "  \"obs\": {\"trace_events\": %llu, \"trace_threads\": %llu, "
           "\"trace_dropped\": %llu, \"verify_tasks\": %llu},\n",

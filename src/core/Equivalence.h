@@ -59,7 +59,11 @@
 /// stays final and a counterexample is a model the terms themselves
 /// satisfy, so a verdict means what it meant with exact multipliers;
 /// queries that used to exhaust their budget in multiplier CNF now often
-/// settle at an earlier stage.
+/// settle at an earlier stage. A masked multiply adds no multiplier of its
+/// own: smt::TermTable lifts mask-idiom ites (smt/README.md "Mask idioms"),
+/// so mullo(maskload(d, m), maskload(e, m)) becomes ite(m, d * e, 0) and
+/// shares the scalar's d * e, and a masked accumulate matches the scalar's
+/// guarded update.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -149,14 +149,19 @@ TermId TermTable::mkSubOvf(TermId X, TermId Y) {
 TermId TermTable::mkMulOvf(TermId X, TermId Y) {
   return memoized(TK::MulOvf, X, Y, NoTerm, [&] { return rwMulOvf(X, Y); });
 }
+// The six ite-lifting kinds run liftIte, which falls back to their
+// rewrite body.
 TermId TermTable::mkAdd(TermId X, TermId Y) {
-  return memoized(TK::Add, X, Y, NoTerm, [&] { return rwAdd(X, Y); });
+  return memoized(TK::Add, X, Y, NoTerm,
+                  [&] { return liftIte(TK::Add, X, Y, &TermTable::rwAdd); });
 }
 TermId TermTable::mkSub(TermId X, TermId Y) {
-  return memoized(TK::Sub, X, Y, NoTerm, [&] { return rwSub(X, Y); });
+  return memoized(TK::Sub, X, Y, NoTerm,
+                  [&] { return liftIte(TK::Sub, X, Y, &TermTable::rwSub); });
 }
 TermId TermTable::mkMul(TermId X, TermId Y) {
-  return memoized(TK::Mul, X, Y, NoTerm, [&] { return rwMul(X, Y); });
+  return memoized(TK::Mul, X, Y, NoTerm,
+                  [&] { return liftIte(TK::Mul, X, Y, &TermTable::rwMul); });
 }
 TermId TermTable::mkSDiv(TermId X, TermId Y) {
   return memoized(TK::SDiv, X, Y, NoTerm, [&] { return rwSDiv(X, Y); });
@@ -165,13 +170,18 @@ TermId TermTable::mkSRem(TermId X, TermId Y) {
   return memoized(TK::SRem, X, Y, NoTerm, [&] { return rwSRem(X, Y); });
 }
 TermId TermTable::mkBvAnd(TermId X, TermId Y) {
-  return memoized(TK::BvAnd, X, Y, NoTerm, [&] { return rwBvAnd(X, Y); });
+  return memoized(TK::BvAnd, X, Y, NoTerm, [&] {
+    return liftIte(TK::BvAnd, X, Y, &TermTable::rwBvAnd);
+  });
 }
 TermId TermTable::mkBvOr(TermId X, TermId Y) {
-  return memoized(TK::BvOr, X, Y, NoTerm, [&] { return rwBvOr(X, Y); });
+  return memoized(TK::BvOr, X, Y, NoTerm,
+                  [&] { return liftIte(TK::BvOr, X, Y, &TermTable::rwBvOr); });
 }
 TermId TermTable::mkBvXor(TermId X, TermId Y) {
-  return memoized(TK::BvXor, X, Y, NoTerm, [&] { return rwBvXor(X, Y); });
+  return memoized(TK::BvXor, X, Y, NoTerm, [&] {
+    return liftIte(TK::BvXor, X, Y, &TermTable::rwBvXor);
+  });
 }
 TermId TermTable::mkBvNot(TermId X) {
   return memoized(TK::BvNot, X, NoTerm, NoTerm, [&] { return rwBvNot(X); });
@@ -691,6 +701,57 @@ TermId TermTable::rwIte(TermId C, TermId T0, TermId E) {
   T.B = T0;
   T.C = E;
   return intern(T);
+}
+
+//===----------------------------------------------------------------------===//
+// Mask idioms
+//===----------------------------------------------------------------------===//
+
+TermId TermTable::mkBin(TK K, TermId X, TermId Y) {
+  switch (K) {
+  case TK::Add: return mkAdd(X, Y);
+  case TK::Sub: return mkSub(X, Y);
+  case TK::Mul: return mkMul(X, Y);
+  case TK::BvAnd: return mkBvAnd(X, Y);
+  case TK::BvOr: return mkBvOr(X, Y);
+  case TK::BvXor: return mkBvXor(X, Y);
+  default: break;
+  }
+  assert(false && "mkBin: not an ite-lifting kind");
+  return NoTerm;
+}
+
+TermId TermTable::liftIte(TK K, TermId X, TermId Y, RewriteFn Rewrite) {
+  // Copies: the mk* calls below may grow `Terms`.
+  const Term TX = get(X), TY = get(Y);
+  bool IteX = TX.K == TK::Ite, IteY = TY.K == TK::Ite;
+  if (!IteX && !IteY)
+    return (this->*Rewrite)(X, Y);
+  auto ConstArms = [&](const Term &I) {
+    return isConst(I.B) && isConst(I.C);
+  };
+  // Constant-armed ite against a constant: op(ite(c,k1,k2), k3) ->
+  // ite(c, k1 op k3, k2 op k3), and the mirror. Both arms fold.
+  if (IteX && isConst(Y) && ConstArms(TX))
+    return mkIte(TX.A, mkBin(K, TX.B, Y), mkBin(K, TX.C, Y));
+  if (IteY && isConst(X) && ConstArms(TY))
+    return mkIte(TY.A, mkBin(K, X, TY.B), mkBin(K, X, TY.C));
+  // Shared guard: op(ite(c,x,a), ite(c,y,b)) -> ite(c, x op y, a op b)
+  // when one pair of arms is constant, so one op node remains.
+  if (IteX && IteY && TX.A == TY.A &&
+      ((isConst(TX.B) && isConst(TY.B)) || (isConst(TX.C) && isConst(TY.C))))
+    return mkIte(TX.A, mkBin(K, TX.B, TY.B), mkBin(K, TX.C, TY.C));
+  // Identity arm: x + ite(c,y,0) -> ite(c, x + y, x), and the mirrors.
+  if (K == TK::Add && IteX != IteY) {
+    TermId Base = IteX ? Y : X;
+    const Term &I = IteX ? TX : TY;
+    uint32_t Z;
+    if (isConst(I.C, Z) && Z == 0)
+      return mkIte(I.A, mkAdd(Base, I.B), Base);
+    if (isConst(I.B, Z) && Z == 0)
+      return mkIte(I.A, Base, mkAdd(Base, I.C));
+  }
+  return (this->*Rewrite)(X, Y);
 }
 
 //===----------------------------------------------------------------------===//

@@ -209,6 +209,14 @@ private:
   TermId rwAShr(TermId X, TermId Y);
   TermId rwIte(TermId C, TermId T, TermId E);
 
+  /// Mask-idiom ite lifting for Add/Sub/Mul/BvAnd/BvOr/BvXor (smt/README.md
+  /// "Mask idioms"): pushes the op into the arms of an ite operand when that
+  /// adds no term, else runs the kind's rewrite body \p Rewrite.
+  using RewriteFn = TermId (TermTable::*)(TermId, TermId);
+  TermId liftIte(TK K, TermId X, TermId Y, RewriteFn Rewrite);
+  /// The public constructor of binary bit-vector kind \p K.
+  TermId mkBin(TK K, TermId X, TermId Y);
+
   //===--------------------------------------------------------------------===
   // Rewrite memo
   //===--------------------------------------------------------------------===

@@ -63,8 +63,9 @@ public:
   /// change under an unchanged configHash. Version 2 dropped the batch
   /// membership record; version 3 the racer fields of svc::StageSatWork
   /// and tv::TVResult; version 4 marks stage 2's case split on the trip
-  /// count; version 5 the multiplier abstraction.
-  static constexpr uint32_t SchemaVersion = 5;
+  /// count; version 5 the multiplier abstraction; version 6 the mask-idiom
+  /// ite lifts in smt::TermTable.
+  static constexpr uint32_t SchemaVersion = 6;
 
   /// Opens (or creates) `<Dir>/journal.log`, replaying completed-task
   /// records into the in-memory index. Same degradation ladder as

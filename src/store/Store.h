@@ -107,8 +107,9 @@ public:
   /// cone/trail-reuse fields of tv::TVResult; version 3 marks stage 2's
   /// case split on the trip count; version 4 the multiplier abstraction
   /// (stored Inconclusive verdicts may now be decided); version 5 removed
-  /// the compiled-program record kind.
-  static constexpr uint32_t SchemaVersion = 5;
+  /// the compiled-program record kind; version 6 marks the mask-idiom ite
+  /// lifts in smt::TermTable (s124, s276 and s2712 became Equivalent).
+  static constexpr uint32_t SchemaVersion = 6;
 
   /// Opens (or creates) the store under \p Dir, replaying the record log
   /// into the in-memory index (`store.load` span). A missing directory is

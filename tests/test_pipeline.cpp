@@ -14,6 +14,7 @@
 #include "svc/Service.h"
 #include "minic/Parser.h"
 #include "minic/Printer.h"
+#include "support/Format.h"
 
 #include <gtest/gtest.h>
 
@@ -434,6 +435,163 @@ TEST(Pipeline, NestedLoopsWithDifferentOuterHeadersInconclusive) {
   EXPECT_EQ(R.Final, EquivResult::Inconclusive);
   EXPECT_NE(R.Detail.find("not syntactically identical"), std::string::npos)
       << R.Detail;
+}
+
+//===----------------------------------------------------------------------===//
+// Mask idioms (smt/README.md "Mask idioms")
+//===----------------------------------------------------------------------===//
+
+/// bench_table3's Base budgets.
+EquivConfig baseBudgets() {
+  EquivConfig Cfg;
+  Cfg.ScalarMax = 8;
+  Cfg.MaxTerms = 120'000;
+  Cfg.Alive2Budget = 500;
+  Cfg.CUnrollBudget = 2'000;
+  Cfg.SplitBudget = 300;
+  return Cfg;
+}
+
+/// Base budgets with checksum testing run at n = 0 only, where every
+/// candidate agrees with its scalar: the wrong candidates below reach the
+/// symbolic stages instead of being rejected by testing.
+EquivConfig baseBudgetsPastTesting() {
+  EquivConfig Cfg = baseBudgets();
+  Cfg.Checksum.NValues = {0};
+  return Cfg;
+}
+
+const char *S2712Scalar = R"(
+void s2712(int n, int t, int *a, int *b, int *c) {
+  for (int i = 0; i < n; i++) {
+    if (a[i] > t) {
+      a[i] = a[i] + b[i] * c[i];
+    }
+  }
+})";
+
+/// The simulated LLM's s2712 candidate: masked loads of b and c, one
+/// masked multiply, an unmasked store. \p Mask is the cmpgt that selects
+/// the lanes, \p BMask the mask of b's load.
+std::string s2712Vector(const char *Mask, const char *BMask = "mask") {
+  return format(R"(
+void s2712(int n, int t, int *a, int *b, int *c) {
+  int i = 0;
+  for (; i <= n - 8; i += 8) {
+    __m256i va = _mm256_loadu_si256((__m256i *)&a[i]);
+    __m256i vt = _mm256_set1_epi32(t);
+    __m256i mask = %s;
+    __m256i vb = _mm256_maskload_epi32(&b[i], %s);
+    __m256i vc = _mm256_maskload_epi32(&c[i], mask);
+    __m256i r = _mm256_add_epi32(va, _mm256_mullo_epi32(vb, vc));
+    _mm256_storeu_si256((__m256i *)&a[i], r);
+  }
+  for (; i < n; i++) {
+    if (a[i] > t) {
+      a[i] = a[i] + b[i] * c[i];
+    }
+  }
+})",
+                Mask, BMask);
+}
+
+const char *S124Scalar = R"(
+void s124(int *a, int *b, int *c, int *d, int *e, int n) {
+  int j;
+  j = -1;
+  for (int i = 0; i < n; i++) {
+    if (b[i] > 0) {
+      j++;
+      a[j] = b[i] + d[i] * e[i];
+    } else {
+      j++;
+      a[j] = c[i] + d[i] * e[i];
+    }
+  }
+})";
+
+/// The simulated LLM's s124 candidate: each branch loads its operands under
+/// its own mask and stores under it. \p BranchB / \p BranchC name the masks
+/// of the two maskstores.
+std::string s124Vector(const char *BranchB, const char *BranchC) {
+  return format(R"(
+void s124(int *a, int *b, int *c, int *d, int *e, int n) {
+  int j;
+  j = -1;
+  int i = 0;
+  for (; i <= n - 8; i += 8) {
+    __m256i vb = _mm256_loadu_si256((__m256i *)&b[i]);
+    __m256i pos = _mm256_cmpgt_epi32(vb, _mm256_set1_epi32(0));
+    __m256i neg = _mm256_xor_si256(pos, _mm256_set1_epi32(-1));
+    __m256i vd = _mm256_maskload_epi32(&d[i], pos);
+    __m256i ve = _mm256_maskload_epi32(&e[i], pos);
+    __m256i rb = _mm256_add_epi32(vb, _mm256_mullo_epi32(vd, ve));
+    _mm256_maskstore_epi32(&a[j + 1], %s, rb);
+    __m256i vc = _mm256_maskload_epi32(&c[i], neg);
+    __m256i vd2 = _mm256_maskload_epi32(&d[i], neg);
+    __m256i ve2 = _mm256_maskload_epi32(&e[i], neg);
+    __m256i rc = _mm256_add_epi32(vc, _mm256_mullo_epi32(vd2, ve2));
+    _mm256_maskstore_epi32(&a[j + 1], %s, rc);
+    j += 8;
+  }
+  for (; i < n; i++) {
+    if (b[i] > 0) {
+      j++;
+      a[j] = b[i] + d[i] * e[i];
+    } else {
+      j++;
+      a[j] = c[i] + d[i] * e[i];
+    }
+  }
+})",
+                BranchB, BranchC);
+}
+
+const char *S2712Gt = "_mm256_cmpgt_epi32(va, vt)";
+
+TEST(MaskIdioms, S2712MaskedMultiplyProvedAtAlive2Stage) {
+  // mullo(maskload(b, m), maskload(c, m)) fuses to ite(m, b * c, 0), and
+  // a + ite(m, b * c, 0) lifts to the scalar's guarded update.
+  EquivResult R =
+      svc::verifyPair(S2712Scalar, s2712Vector(S2712Gt), baseBudgets());
+  EXPECT_EQ(R.Final, EquivResult::Equivalent) << R.Detail;
+  EXPECT_EQ(R.DecidedBy, Stage::Alive2Unroll) << stageName(R.DecidedBy);
+}
+
+TEST(MaskIdioms, S124TwoMaskedBranchesProved) {
+  EquivResult R =
+      svc::verifyPair(S124Scalar, s124Vector("pos", "neg"), baseBudgets());
+  EXPECT_EQ(R.Final, EquivResult::Equivalent) << R.Detail;
+}
+
+// Wrong mask-idiom candidates: never Equivalent, whatever the budgets.
+
+TEST(MaskIdioms, S2712SwappedCmpgtOperandsNeverEquivalent) {
+  EquivResult R = svc::verifyPair(
+      S2712Scalar, s2712Vector("_mm256_cmpgt_epi32(vt, va)"),
+      baseBudgetsPastTesting());
+  EXPECT_NE(R.Final, EquivResult::Equivalent) << R.Detail;
+  EXPECT_EQ(R.Final, EquivResult::Inequivalent) << R.Detail;
+  EXPECT_NE(R.DecidedBy, Stage::Checksum) << R.Detail;
+}
+
+TEST(MaskIdioms, S124ExchangedStoreMasksNeverEquivalent) {
+  EquivResult R = svc::verifyPair(S124Scalar, s124Vector("neg", "pos"),
+                                  baseBudgetsPastTesting());
+  EXPECT_NE(R.Final, EquivResult::Equivalent) << R.Detail;
+  EXPECT_EQ(R.Final, EquivResult::Inequivalent) << R.Detail;
+  EXPECT_NE(R.DecidedBy, Stage::Checksum) << R.Detail;
+}
+
+TEST(MaskIdioms, MaskLoadUnderNegatedMaskNeverEquivalent) {
+  EquivResult R = svc::verifyPair(
+      S2712Scalar,
+      s2712Vector(S2712Gt,
+                  "_mm256_xor_si256(mask, _mm256_set1_epi32(-1))"),
+      baseBudgetsPastTesting());
+  EXPECT_NE(R.Final, EquivResult::Equivalent) << R.Detail;
+  EXPECT_EQ(R.Final, EquivResult::Inequivalent) << R.Detail;
+  EXPECT_NE(R.DecidedBy, Stage::Checksum) << R.Detail;
 }
 
 } // namespace

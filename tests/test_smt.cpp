@@ -138,6 +138,160 @@ TEST(Term, EvalMatchesConstFold) {
 }
 
 //===----------------------------------------------------------------------===//
+// Mask idioms: ite lifting (smt/README.md "Mask idioms")
+//===----------------------------------------------------------------------===//
+//
+// Each rule is checked by brute force: the lifted term, evaluated by
+// TermTable::evalBv, must equal the unlifted operation computed directly on
+// the operand values, over edge values and seeded random inputs. Each case
+// also checks that the rule fired (the result is an ite), so a rule that
+// silently stops matching fails here instead of passing vacuously.
+
+const TK LiftKinds[] = {TK::Add,   TK::Sub,  TK::Mul,
+                        TK::BvAnd, TK::BvOr, TK::BvXor};
+
+TermId mkOp(TermTable &T, TK K, TermId X, TermId Y) {
+  switch (K) {
+  case TK::Add: return T.mkAdd(X, Y);
+  case TK::Sub: return T.mkSub(X, Y);
+  case TK::Mul: return T.mkMul(X, Y);
+  case TK::BvAnd: return T.mkBvAnd(X, Y);
+  case TK::BvOr: return T.mkBvOr(X, Y);
+  default: return T.mkBvXor(X, Y);
+  }
+}
+
+uint32_t applyOp(TK K, uint32_t X, uint32_t Y) {
+  switch (K) {
+  case TK::Add: return X + Y;
+  case TK::Sub: return X - Y;
+  case TK::Mul: return X * Y;
+  case TK::BvAnd: return X & Y;
+  case TK::BvOr: return X | Y;
+  default: return X ^ Y;
+  }
+}
+
+/// Edge values (0, ±1, INT_MIN, INT_MAX; -1 is the all-ones mask) followed
+/// by seeded random values: 16 values per call.
+std::vector<uint32_t> liftValues(Rng &R) {
+  std::vector<uint32_t> V = {0u, 1u, 0xffffffffu, 0x80000000u, 0x7fffffffu};
+  while (V.size() < 16)
+    V.push_back(static_cast<uint32_t>(R.next()));
+  return V;
+}
+
+TEST(IteLift, ConstantArmedIteFoldsThroughOp) {
+  // op(ite(c,k1,k2), k3) == ite(c, k1 op k3, k2 op k3), and the mirror.
+  Rng R(0x11f7);
+  TermTable T;
+  TermId C = T.mkBVar("c");
+  std::vector<uint32_t> V = liftValues(R);
+  for (TK K : LiftKinds)
+    for (uint32_t K1 : V)
+      for (uint32_t K2 : V) {
+        if (K1 == K2)
+          continue; // ite(c,k,k) is k: no ite to lift
+        TermId I = T.mkIte(C, T.mkConst(K1), T.mkConst(K2));
+        for (size_t J = 0; J < 6; ++J) {
+          uint32_t K3 = V[(J * 5 + K1) % V.size()];
+          TermId Left = mkOp(T, K, I, T.mkConst(K3));
+          TermId Right = mkOp(T, K, T.mkConst(K3), I);
+          for (TermId L : {Left, Right})
+            EXPECT_TRUE(T.get(L).K == TK::Ite || T.isConst(L))
+                << T.print(L);
+          for (uint32_t CV : {0u, 1u}) {
+            std::unordered_map<TermId, uint32_t> Env{{C, CV}};
+            uint32_t Arm = CV ? K1 : K2;
+            EXPECT_EQ(T.evalBv(Left, Env), applyOp(K, Arm, K3))
+                << T.print(Left);
+            EXPECT_EQ(T.evalBv(Right, Env), applyOp(K, K3, Arm))
+                << T.print(Right);
+          }
+        }
+      }
+}
+
+TEST(IteLift, SharedGuardFusesOneOp) {
+  // op(ite(c,x,a), ite(c,y,b)) == ite(c, x op y, a op b) with a, b
+  // constant (the masked-multiply shape), or with x, y constant.
+  Rng R(0x5a4e);
+  TermTable T;
+  TermId C = T.mkBVar("c");
+  TermId X = T.mkVar("x"), Y = T.mkVar("y");
+  std::vector<uint32_t> V = liftValues(R);
+  for (TK K : LiftKinds)
+    for (uint32_t KA : V)
+      for (uint32_t KB : {0u, 0xffffffffu, KA ^ 0x5555u}) {
+        TermId CA = T.mkConst(KA), CB = T.mkConst(KB);
+        TermId ElseConst = mkOp(T, K, T.mkIte(C, X, CA), T.mkIte(C, Y, CB));
+        TermId ThenConst = mkOp(T, K, T.mkIte(C, CA, X), T.mkIte(C, CB, Y));
+        ASSERT_EQ(T.get(ElseConst).K, TK::Ite) << T.print(ElseConst);
+        ASSERT_EQ(T.get(ThenConst).K, TK::Ite) << T.print(ThenConst);
+        for (size_t J = 0; J < V.size(); ++J) {
+          uint32_t XV = V[J], YV = V[(J * 7 + 3) % V.size()];
+          for (uint32_t CV : {0u, 1u}) {
+            std::unordered_map<TermId, uint32_t> Env{
+                {C, CV}, {X, XV}, {Y, YV}};
+            EXPECT_EQ(T.evalBv(ElseConst, Env),
+                      applyOp(K, CV ? XV : KA, CV ? YV : KB))
+                << T.print(ElseConst);
+            EXPECT_EQ(T.evalBv(ThenConst, Env),
+                      applyOp(K, CV ? KA : XV, CV ? KB : YV))
+                << T.print(ThenConst);
+          }
+        }
+      }
+}
+
+TEST(IteLift, IdentityArmAddLifts) {
+  // x + ite(c,y,0) == ite(c, x + y, x), in all four operand orders.
+  Rng R(0xadd);
+  TermTable T;
+  TermId C = T.mkBVar("c");
+  TermId X = T.mkVar("x"), Y = T.mkVar("y");
+  TermId Zero = T.mkConst(0);
+  TermId ThenY = T.mkIte(C, Y, Zero), ElseY = T.mkIte(C, Zero, Y);
+  const TermId Lifted[] = {T.mkAdd(X, ThenY), T.mkAdd(ThenY, X),
+                           T.mkAdd(X, ElseY), T.mkAdd(ElseY, X)};
+  for (TermId L : Lifted)
+    ASSERT_EQ(T.get(L).K, TK::Ite) << T.print(L);
+  std::vector<uint32_t> V = liftValues(R);
+  for (uint32_t XV : V)
+    for (uint32_t YV : V)
+      for (uint32_t CV : {0u, 1u}) {
+        std::unordered_map<TermId, uint32_t> Env{{C, CV}, {X, XV}, {Y, YV}};
+        uint32_t Then = XV + (CV ? YV : 0u), Else = XV + (CV ? 0u : YV);
+        EXPECT_EQ(T.evalBv(Lifted[0], Env), Then);
+        EXPECT_EQ(T.evalBv(Lifted[1], Env), Then);
+        EXPECT_EQ(T.evalBv(Lifted[2], Env), Else);
+        EXPECT_EQ(T.evalBv(Lifted[3], Env), Else);
+      }
+}
+
+TEST(IteLift, LiftsOnlyWhereNoTermIsDuplicated) {
+  TermTable T;
+  TermId C = T.mkBVar("c"), D = T.mkBVar("d");
+  TermId X = T.mkVar("x"), Y = T.mkVar("y"), A = T.mkVar("a"),
+         B = T.mkVar("b");
+  TermId Mask = T.mkIte(C, T.mkConst(0xffffffffu), T.mkConst(0));
+  // Shifts are left alone (smt/README.md: the s273 measurement).
+  EXPECT_EQ(T.get(T.mkLShr(Mask, T.mkConst(31))).K, TK::LShr);
+  // A shared guard with no constant arm pair would copy the op.
+  EXPECT_EQ(T.get(T.mkMul(T.mkIte(C, X, A), T.mkIte(C, Y, B))).K, TK::Mul);
+  // Different guards are not fused.
+  TermId Zero = T.mkConst(0);
+  EXPECT_EQ(T.get(T.mkMul(T.mkIte(C, X, Zero), T.mkIte(D, Y, Zero))).K,
+            TK::Mul);
+  // The identity-arm lift needs a non-ite base: two guarded addends stay.
+  EXPECT_EQ(T.get(T.mkAdd(T.mkIte(C, X, Zero), T.mkIte(D, Y, Zero))).K,
+            TK::Add);
+  // A non-constant arm against a constant folds nothing (Add would take
+  // the identity-arm lift).
+  EXPECT_EQ(T.get(T.mkMul(T.mkIte(C, X, Zero), T.mkConst(5))).K, TK::Mul);
+}
+
+//===----------------------------------------------------------------------===//
 // SAT core
 //===----------------------------------------------------------------------===//
 

@@ -124,7 +124,6 @@ void lv::bench::noteServiceStats(const svc::VectorizerService &Service) {
   std::lock_guard<std::mutex> L(T.M);
   T.Cache.Hits += C.Hits;
   T.Cache.Misses += C.Misses;
-  T.Cache.Bypassed += C.Bypassed;
   T.Cache.Entries += C.Entries;
   if (const store::ResultStore *S = Service.resultStore())
     T.Store.add(S->stats());
@@ -155,11 +154,9 @@ bool lv::bench::writeBenchJson(const std::string &BenchName,
     ServiceStatTally &T = statTally();
     std::lock_guard<std::mutex> L(T.M);
     appendf(J,
-            "  \"verdict_cache\": {\"hits\": %llu, \"misses\": %llu, "
-            "\"bypassed\": %llu},\n",
+            "  \"verdict_cache\": {\"hits\": %llu, \"misses\": %llu},\n",
             static_cast<unsigned long long>(T.Cache.Hits),
-            static_cast<unsigned long long>(T.Cache.Misses),
-            static_cast<unsigned long long>(T.Cache.Bypassed));
+            static_cast<unsigned long long>(T.Cache.Misses));
     appendf(J,
             "  \"store\": {\"hits\": %llu, \"misses\": %llu, "
             "\"writes\": %llu, \"corrupt_skipped\": %llu, "

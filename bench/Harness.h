@@ -154,8 +154,8 @@ struct FunnelRecord {
 /// Verify-mode service request per plausible test across \p Jobs workers.
 /// Verdict-identical at any job count. Without a store the verdict cache
 /// is disabled so A/B reruns with different backends measure real work;
-/// with \p StorePath set the cache (and its persistent backing) is enabled
-/// — that is the point of a warm-start measurement. \p StatsOut (optional)
+/// with \p StorePath set the cache is enabled and persistent in that
+/// directory — that is the point of a warm-start measurement. \p StatsOut (optional)
 /// receives this run's cache/store counters.
 std::vector<FunnelRecord> runFunnel(const std::vector<TestCorpus> &Corpus,
                                     const core::EquivConfig &Cfg,

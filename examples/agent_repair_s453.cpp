@@ -67,8 +67,8 @@ int main(int argc, char **argv) {
       std::printf("\n\n");
 
       // The --store wiring rides only this verify call: the Generate
-      // service above never touches the verdict cache, and a single store
-      // owner per process keeps the log single-writer.
+      // service above keeps a memory-only cache, and a single store owner
+      // per process keeps the log single-writer.
       svc::Request VR;
       VR.Mode = svc::RunMode::Verify;
       VR.ScalarSource = T->Source;

@@ -14,7 +14,6 @@ namespace {
 
 constexpr size_t RingCapacity = 256;
 constexpr size_t SlowCapacity = 128;
-constexpr uint64_t DefaultSlowThresholdNanos = 250'000'000; // 250 ms.
 
 struct FlightState {
   std::mutex Mu;
@@ -30,7 +29,6 @@ FlightState &flightState() {
 }
 
 std::atomic<bool> Enabled{false};
-std::atomic<uint64_t> SlowThreshold{DefaultSlowThresholdNanos};
 
 void appendRecord(std::string &Out, const TaskRecord &R) {
   char Line[512];
@@ -48,7 +46,7 @@ void recordLocked(FlightState &S, const TaskRecord &R) {
   S.Ring.push_back(R);
   if (S.Ring.size() > RingCapacity)
     S.Ring.pop_front();
-  if (R.WallNanos >= SlowThreshold.load(std::memory_order_relaxed)) {
+  if (R.WallNanos >= SlowTaskThresholdNanos) {
     S.Slow.push_back(R);
     if (S.Slow.size() > SlowCapacity)
       S.Slow.pop_front();
@@ -64,9 +62,7 @@ std::string textLocked(FlightState &S) {
                 static_cast<unsigned long long>(S.TasksSeen),
                 static_cast<unsigned long long>(S.Failures), S.Ring.size(),
                 S.Slow.size(),
-                static_cast<double>(
-                    SlowThreshold.load(std::memory_order_relaxed)) /
-                    1e6);
+                static_cast<double>(SlowTaskThresholdNanos) / 1e6);
   Out += Line;
   if (!S.Ring.empty()) {
     Out += "recent tasks (oldest first):\n";
@@ -87,14 +83,6 @@ bool flightEnabled() { return Enabled.load(std::memory_order_relaxed); }
 
 void setFlightEnabled(bool E) {
   Enabled.store(E, std::memory_order_relaxed);
-}
-
-void setSlowTaskThresholdNanos(uint64_t Nanos) {
-  SlowThreshold.store(Nanos, std::memory_order_relaxed);
-}
-
-uint64_t slowTaskThresholdNanos() {
-  return SlowThreshold.load(std::memory_order_relaxed);
 }
 
 void recordTask(const TaskRecord &R) {

@@ -3,7 +3,7 @@
 /// \file
 /// A flight recorder for the verification funnel: a ring buffer of the
 /// most recent task summaries plus a separate log of slow tasks (wall time
-/// above a configurable threshold), dumped on demand (`flightText()`) or
+/// at or above SlowTaskThresholdNanos), dumped on demand (`flightText()`) or
 /// automatically to stderr when a task fails (`noteTrap`). The point is
 /// post-hoc diagnosability: when a budget-borderline SAT verdict flips or
 /// an interpreter hang trips the fuel cap, the recorder shows what the
@@ -37,10 +37,9 @@ struct TaskRecord {
 bool flightEnabled();
 void setFlightEnabled(bool Enabled);
 
-/// Wall-time threshold above which a task is additionally kept in the
-/// slow-task log (default 250 ms).
-void setSlowTaskThresholdNanos(uint64_t Nanos);
-uint64_t slowTaskThresholdNanos();
+/// Wall time at or above which a task is additionally kept in the
+/// slow-task log.
+constexpr uint64_t SlowTaskThresholdNanos = 250'000'000; // 250 ms.
 
 /// Appends \p R to the ring (and the slow log when over threshold).
 /// No-op while disabled.
@@ -59,7 +58,7 @@ std::string flightText();
 /// only keeps the tail).
 uint64_t flightTasksSeen();
 
-/// Clears ring, slow log, and counts; keeps enablement and threshold.
+/// Clears ring, slow log, and counts; keeps enablement.
 void resetFlight();
 
 } // namespace obs

@@ -231,7 +231,14 @@ bool lv::store::deserializeChecksumOutcome(const std::string &Bytes,
 // ResultStore
 //===----------------------------------------------------------------------===//
 
-size_t ResultStore::Key3Hash::operator()(const Key3 &K) const {
+ResultStore::Key ResultStore::makeKey(const std::string &ScalarSrc,
+                                      const std::string &CandSrc,
+                                      uint64_t ConfigHash) {
+  return Key{hashString(ScalarSrc.c_str()), hashString(CandSrc.c_str()),
+             ConfigHash};
+}
+
+size_t ResultStore::KeyHash::operator()(const Key &K) const {
   return static_cast<size_t>(
       hashCombine(hashCombine(K.Scalar, K.Candidate), K.Config));
 }
@@ -239,6 +246,8 @@ size_t ResultStore::Key3Hash::operator()(const Key3 &K) const {
 ResultStore::ResultStore(const std::string &D)
     : Dir(D), Log(D, "records.log", FileMagic, SchemaVersion, "store",
                   LogFaults{chaosFailLoad, chaosFailAppend}) {
+  if (Dir.empty())
+    return; // memory-only: no file, nothing to load
   obs::Span LoadSpan("store", "store.load");
   LoadSpan.argStr("dir", Dir);
   Log.open([this](Rd &R) { return decodeRecord(R); });
@@ -252,7 +261,7 @@ ResultStore::ResultStore(const std::string &D)
 bool ResultStore::decodeRecord(Rd &R) {
   switch (R.u8()) {
   case KindEquiv: {
-    Key3 K{R.u64(), R.u64(), R.u64()};
+    Key K{R.u64(), R.u64(), R.u64()};
     Entry<core::EquivResult> E;
     E.ScalarSrc = R.str();
     E.CandSrc = R.str();
@@ -263,7 +272,7 @@ bool ResultStore::decodeRecord(Rd &R) {
     return true;
   }
   case KindChecksum: {
-    Key3 K{R.u64(), R.u64(), R.u64()};
+    Key K{R.u64(), R.u64(), R.u64()};
     Entry<interp::ChecksumOutcome> E;
     E.ScalarSrc = R.str();
     E.CandSrc = R.str();
@@ -278,83 +287,71 @@ bool ResultStore::decodeRecord(Rd &R) {
   }
 }
 
-bool ResultStore::lookupEquiv(uint64_t ScalarH, uint64_t CandH, uint64_t CfgH,
-                              const std::string &ScalarSrc,
-                              const std::string &CandSrc,
-                              core::EquivResult &Out) {
+template <class V>
+bool ResultStore::lookup(const Index<V> &Map, const Key &K,
+                         const std::string &ScalarSrc,
+                         const std::string &CandSrc, V &Out) {
+  static obs::Counter &Hits = obs::counter("store.hits");
+  static obs::Counter &Misses = obs::counter("store.misses");
   std::lock_guard<std::mutex> L(M);
-  auto It = Equiv.find(Key3{ScalarH, CandH, CfgH});
-  if (It == Equiv.end() || It->second.ScalarSrc != ScalarSrc ||
+  auto It = Map.find(K);
+  if (It == Map.end() || It->second.ScalarSrc != ScalarSrc ||
       It->second.CandSrc != CandSrc) {
     Stats.Misses++;
-    obs::counter("store.misses").inc();
+    Misses.inc();
     return false;
   }
   Stats.Hits++;
-  obs::counter("store.hits").inc();
+  Hits.inc();
   Out = It->second.Value;
   return true;
 }
 
-void ResultStore::storeEquiv(uint64_t ScalarH, uint64_t CandH, uint64_t CfgH,
-                             const std::string &ScalarSrc,
-                             const std::string &CandSrc,
-                             const core::EquivResult &R) {
+template <class V>
+void ResultStore::insert(Index<V> &Map, uint8_t Kind,
+                         void (*Put)(Wr &, const V &), const Key &K,
+                         const std::string &ScalarSrc,
+                         const std::string &CandSrc, const V &Value) {
   std::lock_guard<std::mutex> L(M);
-  auto Ins = Equiv.emplace(Key3{ScalarH, CandH, CfgH},
-                           Entry<core::EquivResult>{ScalarSrc, CandSrc, R});
-  if (!Ins.second)
-    return; // already persisted (or a colliding key owns the slot)
-  std::string Payload;
-  Wr W{Payload};
-  W.u8(KindEquiv);
-  W.u64(ScalarH);
-  W.u64(CandH);
-  W.u64(CfgH);
-  W.str(ScalarSrc);
-  W.str(CandSrc);
-  putEquiv(W, R);
-  Log.append(Payload);
-}
-
-bool ResultStore::lookupChecksum(uint64_t ScalarH, uint64_t CandH,
-                                 uint64_t CfgH, const std::string &ScalarSrc,
-                                 const std::string &CandSrc,
-                                 interp::ChecksumOutcome &Out) {
-  std::lock_guard<std::mutex> L(M);
-  auto It = Checksum.find(Key3{ScalarH, CandH, CfgH});
-  if (It == Checksum.end() || It->second.ScalarSrc != ScalarSrc ||
-      It->second.CandSrc != CandSrc) {
-    Stats.Misses++;
-    obs::counter("store.misses").inc();
-    return false;
-  }
-  Stats.Hits++;
-  obs::counter("store.hits").inc();
-  Out = It->second.Value;
-  return true;
-}
-
-void ResultStore::storeChecksum(uint64_t ScalarH, uint64_t CandH,
-                                uint64_t CfgH, const std::string &ScalarSrc,
-                                const std::string &CandSrc,
-                                const interp::ChecksumOutcome &O) {
-  std::lock_guard<std::mutex> L(M);
-  auto Ins =
-      Checksum.emplace(Key3{ScalarH, CandH, CfgH},
-                       Entry<interp::ChecksumOutcome>{ScalarSrc, CandSrc, O});
-  if (!Ins.second)
+  // The first store of a key wins (or a colliding key owns the slot); a
+  // memory-only store appends nothing.
+  if (!Map.emplace(K, Entry<V>{ScalarSrc, CandSrc, Value}).second ||
+      !Log.ok())
     return;
   std::string Payload;
   Wr W{Payload};
-  W.u8(KindChecksum);
-  W.u64(ScalarH);
-  W.u64(CandH);
-  W.u64(CfgH);
+  W.u8(Kind);
+  W.u64(K.Scalar);
+  W.u64(K.Candidate);
+  W.u64(K.Config);
   W.str(ScalarSrc);
   W.str(CandSrc);
-  putChecksum(W, O);
+  Put(W, Value);
   Log.append(Payload);
+}
+
+bool ResultStore::lookupEquiv(const Key &K, const std::string &ScalarSrc,
+                              const std::string &CandSrc,
+                              core::EquivResult &Out) {
+  return lookup(Equiv, K, ScalarSrc, CandSrc, Out);
+}
+
+void ResultStore::storeEquiv(const Key &K, const std::string &ScalarSrc,
+                             const std::string &CandSrc,
+                             const core::EquivResult &R) {
+  insert(Equiv, KindEquiv, putEquiv, K, ScalarSrc, CandSrc, R);
+}
+
+bool ResultStore::lookupChecksum(const Key &K, const std::string &ScalarSrc,
+                                 const std::string &CandSrc,
+                                 interp::ChecksumOutcome &Out) {
+  return lookup(Checksum, K, ScalarSrc, CandSrc, Out);
+}
+
+void ResultStore::storeChecksum(const Key &K, const std::string &ScalarSrc,
+                                const std::string &CandSrc,
+                                const interp::ChecksumOutcome &O) {
+  insert(Checksum, KindChecksum, putChecksum, K, ScalarSrc, CandSrc, O);
 }
 
 void ResultStore::flush() {
@@ -365,6 +362,7 @@ void ResultStore::flush() {
 StoreStats ResultStore::stats() const {
   std::lock_guard<std::mutex> L(M);
   StoreStats S = Stats;
+  S.Entries = Equiv.size() + Checksum.size();
   const LogStats &LS = Log.stats();
   S.Writes = LS.Writes;
   S.CorruptSkipped = LS.CorruptSkipped;

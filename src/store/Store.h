@@ -1,16 +1,17 @@
 //===- store/Store.h - persistent content-addressed result store -*- C++ -*-===//
 ///
 /// \file
-/// On-disk persistence for `svc::VerdictCache`: full `EquivResult` and
+/// The service's content-addressed verdict cache: full `EquivResult` and
 /// `ChecksumOutcome` objects, keyed by (scalar hash, candidate hash,
-/// configHash). A verified verdict never expires, so a store directory
-/// turns every bench rerun, CI job, and service restart from a cold start
-/// into a warm one.
+/// configHash). With a directory it is also persistent — a verified
+/// verdict never expires, so a store directory turns every bench rerun,
+/// CI job, and service restart from a cold start into a warm one; with an
+/// empty directory it is memory-only.
 ///
 /// Layout: one append-only record log (`<dir>/records.log`, a RecordLog —
 /// see RecordLog.h) holding a versioned header followed by CRC-framed
-/// records, plus an in-memory index rebuilt on open. The contract mirrors
-/// the in-memory caches:
+/// records, plus the in-memory index, rebuilt on open, that every lookup
+/// reads:
 ///
 ///   * **Never a wrong verdict.** Lookups verify the stored source texts
 ///     against the probe, so a 64-bit key collision degrades to a miss.
@@ -30,7 +31,7 @@
 ///     logged via the `store.version_skipped` counter, never an error.
 ///
 /// See src/store/README.md for the byte-level record format and the key
-/// discipline shared with svc::VerdictCache.
+/// discipline.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,13 +50,15 @@
 namespace lv {
 namespace store {
 
-/// Store counters. Hits/Misses cover backing-store lookups of both record
-/// kinds (equivalence and checksum); Writes counts records appended this
-/// session; CorruptSkipped / VersionSkipped count load-time salvage events (also
-/// exported as `store.corrupt_skipped` / `store.version_skipped`).
+/// Store counters. Hits/Misses cover every lookup of both record kinds
+/// (equivalence and checksum); Entries is the index size; Writes counts
+/// records appended this session; CorruptSkipped / VersionSkipped count
+/// load-time salvage events (also exported as `store.corrupt_skipped` /
+/// `store.version_skipped`).
 struct StoreStats {
   uint64_t Hits = 0;
   uint64_t Misses = 0;
+  uint64_t Entries = 0;
   uint64_t Writes = 0;
   uint64_t CorruptSkipped = 0;  ///< Damaged tail records dropped on load.
   uint64_t VersionSkipped = 0;  ///< Incompatible stores set aside on load.
@@ -69,6 +72,7 @@ struct StoreStats {
   void add(const StoreStats &O) {
     Hits += O.Hits;
     Misses += O.Misses;
+    Entries += O.Entries;
     Writes += O.Writes;
     CorruptSkipped += O.CorruptSkipped;
     VersionSkipped += O.VersionSkipped;
@@ -98,7 +102,7 @@ struct ChaosFileHooks {
 };
 void setChaosFileHooks(ChaosFileHooks H);
 
-/// The persistent store. Thread-safe (one mutex over index + log handle).
+/// The verdict cache. Thread-safe (one mutex over index + log handle).
 class ResultStore {
 public:
   /// On-disk schema version; bump when any serialized layout changes, or
@@ -111,11 +115,26 @@ public:
   /// lifts in smt::TermTable (s124, s276 and s2712 became Equivalent).
   static constexpr uint32_t SchemaVersion = 6;
 
+  /// (scalar source hash, candidate source hash, configHash).
+  struct Key {
+    uint64_t Scalar = 0, Candidate = 0, Config = 0;
+    bool operator==(const Key &O) const {
+      return Scalar == O.Scalar && Candidate == O.Candidate &&
+             Config == O.Config;
+    }
+  };
+
+  /// The one key function: fnv1a of both source texts plus the hash of
+  /// the config the value was computed under.
+  static Key makeKey(const std::string &ScalarSrc, const std::string &CandSrc,
+                     uint64_t ConfigHash);
+
   /// Opens (or creates) the store under \p Dir, replaying the record log
   /// into the in-memory index (`store.load` span). A missing directory is
   /// created; an unreadable or incompatible one degrades to an empty
   /// in-memory store (ok() stays true as long as appends can be written —
-  /// a store must never turn a warm start into a failed run).
+  /// a store must never turn a warm start into a failed run). An empty
+  /// \p Dir opens nothing: the store is memory-only from the start.
   explicit ResultStore(const std::string &Dir);
 
   ResultStore(const ResultStore &) = delete;
@@ -127,20 +146,18 @@ public:
   /// way; a read-only filesystem just loses write-through).
   bool ok() const { return Log.ok(); }
 
-  /// Lookups verify stored sources against the probe — the same
-  /// collision-degrades-to-miss discipline as svc::VerdictCache.
-  bool lookupEquiv(uint64_t ScalarH, uint64_t CandH, uint64_t CfgH,
-                   const std::string &ScalarSrc, const std::string &CandSrc,
-                   core::EquivResult &Out);
-  void storeEquiv(uint64_t ScalarH, uint64_t CandH, uint64_t CfgH,
-                  const std::string &ScalarSrc, const std::string &CandSrc,
-                  const core::EquivResult &R);
-  bool lookupChecksum(uint64_t ScalarH, uint64_t CandH, uint64_t CfgH,
-                      const std::string &ScalarSrc,
+  /// Lookups verify stored sources against the probe, so a key collision
+  /// degrades to a miss. The first store of a key wins; later ones (a
+  /// concurrent duplicate computed the same value) are dropped.
+  bool lookupEquiv(const Key &K, const std::string &ScalarSrc,
+                   const std::string &CandSrc, core::EquivResult &Out);
+  void storeEquiv(const Key &K, const std::string &ScalarSrc,
+                  const std::string &CandSrc, const core::EquivResult &R);
+  bool lookupChecksum(const Key &K, const std::string &ScalarSrc,
                       const std::string &CandSrc,
                       interp::ChecksumOutcome &Out);
-  void storeChecksum(uint64_t ScalarH, uint64_t CandH, uint64_t CfgH,
-                     const std::string &ScalarSrc, const std::string &CandSrc,
+  void storeChecksum(const Key &K, const std::string &ScalarSrc,
+                     const std::string &CandSrc,
                      const interp::ChecksumOutcome &O);
 
   /// Forces buffered log bytes to the OS (appendRecord already flushes per
@@ -150,29 +167,35 @@ public:
   StoreStats stats() const;
 
 private:
-  struct Key3 {
-    uint64_t Scalar = 0, Candidate = 0, Config = 0;
-    bool operator==(const Key3 &O) const {
-      return Scalar == O.Scalar && Candidate == O.Candidate &&
-             Config == O.Config;
-    }
-  };
-  struct Key3Hash {
-    size_t operator()(const Key3 &K) const;
+  struct KeyHash {
+    size_t operator()(const Key &K) const;
   };
   template <class V> struct Entry {
     std::string ScalarSrc, CandSrc; ///< Exactness check on hit.
     V Value;
   };
+  template <class V>
+  using Index = std::unordered_map<Key, Entry<V>, KeyHash>;
 
   /// Replays one log record into the index (false: corrupt).
   bool decodeRecord(framing::Rd &R);
+  /// The lookup and store behind both record kinds: a hit needs equal
+  /// source texts; a fresh entry is appended as a \p Kind record whose
+  /// value \p Put serializes.
+  template <class V>
+  bool lookup(const Index<V> &Map, const Key &K, const std::string &ScalarSrc,
+              const std::string &CandSrc, V &Out);
+  template <class V>
+  void insert(Index<V> &Map, uint8_t Kind,
+              void (*Put)(framing::Wr &, const V &), const Key &K,
+              const std::string &ScalarSrc, const std::string &CandSrc,
+              const V &Value);
 
   std::string Dir;
   mutable std::mutex M;
-  RecordLog Log; ///< records.log; memory-only once writes fail.
-  std::unordered_map<Key3, Entry<core::EquivResult>, Key3Hash> Equiv;
-  std::unordered_map<Key3, Entry<interp::ChecksumOutcome>, Key3Hash> Checksum;
+  RecordLog Log; ///< records.log; memory-only when closed.
+  Index<core::EquivResult> Equiv;
+  Index<interp::ChecksumOutcome> Checksum;
   StoreStats Stats; ///< Index counters; the log keeps its own.
 };
 

@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <stdexcept>
+#include <unordered_map>
 
 using namespace lv;
 using namespace lv::svc;
@@ -43,113 +44,6 @@ const char *lv::svc::failureKindName(FailureKind K) {
 
 uint64_t lv::svc::taskSeed(uint64_t Seed, const std::string &Name) {
   return hashCombine(Seed, hashString(Name.c_str()));
-}
-
-//===----------------------------------------------------------------------===//
-// VerdictCache
-//===----------------------------------------------------------------------===//
-
-VerdictCache::Key VerdictCache::makeKey(const std::string &ScalarSrc,
-                                        const std::string &CandidateSrc,
-                                        uint64_t ConfigHash) {
-  Key K;
-  K.Scalar = hashString(ScalarSrc.c_str());
-  K.Candidate = hashString(CandidateSrc.c_str());
-  K.Config = ConfigHash;
-  return K;
-}
-
-size_t VerdictCache::KeyHash::operator()(const Key &K) const {
-  return static_cast<size_t>(
-      hashCombine(hashCombine(K.Scalar, K.Candidate), K.Config));
-}
-
-bool VerdictCache::lookupEquiv(const Key &K, const std::string &ScalarSrc,
-                               const std::string &CandidateSrc,
-                               core::EquivResult &Out) {
-  std::lock_guard<std::mutex> L(M);
-  auto It = Equiv.find(K);
-  if (It != Equiv.end() && It->second.ScalarSrc == ScalarSrc &&
-      It->second.CandidateSrc == CandidateSrc) {
-    ++Hits;
-    Out = It->second.Value;
-    return true;
-  }
-  if (Backing && Backing->lookupEquiv(K.Scalar, K.Candidate, K.Config,
-                                      ScalarSrc, CandidateSrc, Out)) {
-    // A persisted verdict replays exactly like an in-process one: hydrate
-    // the memory map so later lookups stay local, count it as a hit.
-    Equiv.emplace(K, Entry<core::EquivResult>{ScalarSrc, CandidateSrc, Out});
-    ++Hits;
-    return true;
-  }
-  ++Misses;
-  return false;
-}
-
-void VerdictCache::storeEquiv(const Key &K, const std::string &ScalarSrc,
-                              const std::string &CandidateSrc,
-                              const core::EquivResult &R) {
-  std::lock_guard<std::mutex> L(M);
-  // A concurrent duplicate computed the same value; first insert wins.
-  auto Ins =
-      Equiv.emplace(K, Entry<core::EquivResult>{ScalarSrc, CandidateSrc, R});
-  if (Ins.second && Backing)
-    Backing->storeEquiv(K.Scalar, K.Candidate, K.Config, ScalarSrc,
-                        CandidateSrc, R);
-}
-
-bool VerdictCache::lookupChecksum(const Key &K, const std::string &ScalarSrc,
-                                  const std::string &CandidateSrc,
-                                  interp::ChecksumOutcome &Out) {
-  std::lock_guard<std::mutex> L(M);
-  auto It = Checksum.find(K);
-  if (It != Checksum.end() && It->second.ScalarSrc == ScalarSrc &&
-      It->second.CandidateSrc == CandidateSrc) {
-    ++Hits;
-    Out = It->second.Value;
-    return true;
-  }
-  if (Backing && Backing->lookupChecksum(K.Scalar, K.Candidate, K.Config,
-                                         ScalarSrc, CandidateSrc, Out)) {
-    Checksum.emplace(
-        K, Entry<interp::ChecksumOutcome>{ScalarSrc, CandidateSrc, Out});
-    ++Hits;
-    return true;
-  }
-  ++Misses;
-  return false;
-}
-
-void VerdictCache::storeChecksum(const Key &K, const std::string &ScalarSrc,
-                                 const std::string &CandidateSrc,
-                                 const interp::ChecksumOutcome &O) {
-  std::lock_guard<std::mutex> L(M);
-  auto Ins = Checksum.emplace(
-      K, Entry<interp::ChecksumOutcome>{ScalarSrc, CandidateSrc, O});
-  if (Ins.second && Backing)
-    Backing->storeChecksum(K.Scalar, K.Candidate, K.Config, ScalarSrc,
-                           CandidateSrc, O);
-}
-
-void VerdictCache::noteBypass() {
-  std::lock_guard<std::mutex> L(M);
-  ++Bypassed;
-}
-
-void VerdictCache::setBacking(store::ResultStore *Store) {
-  std::lock_guard<std::mutex> L(M);
-  Backing = Store;
-}
-
-CacheStats VerdictCache::stats() const {
-  std::lock_guard<std::mutex> L(M);
-  CacheStats S;
-  S.Hits = Hits;
-  S.Misses = Misses;
-  S.Bypassed = Bypassed;
-  S.Entries = Equiv.size() + Checksum.size();
-  return S;
 }
 
 //===----------------------------------------------------------------------===//
@@ -184,13 +78,11 @@ static uint64_t servingSalt(const ServiceConfig &C) {
 VectorizerService::VectorizerService(ServiceConfig C)
     : Cfg(std::move(C)) {
   NumWorkers = Cfg.Workers < 1 ? 1 : Cfg.Workers;
-  // Persistence is a tier below the verdict cache: without the cache there
-  // is nothing to read results through into (and A/B benches that disable
-  // the cache must not silently replay persisted work either).
-  if (Cfg.EnableVerdictCache && !Cfg.StorePath.empty()) {
+  // The verdict cache is the store, persistent when StorePath is set (A/B
+  // benches that disable the cache must not silently replay persisted
+  // work either).
+  if (Cfg.EnableVerdictCache)
     Store.reset(new store::ResultStore(Cfg.StorePath));
-    Cache.setBacking(Store.get());
-  }
   if (!Cfg.JournalPath.empty()) {
     Journal.reset(new store::BatchJournal(Cfg.JournalPath));
     JournalSalt = servingSalt(Cfg);
@@ -407,7 +299,16 @@ VectorizerService::drain(uint64_t DeadlineNanos) {
   return DR;
 }
 
-CacheStats VectorizerService::cacheStats() const { return Cache.stats(); }
+CacheStats VectorizerService::cacheStats() const {
+  CacheStats CS;
+  if (Store) {
+    store::StoreStats St = Store->stats();
+    CS.Hits = St.Hits;
+    CS.Misses = St.Misses;
+    CS.Entries = static_cast<size_t>(St.Entries);
+  }
+  return CS;
+}
 
 VectorizerService::ResilienceStats VectorizerService::resilienceStats() const {
   std::lock_guard<std::mutex> L(M);
@@ -547,15 +448,12 @@ VectorizerService::checkCached(const std::string &ScalarSrc,
                                const core::EquivConfig &Cfg2, bool &Hit) {
   Hit = false;
   // Callbacks have no content identity: never cache around an override.
-  if (!Cfg.EnableVerdictCache || Cfg2.SplitCellOverride) {
-    if (Cfg2.SplitCellOverride)
-      Cache.noteBypass();
+  if (!Store || Cfg2.SplitCellOverride)
     return core::checkEquivalence(ScalarSrc, CandidateSrc, Cfg2);
-  }
-  VerdictCache::Key K =
-      VerdictCache::makeKey(ScalarSrc, CandidateSrc, Cfg2.configHash());
+  store::ResultStore::Key K = store::ResultStore::makeKey(
+      ScalarSrc, CandidateSrc, Cfg2.configHash());
   core::EquivResult R;
-  if (Cache.lookupEquiv(K, ScalarSrc, CandidateSrc, R)) {
+  if (Store->lookupEquiv(K, ScalarSrc, CandidateSrc, R)) {
     Hit = true;
     return R;
   }
@@ -563,7 +461,7 @@ VectorizerService::checkCached(const std::string &ScalarSrc,
   // A cancelled result reflects this task's deadline, not the pair: caching
   // it would poison every later lookup with a spurious Inconclusive.
   if (!R.Cancelled)
-    Cache.storeEquiv(K, ScalarSrc, CandidateSrc, R);
+    Store->storeEquiv(K, ScalarSrc, CandidateSrc, R);
   return R;
 }
 
@@ -571,27 +469,35 @@ interp::ChecksumOutcome VectorizerService::testCached(
     const std::string &ScalarSrc, const std::string &CandidateSrc,
     const vir::VFunction &Scalar, const vir::VFunction &Vec,
     const interp::ChecksumConfig &CCfg, interp::ScalarRefMemo *Memo) {
-  if (!Cfg.EnableVerdictCache)
+  if (!Store)
     return interp::runChecksumTest(Scalar, Vec, CCfg, Memo);
-  VerdictCache::Key K =
-      VerdictCache::makeKey(ScalarSrc, CandidateSrc, CCfg.configHash());
+  store::ResultStore::Key K =
+      store::ResultStore::makeKey(ScalarSrc, CandidateSrc, CCfg.configHash());
   interp::ChecksumOutcome O;
-  if (Cache.lookupChecksum(K, ScalarSrc, CandidateSrc, O))
+  if (Store->lookupChecksum(K, ScalarSrc, CandidateSrc, O))
     return O;
   O = interp::runChecksumTest(Scalar, Vec, CCfg, Memo);
-  Cache.storeChecksum(K, ScalarSrc, CandidateSrc, O);
+  Store->storeChecksum(K, ScalarSrc, CandidateSrc, O);
   return O;
 }
 
-/// Derives the per-stage SAT-work aggregates from the equivalence result.
-static void aggregateSatWork(Outcome &O) {
-  O.Alive2Work = StageSatWork();
-  O.CUnrollWork = StageSatWork();
-  O.SplitWork = StageSatWork();
+/// Bookkeeping once Algorithm 1 filled O.Equiv: the per-stage SAT-work
+/// aggregates, the stage-1 checksum work, and the TimedOut classification
+/// of a check the deadline cut short (its partial evidence stays on the
+/// outcome; the verdict is classified instead of trusted).
+static void noteVerified(Outcome &O) {
+  O.VerifyRan = true;
   O.Alive2Work.add(O.Equiv.Alive2Res);
   O.CUnrollWork.add(O.Equiv.CUnrollRes);
   for (const tv::TVResult &S : O.Equiv.SplitRes)
     O.SplitWork.add(S);
+  if (O.Equiv.Final != core::EquivResult::CannotCompile)
+    O.ChecksumWork.add(O.Equiv.ChecksumRes);
+  if (O.Equiv.Cancelled) {
+    O.Failed = true;
+    O.Failure = FailureKind::TimedOut;
+    O.Error = "timed out: " + O.Equiv.Detail;
+  }
 }
 
 static const char *taskSpanName(RunMode M) {
@@ -741,15 +647,7 @@ void VectorizerService::runStages(Task &T, support::CancelToken &Token) {
     if (!O.Failed && R.Mode == RunMode::Pipeline && O.Fsm.Plausible) {
       O.Equiv = checkCached(R.ScalarSource, O.Fsm.FinalCandidate, R.Equiv,
                             O.VerdictCacheHit);
-      O.VerifyRan = true;
-      aggregateSatWork(O);
-      if (O.Equiv.Final != core::EquivResult::CannotCompile)
-        O.ChecksumWork.add(O.Equiv.ChecksumRes);
-      if (O.Equiv.Cancelled) {
-        O.Failed = true;
-        O.Failure = FailureKind::TimedOut;
-        O.Error = "timed out: " + O.Equiv.Detail;
-      }
+      noteVerified(O);
     }
     break;
   }
@@ -757,17 +655,7 @@ void VectorizerService::runStages(Task &T, support::CancelToken &Token) {
   case RunMode::Verify:
     O.Equiv = checkCached(R.ScalarSource, R.CandidateSource, R.Equiv,
                           O.VerdictCacheHit);
-    O.VerifyRan = true;
-    aggregateSatWork(O);
-    if (O.Equiv.Final != core::EquivResult::CannotCompile)
-      O.ChecksumWork.add(O.Equiv.ChecksumRes);
-    if (O.Equiv.Cancelled) {
-      // The deadline cut the check short: the partial evidence stays on
-      // the outcome, the verdict is classified instead of trusted.
-      O.Failed = true;
-      O.Failure = FailureKind::TimedOut;
-      O.Error = "timed out: " + O.Equiv.Detail;
-    }
+    noteVerified(O);
     break;
 
   case RunMode::Sample: {
@@ -795,6 +683,9 @@ void VectorizerService::runStages(Task &T, support::CancelToken &Token) {
       std::vector<PendingCand> Pending;
       std::unordered_map<std::string, size_t> PendIdx;
       uint64_t CCfgHash = R.Fsm.Checksum.configHash();
+      auto KeyOf = [&](const std::string &Src) {
+        return store::ResultStore::makeKey(R.ScalarSource, Src, CCfgHash);
+      };
       for (int I = 0; I < R.SampleCount; ++I) {
         llm::Completion C = Client->complete(P, static_cast<uint64_t>(I));
         SampleVerdict V;
@@ -804,13 +695,8 @@ void VectorizerService::runStages(Task &T, support::CancelToken &Token) {
         if (V.Compiles && SC.ok() &&
             C.Source.find("_mm256_") != std::string::npos) {
           interp::ChecksumOutcome CO;
-          bool Hit = false;
-          if (Cfg.EnableVerdictCache) {
-            VerdictCache::Key K =
-                VerdictCache::makeKey(R.ScalarSource, C.Source, CCfgHash);
-            Hit = Cache.lookupChecksum(K, R.ScalarSource, C.Source, CO);
-          }
-          if (Hit) {
+          if (Store && Store->lookupChecksum(KeyOf(C.Source), R.ScalarSource,
+                                             C.Source, CO)) {
             V.Plausible = CO.Verdict == interp::TestVerdict::Plausible;
             O.ChecksumWork.add(CO);
           } else {
@@ -836,11 +722,9 @@ void VectorizerService::runStages(Task &T, support::CancelToken &Token) {
         uint64_t BatchSets = 0;
         for (size_t I = 0; I < Pending.size(); ++I) {
           const interp::ChecksumOutcome &CO = BR.Outcomes[I];
-          if (Cfg.EnableVerdictCache) {
-            VerdictCache::Key K = VerdictCache::makeKey(
-                R.ScalarSource, Pending[I].Source, CCfgHash);
-            Cache.storeChecksum(K, R.ScalarSource, Pending[I].Source, CO);
-          }
+          if (Store)
+            Store->storeChecksum(KeyOf(Pending[I].Source), R.ScalarSource,
+                                 Pending[I].Source, CO);
           bool Plausible = CO.Verdict == interp::TestVerdict::Plausible;
           for (size_t SI : Pending[I].Samples)
             O.Samples[SI].Plausible = Plausible;

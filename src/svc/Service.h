@@ -20,12 +20,12 @@
 ///     come from the config seed. No task reads another task's state, so
 ///     verdicts, stage attribution, and FSM transcripts are bit-identical
 ///     at any worker count (tests/test_svc.cpp pins 1/2/8 workers).
-///   * **Caching.** A content-addressed verdict cache keyed by
-///     (scalar hash, candidate hash, configHash) lets repeated candidates
-///     — across FSM repair attempts, across tests, across bench arms
-///     sharing a service — skip re-execution of checksum testing and
-///     Algorithm 1. Hits replay the identical stored result, so caching
-///     never perturbs verdicts.
+///   * **Caching.** A content-addressed verdict cache (store::ResultStore)
+///     keyed by (scalar hash, candidate hash, configHash) lets repeated
+///     candidates — across FSM repair attempts, across tests, across
+///     bench arms sharing a service — skip re-execution of checksum
+///     testing and Algorithm 1. Hits replay the identical stored result,
+///     so caching never perturbs verdicts.
 ///
 /// See src/svc/README.md for the threading/ownership model and the
 /// cache-key scheme.
@@ -48,7 +48,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 namespace lv {
@@ -260,82 +259,26 @@ struct Outcome {
 /// tests compare these byte-for-byte across worker counts.
 std::string debugString(const Outcome &O);
 
-/// Cache counters. Hits/Misses cover both cached artifact kinds
-/// (equivalence verdicts and checksum outcomes); Bypassed counts lookups
-/// skipped because the config carried an unhashable callback.
+/// Verdict-cache counters. Hits/Misses cover every lookup of both cached
+/// artifact kinds (equivalence verdicts and checksum outcomes).
 struct CacheStats {
   uint64_t Hits = 0;
   uint64_t Misses = 0;
-  uint64_t Bypassed = 0;
   size_t Entries = 0;
-};
-
-/// Content-addressed verdict cache. Keys are (scalar source hash,
-/// candidate source hash, configHash) triples; values are the full result
-/// objects, replayed verbatim on a hit. Thread-safe.
-class VerdictCache {
-public:
-  struct Key {
-    uint64_t Scalar = 0, Candidate = 0, Config = 0;
-    bool operator==(const Key &O) const {
-      return Scalar == O.Scalar && Candidate == O.Candidate &&
-             Config == O.Config;
-    }
-  };
-
-  static Key makeKey(const std::string &ScalarSrc,
-                     const std::string &CandidateSrc, uint64_t ConfigHash);
-
-  /// Lookups verify the stored sources against the probe (a 64-bit hash
-  /// collision must degrade to a miss, never replay a wrong verdict —
-  /// this is a verification tool).
-  bool lookupEquiv(const Key &K, const std::string &ScalarSrc,
-                   const std::string &CandidateSrc, core::EquivResult &Out);
-  void storeEquiv(const Key &K, const std::string &ScalarSrc,
-                  const std::string &CandidateSrc,
-                  const core::EquivResult &R);
-  bool lookupChecksum(const Key &K, const std::string &ScalarSrc,
-                      const std::string &CandidateSrc,
-                      interp::ChecksumOutcome &Out);
-  void storeChecksum(const Key &K, const std::string &ScalarSrc,
-                     const std::string &CandidateSrc,
-                     const interp::ChecksumOutcome &O);
-  void noteBypass();
-  CacheStats stats() const;
-
-  /// Attaches a persistent backing store: memory misses read through to
-  /// it (a backing hit hydrates the memory map and counts as a cache hit,
-  /// so warm replays are indistinguishable from in-process hits), and
-  /// first-time stores write through. The store must outlive every lookup
-  /// and store through this cache.
-  void setBacking(store::ResultStore *Store);
-
-private:
-  struct KeyHash {
-    size_t operator()(const Key &K) const;
-  };
-  template <class V> struct Entry {
-    std::string ScalarSrc, CandidateSrc; ///< Exactness check on hit.
-    V Value;
-  };
-
-  mutable std::mutex M;
-  std::unordered_map<Key, Entry<core::EquivResult>, KeyHash> Equiv;
-  std::unordered_map<Key, Entry<interp::ChecksumOutcome>, KeyHash> Checksum;
-  uint64_t Hits = 0, Misses = 0, Bypassed = 0;
-  store::ResultStore *Backing = nullptr; ///< Optional persistent tier.
 };
 
 /// Service configuration.
 struct ServiceConfig {
   int Workers = 1;                ///< Worker threads (clamped to >= 1).
-  bool EnableVerdictCache = true; ///< Content-addressed result reuse.
+  /// Content-addressed result reuse through a store::ResultStore —
+  /// memory-only unless StorePath names a directory.
+  bool EnableVerdictCache = true;
   llm::ClientFactory MakeClient;  ///< Null: SimulatedLLM(seed below).
-  /// Directory of a persistent result store (see store/Store.h). When set
-  /// (and the verdict cache is enabled), the service opens the store at
-  /// construction, reads verdicts through on cache misses and writes fresh
-  /// verdicts through — so a new process replays bit-identical results
-  /// instead of recomputing them. Empty: no persistence (the seed behaviour).
+  /// Directory of the verdict cache's record log (see store/Store.h). When
+  /// set (and the verdict cache is enabled), the service opens the store
+  /// there at construction and appends every fresh verdict — so a new
+  /// process replays bit-identical results instead of recomputing them.
+  /// Empty: the cache is memory-only.
   std::string StorePath;
   /// Retry budget for transient client errors (llm::ClientError with
   /// Transient set), per task. The whole failed stage re-runs on the SAME
@@ -425,8 +368,11 @@ public:
   int workers() const { return NumWorkers; }
 
   /// The persistent store opened from StorePath; null when the service
-  /// runs without persistence.
-  store::ResultStore *resultStore() const { return Store.get(); }
+  /// runs without persistence (the verdict cache may still be on,
+  /// memory-only).
+  store::ResultStore *resultStore() const {
+    return Cfg.StorePath.empty() ? nullptr : Store.get();
+  }
 
   /// Resilience tallies aggregated over every finished task.
   struct ResilienceStats {
@@ -502,8 +448,8 @@ private:
 
   ServiceConfig Cfg;
   int NumWorkers = 1;
-  std::unique_ptr<store::ResultStore> Store; ///< Opened from StorePath.
-  VerdictCache Cache; ///< Declared after Store: reads through to it.
+  /// The verdict cache; null when EnableVerdictCache is off.
+  std::unique_ptr<store::ResultStore> Store;
   std::unique_ptr<store::BatchJournal> Journal; ///< From JournalPath.
   uint64_t JournalSalt = 0; ///< Serving-config hash mixed into task keys.
 
@@ -534,7 +480,7 @@ uint64_t requestKey(const Request &R);
 
 /// Exactness string compared on journal hits, so a 64-bit key collision
 /// degrades to a re-run instead of replaying a wrong outcome — the same
-/// discipline as VerdictCache and ResultStore.
+/// discipline as the verdict cache (store::ResultStore).
 std::string requestIdentity(const Request &R);
 
 /// Full binary serialization of an Outcome (store/Framing.h wire format):

@@ -463,23 +463,22 @@ TEST(Json, RejectsMalformedDocuments) {
 
 TEST(Flight, RingSlowLogAndThreshold) {
   bool Prev = obs::flightEnabled();
-  uint64_t PrevThresh = obs::slowTaskThresholdNanos();
   obs::setFlightEnabled(true);
   obs::resetFlight();
-  obs::setSlowTaskThresholdNanos(1'000'000); // 1 ms
 
+  // Walls on either side of the fixed slow-task threshold.
   obs::TaskRecord Fast;
   Fast.Name = "fast-task";
   Fast.Mode = "verify";
   Fast.Summary = "equivalent";
-  Fast.WallNanos = 10'000;
+  Fast.WallNanos = obs::SlowTaskThresholdNanos - 1;
   obs::recordTask(Fast);
 
   obs::TaskRecord Slow;
   Slow.Name = "slow-task";
   Slow.Mode = "sample";
   Slow.Summary = "100 samples";
-  Slow.WallNanos = 5'000'000;
+  Slow.WallNanos = obs::SlowTaskThresholdNanos;
   obs::recordTask(Slow);
 
   EXPECT_EQ(obs::flightTasksSeen(), 2u);
@@ -497,7 +496,6 @@ TEST(Flight, RingSlowLogAndThreshold) {
 
   obs::resetFlight();
   EXPECT_EQ(obs::flightTasksSeen(), 0u);
-  obs::setSlowTaskThresholdNanos(PrevThresh);
   obs::setFlightEnabled(Prev);
 }
 

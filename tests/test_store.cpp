@@ -11,7 +11,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "store/Store.h"
-#include "support/Rng.h"
 #include "svc/Service.h"
 #include "tsvc/Suite.h"
 
@@ -106,10 +105,10 @@ void seed(ResultStore &S, int N) {
   for (int I = 0; I < N; ++I) {
     std::string Scalar = "scalar-" + std::to_string(I);
     std::string Cand = "cand-" + std::to_string(I);
-    uint64_t SH = hashString(Scalar.c_str());
-    uint64_t CH = hashString(Cand.c_str());
-    S.storeEquiv(SH, CH, 7, Scalar, Cand, mkEquiv(I));
-    S.storeChecksum(SH, CH, 9, Scalar, Cand, mkChecksum(I));
+    S.storeEquiv(ResultStore::makeKey(Scalar, Cand, 7), Scalar, Cand,
+                 mkEquiv(I));
+    S.storeChecksum(ResultStore::makeKey(Scalar, Cand, 9), Scalar, Cand,
+                    mkChecksum(I));
   }
 }
 
@@ -121,8 +120,8 @@ int equivReplays(ResultStore &S, int N) {
     std::string Scalar = "scalar-" + std::to_string(I);
     std::string Cand = "cand-" + std::to_string(I);
     core::EquivResult Out;
-    if (S.lookupEquiv(hashString(Scalar.c_str()), hashString(Cand.c_str()),
-                      7, Scalar, Cand, Out) &&
+    if (S.lookupEquiv(ResultStore::makeKey(Scalar, Cand, 7), Scalar, Cand,
+                      Out) &&
         serializeEquivResult(Out) == serializeEquivResult(mkEquiv(I)))
       ++Ok;
   }
@@ -134,8 +133,8 @@ bool lookupSeededChecksum(ResultStore &S, int I) {
   std::string Scalar = "scalar-" + std::to_string(I);
   std::string Cand = "cand-" + std::to_string(I);
   interp::ChecksumOutcome Out;
-  return S.lookupChecksum(hashString(Scalar.c_str()),
-                          hashString(Cand.c_str()), 9, Scalar, Cand, Out) &&
+  return S.lookupChecksum(ResultStore::makeKey(Scalar, Cand, 9), Scalar,
+                          Cand, Out) &&
          serializeChecksumOutcome(Out) ==
              serializeChecksumOutcome(mkChecksum(I));
 }
@@ -160,13 +159,13 @@ TEST(Store, RoundTripBitExactAcrossReopen) {
 TEST(Store, KeyCollisionDegradesToMiss) {
   std::string Dir = scratchDir("collision");
   ResultStore S(Dir);
-  S.storeEquiv(1, 2, 3, "the-scalar", "the-cand", mkEquiv(0));
+  S.storeEquiv({1, 2, 3}, "the-scalar", "the-cand", mkEquiv(0));
   core::EquivResult Out;
   // Same 64-bit key triple, different source text: must miss, never
   // replay the other pair's verdict.
-  EXPECT_FALSE(S.lookupEquiv(1, 2, 3, "другой-scalar", "the-cand", Out));
-  EXPECT_FALSE(S.lookupEquiv(1, 2, 3, "the-scalar", "another-cand", Out));
-  EXPECT_TRUE(S.lookupEquiv(1, 2, 3, "the-scalar", "the-cand", Out));
+  EXPECT_FALSE(S.lookupEquiv({1, 2, 3}, "другой-scalar", "the-cand", Out));
+  EXPECT_FALSE(S.lookupEquiv({1, 2, 3}, "the-scalar", "another-cand", Out));
+  EXPECT_TRUE(S.lookupEquiv({1, 2, 3}, "the-scalar", "the-cand", Out));
   StoreStats St = S.stats();
   EXPECT_EQ(St.Hits, 1u);
   EXPECT_EQ(St.Misses, 2u);
@@ -176,15 +175,36 @@ TEST(Store, DuplicateKeyWritesOnce) {
   std::string Dir = scratchDir("dedup");
   {
     ResultStore S(Dir);
-    S.storeEquiv(1, 2, 3, "s", "c", mkEquiv(0));
-    S.storeEquiv(1, 2, 3, "s", "c", mkEquiv(0));
-    S.storeChecksum(1, 2, 3, "s", "c", mkChecksum(0));
-    S.storeChecksum(1, 2, 3, "s", "c", mkChecksum(0));
+    S.storeEquiv({1, 2, 3}, "s", "c", mkEquiv(0));
+    S.storeEquiv({1, 2, 3}, "s", "c", mkEquiv(0));
+    S.storeChecksum({1, 2, 3}, "s", "c", mkChecksum(0));
+    S.storeChecksum({1, 2, 3}, "s", "c", mkChecksum(0));
     EXPECT_EQ(S.stats().Writes, 2u);
   }
   ResultStore S(Dir);
   EXPECT_EQ(S.stats().LoadedEquiv, 1u);
   EXPECT_EQ(S.stats().LoadedChecksum, 1u);
+}
+
+// An empty directory is the service's memory-only verdict cache: nothing
+// is opened or created, and entries still replay.
+TEST(Store, EmptyDirIsMemoryOnly) {
+  ResultStore S("");
+  EXPECT_FALSE(S.ok());
+  seed(S, 2);
+  StoreStats St = S.stats();
+  EXPECT_EQ(St.Writes, 0u);
+  EXPECT_EQ(St.Entries, 4u);
+  EXPECT_EQ(St.ReadFailed, 0u);
+  EXPECT_EQ(equivReplays(S, 2), 2);
+  EXPECT_TRUE(lookupSeededChecksum(S, 1));
+  EXPECT_FALSE(lookupSeededChecksum(S, 2));
+  St = S.stats();
+  EXPECT_EQ(St.Hits, 3u);
+  EXPECT_EQ(St.Misses, 1u);
+  EXPECT_FALSE(fs::exists("/records.log"));
+  EXPECT_FALSE(fs::exists("records.log"));
+  EXPECT_FALSE(fs::exists("records.log.tmp"));
 }
 
 TEST(Store, TruncatedTailDropsOnlyTornRecord) {
@@ -211,7 +231,7 @@ TEST(Store, TruncatedTailDropsOnlyTornRecord) {
   {
     ResultStore S(Dir);
     EXPECT_EQ(S.stats().CorruptSkipped, 0u);
-    S.storeChecksum(hashString("scalar-2"), hashString("cand-2"), 9,
+    S.storeChecksum(ResultStore::makeKey("scalar-2", "cand-2", 9),
                     "scalar-2", "cand-2", mkChecksum(2));
   }
   ResultStore S(Dir);
@@ -244,8 +264,7 @@ TEST(Store, FlippedByteDropsDamagedSuffix) {
     std::string Scalar = "scalar-" + std::to_string(I);
     std::string Cand = "cand-" + std::to_string(I);
     core::EquivResult Out;
-    if (S.lookupEquiv(hashString(Scalar.c_str()), hashString(Cand.c_str()),
-                      7, Scalar, Cand, Out))
+    if (S.lookupEquiv(ResultStore::makeKey(Scalar, Cand, 7), Scalar, Cand, Out))
       EXPECT_EQ(serializeEquivResult(Out),
                 serializeEquivResult(mkEquiv(I)));
   }
@@ -360,8 +379,42 @@ TEST(Store, CrossProcessWarmStartIsByteIdentical) {
                           << " workers";
     EXPECT_GT(SS.Hits, 0u) << "warm run at " << Workers
                            << " workers never hit the store";
+    // Memory hits count as store hits too; no miss means every lookup was
+    // served by what the writing process persisted.
+    EXPECT_EQ(SS.Misses, 0u);
     EXPECT_EQ(SS.Writes, 0u);
   }
+}
+
+// With a store attached the service keeps each verdict once: the store's
+// index is the cache, a repeat is a cache hit, and every distinct entry
+// was written exactly once.
+TEST(Store, ServiceCacheIsTheStore) {
+  std::string Dir = scratchDir("service_cache");
+  svc::ServiceConfig SC;
+  SC.StorePath = Dir;
+  svc::VectorizerService S(SC);
+  ASSERT_NE(S.resultStore(), nullptr);
+  svc::Request R;
+  R.Mode = svc::RunMode::Verify;
+  R.ScalarSource =
+      "void f(int n, int *a) { for (int i = 0; i < n; i++) a[i] = 1; }";
+  R.CandidateSource = R.ScalarSource;
+  R.Equiv = fastEquiv();
+  svc::Request R2 = R;
+  const svc::Outcome &First = S.wait(S.submit(std::move(R)));
+  const svc::Outcome &Second = S.wait(S.submit(std::move(R2)));
+  EXPECT_FALSE(First.VerdictCacheHit);
+  EXPECT_TRUE(Second.VerdictCacheHit);
+  EXPECT_EQ(debugString(First), debugString(Second));
+  svc::CacheStats CS = S.cacheStats();
+  StoreStats SS = S.resultStore()->stats();
+  EXPECT_EQ(CS.Hits, 1u);
+  EXPECT_EQ(CS.Misses, 1u);
+  EXPECT_EQ(CS.Entries, 1u);
+  EXPECT_EQ(SS.Hits, CS.Hits);
+  EXPECT_EQ(SS.Misses, CS.Misses);
+  EXPECT_EQ(SS.Writes, CS.Entries);
 }
 
 // A failed append mid-run (simulated disk death via the chaos file hook)
@@ -386,9 +439,8 @@ TEST(Store, AppendFailureMidRunDegradesToMemoryOnly) {
     for (int I = 0; I < 3; ++I) {
       std::string Scalar = "scalar-" + std::to_string(I);
       std::string Cand = "cand-" + std::to_string(I);
-      EXPECT_TRUE(S.lookupEquiv(hashString(Scalar.c_str()),
-                                hashString(Cand.c_str()), 7, Scalar, Cand,
-                                R))
+      EXPECT_TRUE(S.lookupEquiv(ResultStore::makeKey(Scalar, Cand, 7),
+                                Scalar, Cand, R))
           << "in-memory entry " << I << " lost after append failure";
     }
   }
@@ -400,9 +452,9 @@ TEST(Store, AppendFailureMidRunDegradesToMemoryOnly) {
   EXPECT_EQ(Reopened.stats().LoadedEquiv, 1u);
   EXPECT_EQ(Reopened.stats().LoadedChecksum, 0u);
   core::EquivResult R;
-  EXPECT_TRUE(Reopened.lookupEquiv(hashString("scalar-0"),
-                                   hashString("cand-0"), 7, "scalar-0",
-                                   "cand-0", R));
+  EXPECT_TRUE(Reopened.lookupEquiv(
+      ResultStore::makeKey("scalar-0", "cand-0", 7), "scalar-0", "cand-0",
+      R));
   EXPECT_EQ(serializeEquivResult(R), serializeEquivResult(mkEquiv(0)));
 }
 

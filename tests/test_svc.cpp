@@ -122,7 +122,8 @@ TEST(Service, VerdictCacheReplaysIdenticalResults) {
           _mm256_storeu_si256((__m256i *)&a[i], _mm256_add_epi32(v, one));
         }
       })";
-  VectorizerService S; // one worker, own cache
+  VectorizerService S; // one worker, own memory-only cache
+  EXPECT_EQ(S.resultStore(), nullptr);
   Request R;
   R.Mode = RunMode::Verify;
   R.ScalarSource = Scalar;
@@ -174,7 +175,7 @@ TEST(Service, CacheBypassedForUnhashableCallbacks) {
   (void)S.wait(S.submit(std::move(R)));
   const Outcome &Second = S.wait(S.submit(std::move(R2)));
   EXPECT_FALSE(Second.VerdictCacheHit);
-  EXPECT_GE(S.cacheStats().Bypassed, 2u);
+  EXPECT_EQ(S.cacheStats().Entries, 0u);
 }
 
 //===----------------------------------------------------------------------===//

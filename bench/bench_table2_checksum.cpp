@@ -5,18 +5,18 @@
 // numbers: Plausible 72/107/125, Not-equivalent 62/40/24, Cannot-compile
 // 15/2/0) and A/B-measures the testing stage itself:
 //
-//   arm "tree_walk"       — the seed path: per-candidate sequential
-//                           runChecksumTest on the tree-walk interpreter
-//                           (scalar reference re-run per candidate).
-//   arm "bytecode_batch"  — the PR-5 path: bytecode VM (one compile per
-//                           function per batch) + runChecksumBatch
-//                           (inputs built and scalar run once per input
-//                           set, candidates replayed via image restore).
+//   arm "tree_walk"      — the seed path: per-candidate runChecksumTest
+//                          on the tree-walk interpreter (scalar reference
+//                          re-run per candidate).
+//   arm "bytecode_memo"  — per-candidate runChecksumTest on the bytecode
+//                          VM with one ScalarRefMemo per test (inputs
+//                          built and the scalar run once per input set,
+//                          candidates replayed via image restore).
 //
 // Exit gates: bit-identical checksum verdicts between the arms on every
 // (test, candidate) pair; bit-identical modeled cycle counts between the
 // engines across the corpus; >= 2x wall-clock reduction on the checksum
-// stage; and the svc::VectorizerService Sample-mode routing (batch + cache
+// stage; and the svc::VectorizerService Sample-mode routing (memo + cache
 // composition) reproducing the same tallies. The svc phase additionally
 // runs traced on clean obs state: per-stage span sums and metrics
 // counters must reproduce the StageInterpWork tally exactly, the
@@ -170,7 +170,7 @@ int main(int argc, char **argv) {
   const int Reps = Smoke ? 1 : 3;
 
   // [2/4] Arm A — seed path: tree-walk, sequential, per-candidate scalar
-  // re-runs (no memo, no batch).
+  // re-runs (no memo).
   std::printf("  [arm 1/2] tree-walk sequential checksum (x%d)...\n", Reps);
   uint64_t TreeNanos = ~0ULL;
   for (int Rep = 0; Rep < Reps; ++Rep) {
@@ -182,30 +182,20 @@ int main(int argc, char **argv) {
     TreeNanos = std::min(TreeNanos, nowNanos() - T0);
   }
 
-  // [3/4] Arm B — bytecode VM + batched harness.
-  std::printf("  [arm 2/2] bytecode + batched checksum (x%d)...\n", Reps);
-  uint64_t BcNanos = ~0ULL;
-  uint64_t BcScalarRuns = 0, BcInputSets = 0;
-  for (int Rep = 0; Rep < Reps; ++Rep) {
-    BcScalarRuns = BcInputSets = 0;
-    uint64_t T0 = nowNanos();
+  // [3/4] Arm B — bytecode VM, one reference memo per test.
+  auto runBytecodeArm = [&] {
     for (TestSet &S : Sets) {
-      std::vector<const vir::VFunction *> Fns;
-      std::vector<size_t> Which;
-      for (size_t I = 0; I < S.Cands.size(); ++I)
-        if (S.Cands[I].Eligible) {
-          Fns.push_back(S.Cands[I].Fn.get());
-          Which.push_back(I);
-        }
-      if (Fns.empty())
-        continue;
-      interp::ChecksumBatchResult BR =
-          interp::runChecksumBatch(*S.Scalar, Fns, BcCfg);
-      for (size_t I = 0; I < Which.size(); ++I)
-        S.Cands[Which[I]].BcOut = std::move(BR.Outcomes[I]);
-      BcScalarRuns += BR.ScalarRuns;
-      BcInputSets += BR.InputSets;
+      interp::ScalarRefMemo Memo;
+      for (UniqueCand &U : S.Cands)
+        if (U.Eligible)
+          U.BcOut = interp::runChecksumTest(*S.Scalar, *U.Fn, BcCfg, &Memo);
     }
+  };
+  std::printf("  [arm 2/2] bytecode + memoized checksum (x%d)...\n", Reps);
+  uint64_t BcNanos = ~0ULL;
+  for (int Rep = 0; Rep < Reps; ++Rep) {
+    uint64_t T0 = nowNanos();
+    runBytecodeArm();
     BcNanos = std::min(BcNanos, nowNanos() - T0);
   }
 
@@ -219,21 +209,7 @@ int main(int argc, char **argv) {
   uint64_t BcTracedNanos = ~0ULL;
   for (int Rep = 0; Rep < Reps; ++Rep) {
     uint64_t T0 = nowNanos();
-    for (TestSet &S : Sets) {
-      std::vector<const vir::VFunction *> Fns;
-      std::vector<size_t> Which;
-      for (size_t I = 0; I < S.Cands.size(); ++I)
-        if (S.Cands[I].Eligible) {
-          Fns.push_back(S.Cands[I].Fn.get());
-          Which.push_back(I);
-        }
-      if (Fns.empty())
-        continue;
-      interp::ChecksumBatchResult BR =
-          interp::runChecksumBatch(*S.Scalar, Fns, BcCfg);
-      for (size_t I = 0; I < Which.size(); ++I)
-        S.Cands[Which[I]].BcOut = std::move(BR.Outcomes[I]);
-    }
+    runBytecodeArm();
     BcTracedNanos = std::min(BcTracedNanos, nowNanos() - T0);
   }
   obs::setTracingEnabled(false);
@@ -246,13 +222,14 @@ int main(int argc, char **argv) {
 
   // Gate 1: bit-identical verdicts between the arms.
   int VerdictMismatches = 0;
-  uint64_t TreeCandRuns = 0, TreeScalarRuns = 0;
+  uint64_t TreeScalarRuns = 0, BcScalarRuns = 0, BcScalarRunsSaved = 0;
   for (const TestSet &S : Sets)
     for (const UniqueCand &U : S.Cands) {
       if (!U.Eligible)
         continue;
-      TreeCandRuns += U.TreeOut.Work.CandRuns;
       TreeScalarRuns += U.TreeOut.Work.ScalarRuns;
+      BcScalarRuns += U.BcOut.Work.ScalarRuns;
+      BcScalarRunsSaved += U.BcOut.Work.ScalarRunsSaved;
       if (verdictString(U.TreeOut) != verdictString(U.BcOut)) {
         if (++VerdictMismatches <= 3)
           std::printf("  VERDICT MISMATCH %s:\n    tree: %s\n    bc:   "
@@ -327,9 +304,9 @@ int main(int argc, char **argv) {
   // bit-for-bit, the cold run persisted records, the warm run has no
   // store miss (its hits include memory hits, so hits alone would not show
   // that the log was read), and its checksum-stage span total collapses
-  // (every batch skipped — >= 5x under the cold wall by construction). With --store DIR a third run
-  // against the user's persistent directory feeds the CI cross-process
-  // warm-start smoke. Runs before the traced svc phase, which resets
+  // (every checksum run skipped — >= 5x under the cold wall by
+  // construction). With --store DIR a third run against the user's
+  // persistent directory feeds the CI cross-process warm-start smoke. Runs before the traced svc phase, which resets
   // trace/metrics state at its start.
   struct StoreRun {
     std::string Verdicts; ///< Deterministic per-sample verdict lines.
@@ -419,12 +396,12 @@ int main(int argc, char **argv) {
                 PersistRun.Verdicts == ColdRun.Verdicts;
   }
 
-  // [4/4] Service routing: Sample mode composes the batch path with the
-  // checksum-outcome cache; tallies must reproduce the arm verdicts.
+  // [4/4] Service routing: Sample mode composes the reference memo with
+  // the checksum-outcome cache; tallies must reproduce the arm verdicts.
   // This phase runs traced on clean trace/metrics state: it is cache-free
   // (fresh service, one distinct scalar per task, within-task duplicates
-  // deduplicated before the batch), so span sums and registry counters
-  // must equal the StageInterpWork tally exactly — the obs parity gates.
+  // tested once), so span sums and registry counters must equal the
+  // StageInterpWork tally exactly — the obs parity gates.
   std::printf("  [svc] Sample mode at %d worker(s), traced...\n", SvcJobs);
   obs::resetTrace();
   obs::resetMetrics();
@@ -581,14 +558,14 @@ int main(int argc, char **argv) {
   bool OverheadOk = Smoke || OverheadPct < 3.0;
 
   std::printf("\n  checksum-stage wall: %8.1fms tree-walk, %8.1fms "
-              "bytecode+batch (%.2fx)\n",
+              "bytecode+memo (%.2fx)\n",
               static_cast<double>(TreeNanos) / 1e6,
               static_cast<double>(BcNanos) / 1e6, Speedup);
-  std::printf("  scalar reference runs: %llu tree-walk -> %llu batched "
-              "(%llu input sets shared)\n",
+  std::printf("  scalar reference runs: %llu tree-walk -> %llu memoized "
+              "(%llu served from the memo)\n",
               static_cast<unsigned long long>(TreeScalarRuns),
               static_cast<unsigned long long>(BcScalarRuns),
-              static_cast<unsigned long long>(BcInputSets));
+              static_cast<unsigned long long>(BcScalarRunsSaved));
   std::printf("  svc sample arm: %.1fms at %d worker(s); interp work: "
               "%llu instrs, %llu cand runs, %llu scalar runs (%llu "
               "saved)\n",
@@ -597,7 +574,7 @@ int main(int argc, char **argv) {
               static_cast<unsigned long long>(SvcWork.CandRuns),
               static_cast<unsigned long long>(SvcWork.ScalarRuns),
               static_cast<unsigned long long>(SvcWork.ScalarRunsSaved));
-  std::printf("  verdict parity (tree-walk vs bytecode+batch): %s\n",
+  std::printf("  verdict parity (tree-walk vs bytecode+memo): %s\n",
               VerdictOk ? "OK" : "MISMATCH");
   std::printf("  modeled-cycle parity (bitwise, whole corpus): %s\n",
               CycleOk ? "OK" : "MISMATCH");
@@ -662,7 +639,7 @@ int main(int argc, char **argv) {
           "  \"arms\": [\n"
           "    {\"engine\": \"tree_walk\", \"wall_ns\": %llu, "
           "\"scalar_runs\": %llu},\n"
-          "    {\"engine\": \"bytecode_batch\", \"wall_ns\": %llu, "
+          "    {\"engine\": \"bytecode_memo\", \"wall_ns\": %llu, "
           "\"scalar_runs\": %llu}\n  ],\n",
           static_cast<unsigned long long>(TreeNanos),
           static_cast<unsigned long long>(TreeScalarRuns),

@@ -6,9 +6,9 @@
 /// operand slots (predicates folded into opcode variants, `Copy` split by
 /// register type), direct branch targets — and executed by a tight
 /// dispatch loop with none of the tree-walk's per-node pointer chasing or
-/// per-run re-decoding. Checksum testing runs the same function
-/// `RunsPerN x |NValues| x candidates` times, so one compile per batch
-/// amortizes across all of that function's runs. There is no program
+/// per-run re-decoding. One checksum test runs its candidate up to
+/// `RunsPerN x |NValues|` times, so one compile per runChecksumTest call
+/// amortizes across all of those runs. There is no program
 /// cache: a compile costs less than a content-keyed lookup would.
 ///
 /// Semantics are *bit-identical* to interp::execute by construction: the
@@ -17,8 +17,8 @@
 /// the same cycle values, fuel accounting, trap kinds, and trap messages.
 /// bench_table2_checksum gates this parity over the full TSVC corpus.
 ///
-/// See src/interp/README.md for the instruction format and the batched
-/// checksum harness built on top of this VM.
+/// See src/interp/README.md for the instruction format and the checksum
+/// harness built on top of this VM.
 ///
 //===----------------------------------------------------------------------===//
 

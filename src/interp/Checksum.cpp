@@ -1,15 +1,13 @@
 //===- interp/Checksum.cpp - checksum-based testing --------------------------===//
 //
-// One core drives both entry points: runChecksumBatch iterates (N, run)
-// input sets in the outer loop and candidates in the inner loop, computing
-// each scalar reference at most once (into a ScalarRefMemo — caller-owned
-// or call-local) and restoring each candidate's memory image from the
-// input snapshot instead of reallocating it. runChecksumTest is the
-// single-candidate wrapper. Because every random draw is forked per
-// (N, run) from a base RNG whose state never advances, the reference for a
-// given input set is byte-identical no matter which candidate (or call)
-// triggered its computation — which is what makes memoization and batching
-// verdict-preserving.
+// runChecksumTest iterates the (N, run) input sets of one candidate,
+// computing each scalar reference at most once (into a ScalarRefMemo —
+// caller-owned or call-local) and restoring the candidate's memory image
+// from the input snapshot instead of reallocating it. Because every random
+// draw is forked per (N, run) from a base RNG whose state never advances,
+// the reference for a given input set is byte-identical no matter which
+// candidate (or call) triggered its computation — which is what makes
+// memoization verdict-preserving.
 //
 //===----------------------------------------------------------------------===//
 
@@ -62,10 +60,10 @@ argsFor(const VFunction &F,
 }
 
 /// One function bound to an execution engine per ChecksumConfig::
-/// UseBytecode. The bytecode engine compiles its function once, when the
-/// batch starts, and owns the program; nothing is shared across batches
-/// (a compile costs less than a content-keyed cache lookup would). The
-/// scratch register file is reused across this engine's runs.
+/// UseBytecode. The bytecode engine compiles its function once per
+/// runChecksumTest call and owns the program; nothing is shared across
+/// calls (a compile costs less than a content-keyed cache lookup would).
+/// The scratch register file is reused across this engine's runs.
 struct Engine {
   const VFunction *Fn = nullptr;
   std::optional<BytecodeProgram> Prog; ///< Empty => tree-walk.
@@ -126,13 +124,14 @@ static MemoryImage makeInputs(const VFunction &F, int BufferLen, Rng &R,
   return M;
 }
 
-/// Computes the memoized reference for input set \p RunIdx if it is not
-/// already present: forks the per-(N, run) RNG stream, draws the input
-/// image and argument plan, and executes the scalar once.
+/// Computes the memoized reference \p E for input set (\p N, \p Run) if it
+/// is not already present: forks the per-(N, run) RNG stream, draws the
+/// input image and argument plan, and executes the scalar once. The
+/// execution is charged to \p W, the work of the call that computed it.
 static void ensureRef(const VFunction &Scalar, Engine &SEng,
                       const ChecksumConfig &Cfg, const Rng &Base, int N,
-                      int Run, ScalarRefMemo::RefRun &E,
-                      ChecksumBatchResult &Agg, ScalarRefMemo &Memo) {
+                      int Run, ScalarRefMemo::RefRun &E, ChecksumWork &W,
+                      ScalarRefMemo &Memo) {
   if (E.Computed)
     return;
   E.Computed = true;
@@ -154,16 +153,27 @@ static void ensureRef(const VFunction &Scalar, Engine &SEng,
   E.RetVal = RefRes.RetVal;
   E.ScalarWork = RefRes.Work;
   ++Memo.ScalarRuns;
-  ++Agg.ScalarRuns;
-  Agg.ScalarWork.add(RefRes.Work);
+  ++W.ScalarRuns;
+  W.Scalar.add(RefRes.Work);
 }
 
-static ChecksumBatchResult runChecksumBatchCore(
-    const VFunction &Scalar, const std::vector<const VFunction *> &Candidates,
-    const ChecksumConfig &Cfg, ScalarRefMemo *Memo) {
-  ChecksumBatchResult Res;
-  Res.Outcomes.resize(Candidates.size());
+/// Index of the param region of \p To named like param region \p I of
+/// \p From, or -1.
+static int paramRegionByName(const VFunction &From, size_t I,
+                             const VFunction &To) {
+  if (!From.Memories[I].IsParam)
+    return -1;
+  for (size_t J = 0; J < To.Memories.size(); ++J)
+    if (To.Memories[J].IsParam && To.Memories[J].Name == From.Memories[I].Name)
+      return static_cast<int>(J);
+  return -1;
+}
 
+static ChecksumOutcome runChecksumCore(const VFunction &Scalar,
+                                       const VFunction &Vec,
+                                       const ChecksumConfig &Cfg,
+                                       ScalarRefMemo *Memo) {
+  ChecksumOutcome Out;
   Engine SEng = Engine::make(Scalar, Cfg.UseBytecode);
 
   // Validate (or initialize) the reference memo against this scalar and
@@ -182,191 +192,126 @@ static ChecksumBatchResult runChecksumBatchCore(
     Memo->ScalarRuns = 0;
   }
 
-  // Per-candidate state: engine, region maps, a persistent memory image
-  // restored (not reallocated) per run, and the running verdict.
-  struct CandState {
-    const VFunction *Fn = nullptr;
-    Engine Eng;
-    std::vector<int> InMap;  ///< Cand region -> scalar region (-1 none).
-    std::vector<int> OutMap; ///< Scalar region -> cand region (-1 skip).
-    MemoryImage Mem;
-    bool Decided = false;
-  };
-  std::vector<CandState> Cands(Candidates.size());
-  size_t Undecided = 0;
-  for (size_t C = 0; C < Candidates.size(); ++C) {
-    const VFunction &Vec = *Candidates[C];
-    CandState &St = Cands[C];
-    St.Fn = &Vec;
-    ChecksumOutcome &Out = Res.Outcomes[C];
-    std::string Why;
-    if (!signaturesMatch(Scalar, Vec, Why)) {
-      Out.Verdict = TestVerdict::NotEquivalent;
-      Out.Detail = "signature mismatch: " + Why;
-      St.Decided = true;
-      continue;
-    }
-    St.Eng = Engine::make(Vec, Cfg.UseBytecode);
-    St.InMap.assign(Vec.Memories.size(), -1);
-    for (size_t J = 0; J < Vec.Memories.size(); ++J) {
-      if (!Vec.Memories[J].IsParam)
-        continue;
-      for (size_t I = 0; I < Scalar.Memories.size(); ++I)
-        if (Scalar.Memories[I].IsParam &&
-            Scalar.Memories[I].Name == Vec.Memories[J].Name) {
-          St.InMap[J] = static_cast<int>(I);
-          break;
-        }
-    }
-    St.OutMap.assign(Scalar.Memories.size(), -1);
-    for (size_t I = 0; I < Scalar.Memories.size(); ++I) {
-      if (!Scalar.Memories[I].IsParam)
-        continue;
-      for (size_t J = 0; J < Vec.Memories.size(); ++J)
-        if (Vec.Memories[J].IsParam &&
-            Vec.Memories[J].Name == Scalar.Memories[I].Name) {
-          St.OutMap[I] = static_cast<int>(J);
-          break;
-        }
-    }
-    St.Mem.Regions.resize(Vec.Memories.size());
-    ++Undecided;
+  std::string Why;
+  if (!signaturesMatch(Scalar, Vec, Why)) {
+    Out.Verdict = TestVerdict::NotEquivalent;
+    Out.Detail = "signature mismatch: " + Why;
+    return Out;
   }
+  // The candidate's engine, its region maps, and a memory image restored
+  // (not reallocated) per run.
+  Engine CEng = Engine::make(Vec, Cfg.UseBytecode);
+  std::vector<int> InMap(Vec.Memories.size()); ///< Cand -> scalar region.
+  for (size_t J = 0; J < Vec.Memories.size(); ++J)
+    InMap[J] = paramRegionByName(Vec, J, Scalar);
+  std::vector<int> OutMap(Scalar.Memories.size()); ///< Scalar -> cand.
+  for (size_t I = 0; I < Scalar.Memories.size(); ++I)
+    OutMap[I] = paramRegionByName(Scalar, I, Vec);
+  MemoryImage Mem;
+  Mem.Regions.resize(Vec.Memories.size());
 
   Rng R(Cfg.Seed);
   size_t RunIdx = 0;
-  for (size_t NI = 0; NI < Cfg.NValues.size() && Undecided; ++NI) {
-    int N = Cfg.NValues[NI];
-    for (int Run = 0; Run < Cfg.RunsPerN && Undecided; ++Run, ++RunIdx) {
+  for (int N : Cfg.NValues) {
+    for (int Run = 0; Run < Cfg.RunsPerN; ++Run, ++RunIdx) {
       // Cooperative deadline checkpoint, once per input set (the
       // in-run granularity is the VM/tree-walk periodic check).
       support::throwIfCancelled("interp.checksum");
       ScalarRefMemo::RefRun &E = Memo->Runs[RunIdx];
-      ensureRef(Scalar, SEng, Cfg, R, N, Run, E, Res, *Memo);
-      ++Res.InputSets;
-
-      for (size_t C = 0; C < Cands.size(); ++C) {
-        CandState &St = Cands[C];
-        if (St.Decided)
+      ensureRef(Scalar, SEng, Cfg, R, N, Run, E, Out.Work, *Memo);
+      ++Out.Work.InputSets;
+      if (!E.RefOk) {
+        // The reference itself misbehaves on this input: not usable as
+        // an oracle; skip the run (the harness stays Plausible).
+        continue;
+      }
+      // Restore the candidate image from the input snapshot. Local
+      // regions keep stale contents — the interpreter's prologue
+      // reinitializes them to zero exactly as on a fresh image.
+      for (size_t J = 0; J < Mem.Regions.size(); ++J) {
+        if (InMap[J] >= 0)
+          Mem.Regions[J] = E.Input.Regions[static_cast<size_t>(InMap[J])];
+        else if (Vec.Memories[J].IsParam)
+          Mem.Regions[J].clear();
+      }
+      ExecResult CandRes = CEng.run(E.Args, Mem);
+      ++Out.Work.CandRuns;
+      Out.Work.Cand.add(CandRes.Work);
+      if (!CandRes.ok()) {
+        Out.Verdict = TestVerdict::NotEquivalent;
+        Out.FirstMismatch.N = N;
+        Out.FirstMismatch.TrapMsg = CandRes.St == ExecResult::OutOfFuel
+                                        ? "candidate did not terminate"
+                                        : CandRes.TrapMsg;
+        Out.Detail = format("candidate failed at n=%d: %s", N,
+                            Out.FirstMismatch.TrapMsg.c_str());
+        Out.Work.CandTrap = CandRes.Cause;
+        Out.Work.CandHang = CandRes.St == ExecResult::OutOfFuel;
+        return Out;
+      }
+      if (Scalar.ReturnsValue && E.RetVal != CandRes.RetVal) {
+        Out.Verdict = TestVerdict::NotEquivalent;
+        Out.FirstMismatch = {"return value", N, E.RetVal, CandRes.RetVal, ""};
+        Out.Detail = format("return value differs at n=%d: expected %d, "
+                            "got %d",
+                            N, E.RetVal, CandRes.RetVal);
+        return Out;
+      }
+      // Compare every parameter region (by name): a memcmp fast path
+      // over the whole buffer, dropping into the elementwise scan only
+      // to locate and report the first differing index.
+      for (size_t I = 0; I < Scalar.Memories.size(); ++I) {
+        if (OutMap[I] < 0)
           continue;
-        ChecksumOutcome &Out = Res.Outcomes[C];
-        ++Out.Work.InputSets;
-        if (!E.RefOk) {
-          // The reference itself misbehaves on this input: not usable as
-          // an oracle; skip the run (the harness stays Plausible).
+        const std::vector<int32_t> &RefBuf = E.RefOut.Regions[I];
+        const std::vector<int32_t> &CandBuf =
+            Mem.Regions[static_cast<size_t>(OutMap[I])];
+        if (RefBuf.size() == CandBuf.size() &&
+            std::memcmp(RefBuf.data(), CandBuf.data(),
+                        RefBuf.size() * sizeof(int32_t)) == 0)
           continue;
-        }
-        // Restore the candidate image from the input snapshot. Local
-        // regions keep stale contents — the interpreter's prologue
-        // reinitializes them to zero exactly as on a fresh image.
-        for (size_t J = 0; J < St.Mem.Regions.size(); ++J) {
-          if (St.InMap[J] >= 0)
-            St.Mem.Regions[J] =
-                E.Input.Regions[static_cast<size_t>(St.InMap[J])];
-          else if (St.Fn->Memories[J].IsParam)
-            St.Mem.Regions[J].clear();
-        }
-        ExecResult CandRes = St.Eng.run(E.Args, St.Mem);
-        ++Out.Work.CandRuns;
-        Out.Work.Cand.add(CandRes.Work);
-        if (!CandRes.ok()) {
-          Out.Verdict = TestVerdict::NotEquivalent;
-          Out.FirstMismatch.N = N;
-          Out.FirstMismatch.TrapMsg = CandRes.St == ExecResult::OutOfFuel
-                                          ? "candidate did not terminate"
-                                          : CandRes.TrapMsg;
-          Out.Detail = format("candidate failed at n=%d: %s", N,
-                              Out.FirstMismatch.TrapMsg.c_str());
-          Out.Work.CandTrap = CandRes.Cause;
-          Out.Work.CandHang = CandRes.St == ExecResult::OutOfFuel;
-          St.Decided = true;
-          --Undecided;
-          continue;
-        }
-        if (Scalar.ReturnsValue && E.RetVal != CandRes.RetVal) {
-          Out.Verdict = TestVerdict::NotEquivalent;
-          Out.FirstMismatch = {"return value", N, E.RetVal, CandRes.RetVal,
-                               ""};
-          Out.Detail = format("return value differs at n=%d: expected %d, "
-                              "got %d",
-                              N, E.RetVal, CandRes.RetVal);
-          St.Decided = true;
-          --Undecided;
-          continue;
-        }
-        // Compare every parameter region (by name): a memcmp fast path
-        // over the whole buffer, dropping into the elementwise scan only
-        // to locate and report the first differing index.
-        for (size_t I = 0; I < Scalar.Memories.size() && !St.Decided; ++I) {
-          if (St.OutMap[I] < 0)
+        for (size_t K = 0; K < RefBuf.size(); ++K) {
+          if (RefBuf[K] == CandBuf[K])
             continue;
-          const std::vector<int32_t> &RefBuf = E.RefOut.Regions[I];
-          const std::vector<int32_t> &CandBuf =
-              St.Mem.Regions[static_cast<size_t>(St.OutMap[I])];
-          if (RefBuf.size() == CandBuf.size() &&
-              std::memcmp(RefBuf.data(), CandBuf.data(),
-                          RefBuf.size() * sizeof(int32_t)) == 0)
-            continue;
-          for (size_t K = 0; K < RefBuf.size(); ++K) {
-            if (RefBuf[K] == CandBuf[K])
-              continue;
-            Out.Verdict = TestVerdict::NotEquivalent;
-            Out.FirstMismatch = {
-                format("array '%s' index %zu",
-                       Scalar.Memories[I].Name.c_str(), K),
-                N, RefBuf[K], CandBuf[K], ""};
-            Out.Detail = format(
-                "output mismatch at n=%d, %s: expected %d, got %d", N,
-                Out.FirstMismatch.Where.c_str(), RefBuf[K], CandBuf[K]);
-            St.Decided = true;
-            --Undecided;
-            break;
-          }
+          Out.Verdict = TestVerdict::NotEquivalent;
+          Out.FirstMismatch = {format("array '%s' index %zu",
+                                      Scalar.Memories[I].Name.c_str(), K),
+                               N, RefBuf[K], CandBuf[K], ""};
+          Out.Detail =
+              format("output mismatch at n=%d, %s: expected %d, got %d", N,
+                     Out.FirstMismatch.Where.c_str(), RefBuf[K], CandBuf[K]);
+          return Out;
         }
       }
     }
   }
-
-  for (size_t C = 0; C < Cands.size(); ++C) {
-    if (Cands[C].Decided)
-      continue;
-    Res.Outcomes[C].Verdict = TestVerdict::Plausible;
-    Res.Outcomes[C].Detail = "all runs matched";
-  }
-  return Res;
+  Out.Verdict = TestVerdict::Plausible;
+  Out.Detail = "all runs matched";
+  return Out;
 }
 
-ChecksumBatchResult lv::interp::runChecksumBatch(
-    const VFunction &Scalar, const std::vector<const VFunction *> &Candidates,
-    const ChecksumConfig &Cfg, ScalarRefMemo *Memo) {
-  // The span args below are invariant under the runChecksumTest wrapper's
-  // later move of batch-level scalar work into the single outcome:
-  // outcome Scalar/ScalarRuns fields are still zero here, so summing
-  // outcomes *plus* the batch-level Res fields counts each unit of work
-  // exactly once under both call shapes. That makes Σ(span args) equal the
-  // StageInterpWork tallies svc aggregates — the bench parity gates check
-  // this equality.
-  uint64_t BatchNanos = 0;
-  ChecksumBatchResult Res;
+ChecksumOutcome lv::interp::runChecksumTest(const VFunction &Scalar,
+                                            const VFunction &Vec,
+                                            const ChecksumConfig &Cfg,
+                                            ScalarRefMemo *Memo) {
+  uint64_t Nanos = 0;
+  ChecksumOutcome Out;
   {
-    obs::Span S("interp", "checksum.batch", &BatchNanos);
-    Res = runChecksumBatchCore(Scalar, Candidates, Cfg, Memo);
-    uint64_t Instrs = Res.ScalarWork.Instrs;
-    uint64_t CandRuns = 0, Sets = 0, Traps = 0, Hangs = 0;
-    for (const ChecksumOutcome &O : Res.Outcomes) {
-      Instrs += O.Work.Cand.Instrs + O.Work.Scalar.Instrs;
-      CandRuns += O.Work.CandRuns;
-      Sets += O.Work.InputSets;
-      Traps += O.Work.CandTrap != TrapKind::None ? 1 : 0;
-      Hangs += O.Work.CandHang ? 1 : 0;
-    }
-    uint64_t Saved = Sets > Res.ScalarRuns ? Sets - Res.ScalarRuns : 0;
-    S.arg("candidates", Res.Outcomes.size());
+    // The span and counter names predate the single-candidate harness;
+    // each span and each interp.checksum_batches tick is one call.
+    obs::Span S("interp", "checksum.batch", &Nanos);
+    Out = runChecksumCore(Scalar, Vec, Cfg, Memo);
+    ChecksumWork &W = Out.Work;
+    // Every input set whose reference came from the memo is a saved
+    // scalar run.
+    W.ScalarRunsSaved = W.InputSets - W.ScalarRuns;
+    uint64_t Instrs = W.Cand.Instrs + W.Scalar.Instrs;
+    S.arg("candidates", 1);
     S.arg("instrs", Instrs);
-    S.arg("cand_runs", CandRuns);
-    S.arg("scalar_runs", Res.ScalarRuns);
-    S.arg("input_sets", Sets);
-    S.arg("scalar_runs_saved", Saved);
+    S.arg("cand_runs", W.CandRuns);
+    S.arg("scalar_runs", W.ScalarRuns);
+    S.arg("input_sets", W.InputSets);
+    S.arg("scalar_runs_saved", W.ScalarRunsSaved);
     static obs::Counter &Batches = obs::counter("interp.checksum_batches");
     static obs::Counter &CInstrs = obs::counter("interp.instrs");
     static obs::Counter &CCand = obs::counter("interp.cand_runs");
@@ -377,29 +322,13 @@ ChecksumBatchResult lv::interp::runChecksumBatch(
     static obs::Counter &CHangs = obs::counter("interp.hangs");
     Batches.inc();
     CInstrs.inc(Instrs);
-    CCand.inc(CandRuns);
-    CScalar.inc(Res.ScalarRuns);
-    CSets.inc(Sets);
-    CSaved.inc(Saved);
-    CTraps.inc(Traps);
-    CHangs.inc(Hangs);
+    CCand.inc(W.CandRuns);
+    CScalar.inc(W.ScalarRuns);
+    CSets.inc(W.InputSets);
+    CSaved.inc(W.ScalarRunsSaved);
+    CTraps.inc(W.CandTrap != TrapKind::None ? 1 : 0);
+    CHangs.inc(W.CandHang ? 1 : 0);
   }
-  obs::histogram("interp.checksum_ns").observe(BatchNanos);
-  return Res;
-}
-
-ChecksumOutcome lv::interp::runChecksumTest(const VFunction &Scalar,
-                                            const VFunction &Vec,
-                                            const ChecksumConfig &Cfg,
-                                            ScalarRefMemo *Memo) {
-  std::vector<const VFunction *> One{&Vec};
-  ChecksumBatchResult R = runChecksumBatch(Scalar, One, Cfg, Memo);
-  ChecksumOutcome Out = std::move(R.Outcomes[0]);
-  // Single-candidate call: the reference-side work belongs to this
-  // outcome. Sets whose reference came from the memo are the savings.
-  Out.Work.ScalarRuns = R.ScalarRuns;
-  Out.Work.ScalarRunsSaved =
-      R.InputSets > R.ScalarRuns ? R.InputSets - R.ScalarRuns : 0;
-  Out.Work.Scalar = R.ScalarWork;
+  obs::histogram("interp.checksum_ns").observe(Nanos);
   return Out;
 }

@@ -12,19 +12,14 @@
 /// for the remainder, and latent UB (speculative loads) goes unnoticed —
 /// that blind spot is exactly what the symbolic verifier later closes.
 ///
-/// The harness has two entry points over one core:
+/// `runChecksumTest` is the harness's one entry point: one candidate
+/// against one scalar. With a `ScalarRefMemo` the scalar reference runs
+/// once per (seed, bound) input set and its outputs are reused across
+/// calls (the FSM repair loop, the service tester hook and Sample mode
+/// pass a per-task memo), so testing many candidates against one scalar
+/// builds each random image and runs the scalar once per input set.
 ///
-///   * `runChecksumTest` — one candidate. With a `ScalarRefMemo` the
-///     scalar reference runs once per (seed, bound) input set and its
-///     outputs are reused across candidate invocations (the FSM repair
-///     loop and the service tester hook pass a per-task memo).
-///   * `runChecksumBatch` — many candidates against one scalar: the
-///     random image is built once per input set, the scalar runs once,
-///     and every candidate replays against the shared reference outputs
-///     via cheap image restore. Identical verdicts to the sequential path
-///     by construction (same RNG streams, same run order per candidate).
-///
-/// Both paths execute on the compiled bytecode VM (interp/Bytecode.h) by
+/// The harness executes on the compiled bytecode VM (interp/Bytecode.h) by
 /// default; `ChecksumConfig::UseBytecode = false` selects the tree-walk
 /// engine (the seed behaviour, kept as the A/B baseline for
 /// bench_table2_checksum).
@@ -83,15 +78,14 @@ struct Mismatch {
 };
 
 /// What one checksum test cost in interpreter work. Candidate-side
-/// counters are a pure function of (scalar, candidate, config) — the
-/// batch path shares scalar references across candidates, so scalar-side
-/// counters describe the runs *this call* paid for (zero on batch member
-/// outcomes; the batch result carries the shared reference work).
+/// counters are a pure function of (scalar, candidate, config); a memo
+/// shares scalar references across calls, so scalar-side counters describe
+/// the runs *this call* paid for.
 struct ChecksumWork {
   uint64_t InputSets = 0;       ///< (N, run) sets this candidate consumed.
   uint64_t CandRuns = 0;        ///< Candidate executions.
   uint64_t ScalarRuns = 0;      ///< Reference executions performed here.
-  uint64_t ScalarRunsSaved = 0; ///< References served from memo/batch.
+  uint64_t ScalarRunsSaved = 0; ///< References served from the memo.
   InterpWork Cand;              ///< Candidate-side interpreter work.
   InterpWork Scalar;            ///< Reference-side work paid for here.
   TrapKind CandTrap = TrapKind::None; ///< Set when the candidate trapped.
@@ -142,25 +136,6 @@ ChecksumOutcome runChecksumTest(const vir::VFunction &Scalar,
                                 const vir::VFunction &Vec,
                                 const ChecksumConfig &Cfg = ChecksumConfig(),
                                 ScalarRefMemo *Memo = nullptr);
-
-/// Result of a batched run: one outcome per candidate (input order) plus
-/// the shared reference-side work the batch performed once.
-struct ChecksumBatchResult {
-  std::vector<ChecksumOutcome> Outcomes;
-  uint64_t InputSets = 0;  ///< (N, run) sets the batch processed.
-  uint64_t ScalarRuns = 0; ///< Reference executions actually performed.
-  InterpWork ScalarWork;   ///< Work of those reference executions.
-};
-
-/// Tests every candidate in \p Candidates against \p Scalar over one set
-/// of random input images: inputs are generated once per (N, run), the
-/// scalar runs once, and candidates replay against the snapshot via image
-/// restore. Verdict-identical to calling runChecksumTest per candidate.
-ChecksumBatchResult
-runChecksumBatch(const vir::VFunction &Scalar,
-                 const std::vector<const vir::VFunction *> &Candidates,
-                 const ChecksumConfig &Cfg = ChecksumConfig(),
-                 ScalarRefMemo *Memo = nullptr);
 
 } // namespace interp
 } // namespace lv

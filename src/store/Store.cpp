@@ -243,9 +243,9 @@ size_t ResultStore::KeyHash::operator()(const Key &K) const {
       hashCombine(hashCombine(K.Scalar, K.Candidate), K.Config));
 }
 
-ResultStore::ResultStore(const std::string &D)
-    : Dir(D), Log(D, "records.log", FileMagic, SchemaVersion, "store",
-                  LogFaults{chaosFailLoad, chaosFailAppend}) {
+ResultStore::ResultStore(const std::string &Dir)
+    : Log(Dir, "records.log", FileMagic, SchemaVersion, "store",
+          LogFaults{chaosFailLoad, chaosFailAppend}) {
   if (Dir.empty())
     return; // memory-only: no file, nothing to load
   obs::Span LoadSpan("store", "store.load");

@@ -140,8 +140,6 @@ public:
   ResultStore(const ResultStore &) = delete;
   ResultStore &operator=(const ResultStore &) = delete;
 
-  const std::string &dir() const { return Dir; }
-
   /// True when the log file is open for appending (lookups work either
   /// way; a read-only filesystem just loses write-through).
   bool ok() const { return Log.ok(); }
@@ -191,7 +189,6 @@ private:
               const std::string &ScalarSrc, const std::string &CandSrc,
               const V &Value);
 
-  std::string Dir;
   mutable std::mutex M;
   RecordLog Log; ///< records.log; memory-only when closed.
   Index<core::EquivResult> Equiv;

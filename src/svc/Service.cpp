@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
 
 using namespace lv;
@@ -660,84 +661,49 @@ void VectorizerService::runStages(Task &T, support::CancelToken &Token) {
 
   case RunMode::Sample: {
     // The §4.1.1 "code completions" setting: K independent samples, no
-    // feedback, each classified by checksum testing. Classification is
-    // batched: all completions are generated and compiled first, cache
-    // hits replay stored outcomes, and the remaining distinct candidates
-    // run through one runChecksumBatch — the random images are built and
-    // the scalar reference executed once per input set for the whole
-    // candidate set instead of once per sample.
+    // feedback, each classified by checksum testing. The completions
+    // repeat, so each distinct source is compiled and classified once —
+    // through testCached with one reference memo, as the FSM tester does —
+    // and its repeats copy that verdict.
     std::unique_ptr<llm::LLMClient> Client = makeTaskClient(R);
     vir::CompileResult SC = vir::compileFunction(R.ScalarSource);
     // One attempt of the whole sampling pass; completions are drawn by
     // explicit index, so a retry on the same client replays the exact
-    // fault-free sample stream (see the Generate-mode retry note).
+    // fault-free sample stream (see the Generate-mode retry note). All
+    // completions are drawn before any is tested, so a client fault lands
+    // before the attempt has stored anything and a retry counts exactly
+    // the work of a fault-free run.
     auto SampleAttempt = [&] {
       llm::Prompt P;
       P.ScalarSource = R.ScalarSource;
       O.Samples.reserve(static_cast<size_t>(R.SampleCount));
-      struct PendingCand {
-        std::string Source;
-        vir::VFunctionPtr Fn;
-        std::vector<size_t> Samples; ///< Sample indices sharing this source.
-      };
-      std::vector<PendingCand> Pending;
-      std::unordered_map<std::string, size_t> PendIdx;
-      uint64_t CCfgHash = R.Fsm.Checksum.configHash();
-      auto KeyOf = [&](const std::string &Src) {
-        return store::ResultStore::makeKey(R.ScalarSource, Src, CCfgHash);
-      };
       for (int I = 0; I < R.SampleCount; ++I) {
         llm::Completion C = Client->complete(P, static_cast<uint64_t>(I));
         SampleVerdict V;
+        // Copied, not moved: the completion's buffer carries growth slack,
+        // and every outcome keeps all K sources.
         V.Source = C.Source;
-        vir::CompileResult VC = vir::compileFunction(C.Source);
-        V.Compiles = VC.ok();
-        if (V.Compiles && SC.ok() &&
-            C.Source.find("_mm256_") != std::string::npos) {
-          interp::ChecksumOutcome CO;
-          if (Store && Store->lookupChecksum(KeyOf(C.Source), R.ScalarSource,
-                                             C.Source, CO)) {
-            V.Plausible = CO.Verdict == interp::TestVerdict::Plausible;
-            O.ChecksumWork.add(CO);
-          } else {
-            auto It = PendIdx.find(C.Source);
-            if (It != PendIdx.end()) {
-              Pending[It->second].Samples.push_back(O.Samples.size());
-            } else {
-              PendIdx.emplace(C.Source, Pending.size());
-              Pending.push_back(
-                  {C.Source, std::move(VC.Fn), {O.Samples.size()}});
-            }
-          }
-        }
         O.Samples.push_back(std::move(V));
       }
-      if (!Pending.empty()) {
-        std::vector<const vir::VFunction *> Fns;
-        Fns.reserve(Pending.size());
-        for (const PendingCand &PC : Pending)
-          Fns.push_back(PC.Fn.get());
-        interp::ChecksumBatchResult BR =
-            interp::runChecksumBatch(*SC.Fn, Fns, R.Fsm.Checksum);
-        uint64_t BatchSets = 0;
-        for (size_t I = 0; I < Pending.size(); ++I) {
-          const interp::ChecksumOutcome &CO = BR.Outcomes[I];
-          if (Store)
-            Store->storeChecksum(KeyOf(Pending[I].Source), R.ScalarSource,
-                                 Pending[I].Source, CO);
-          bool Plausible = CO.Verdict == interp::TestVerdict::Plausible;
-          for (size_t SI : Pending[I].Samples)
-            O.Samples[SI].Plausible = Plausible;
-          O.ChecksumWork.add(CO);
-          BatchSets += CO.Work.InputSets;
+      interp::ScalarRefMemo Memo;
+      std::unordered_map<std::string_view, const SampleVerdict *> First;
+      for (SampleVerdict &V : O.Samples) {
+        auto [It, New] = First.emplace(V.Source, &V);
+        if (!New) {
+          V.Compiles = It->second->Compiles;
+          V.Plausible = It->second->Plausible;
+          continue;
         }
-        // Shared reference work, counted once at batch level; every input
-        // set a candidate consumed beyond the references actually executed
-        // was a saved scalar run.
-        O.ChecksumWork.ScalarRuns += BR.ScalarRuns;
-        O.ChecksumWork.addWork(BR.ScalarWork);
-        if (BatchSets > BR.ScalarRuns)
-          O.ChecksumWork.ScalarRunsSaved += BatchSets - BR.ScalarRuns;
+        vir::CompileResult VC = vir::compileFunction(V.Source);
+        V.Compiles = VC.ok();
+        if (V.Compiles && SC.ok() &&
+            V.Source.find("_mm256_") != std::string::npos) {
+          interp::ChecksumOutcome CO =
+              testCached(R.ScalarSource, V.Source, *SC.Fn, *VC.Fn,
+                         R.Fsm.Checksum, &Memo);
+          V.Plausible = CO.plausible();
+          O.ChecksumWork.add(CO);
+        }
       }
     };
     for (int Attempt = 0;; ++Attempt) {
@@ -748,7 +714,7 @@ void VectorizerService::runStages(Task &T, support::CancelToken &Token) {
         if (!E.Transient || Attempt >= Cfg.ClientRetries || Token.expired())
           throw; // runTask classifies it
         // Drop the attempt's partial progress so the retry rebuilds the
-        // sample list from index 0 (cache hits replay identical verdicts).
+        // sample list from index 0.
         O.Samples.clear();
         O.ChecksumWork = StageInterpWork();
         ++O.Retries;
@@ -1032,19 +998,4 @@ core::EquivResult lv::svc::verifyPair(const std::string &ScalarSrc,
   R.CandidateSource = CandidateSrc;
   R.Equiv = Cfg;
   return runOne(std::move(R)).Equiv;
-}
-
-Outcome lv::svc::vectorizeAndVerify(const std::string &Name,
-                                    const std::string &ScalarSrc,
-                                    uint64_t Seed,
-                                    const agents::FsmConfig &Fsm,
-                                    const core::EquivConfig &Equiv) {
-  Request R;
-  R.Mode = RunMode::Pipeline;
-  R.Name = Name;
-  R.ScalarSource = ScalarSrc;
-  R.Seed = Seed;
-  R.Fsm = Fsm;
-  R.Equiv = Equiv;
-  return runOne(std::move(R));
 }

@@ -147,10 +147,10 @@ struct StageSatWork {
 
 /// Interpreter work one task's checksum testing performed, aggregated
 /// over every checksum invocation the task made (FSM tester runs, the
-/// Algorithm-1 stage-1 run, Sample-mode classification). The per-candidate
-/// counters come from interp::ChecksumWork — replayed verbatim on cache
-/// hits, so they always describe what the stored verdict originally cost;
-/// the batch path's shared scalar-reference work is added batch-level.
+/// Algorithm-1 stage-1 run, Sample-mode classification of each distinct
+/// completion). The counters come from interp::ChecksumWork — replayed
+/// verbatim on cache hits, so they always describe what the stored verdict
+/// originally cost.
 /// Mirrors StageSatWork for the testing stage; bench_table2_checksum sums
 /// tasks into BENCH_table2.json.
 struct StageInterpWork {
@@ -158,7 +158,7 @@ struct StageInterpWork {
   uint64_t InputSets = 0;     ///< (N, run) input sets consumed.
   uint64_t CandRuns = 0;      ///< Candidate executions.
   uint64_t ScalarRuns = 0;    ///< Scalar reference executions performed.
-  uint64_t ScalarRunsSaved = 0; ///< References reused via memo/batch.
+  uint64_t ScalarRunsSaved = 0; ///< References reused via the memo.
   uint64_t Instrs = 0;        ///< Charged interpreter events, both sides.
   uint64_t Loads = 0;
   uint64_t Stores = 0;
@@ -172,18 +172,16 @@ struct StageInterpWork {
     CandRuns += O.Work.CandRuns;
     ScalarRuns += O.Work.ScalarRuns;
     ScalarRunsSaved += O.Work.ScalarRunsSaved;
-    addWork(O.Work.Cand);
-    addWork(O.Work.Scalar);
+    for (const interp::InterpWork *W : {&O.Work.Cand, &O.Work.Scalar}) {
+      Instrs += W->Instrs;
+      Loads += W->loads();
+      Stores += W->stores();
+      Branches += W->branches();
+    }
     if (O.Work.CandTrap != interp::TrapKind::None)
       ++Traps;
     if (O.Work.CandHang)
       ++Hangs;
-  }
-  void addWork(const interp::InterpWork &W) {
-    Instrs += W.Instrs;
-    Loads += W.loads();
-    Stores += W.stores();
-    Branches += W.branches();
   }
   void add(const StageInterpWork &O) {
     ChecksumCalls += O.ChecksumCalls;
@@ -219,7 +217,7 @@ struct Outcome {
   StageSatWork Alive2Work, CUnrollWork, SplitWork;
 
   /// Testing-stage interpreter work, aggregated over every checksum run
-  /// the task made (FSM tester, Algorithm-1 stage 1, Sample batches).
+  /// the task made (FSM tester, Algorithm-1 stage 1, Sample mode).
   StageInterpWork ChecksumWork;
 
   std::vector<SampleVerdict> Samples; ///< Sample mode.
@@ -510,14 +508,6 @@ core::EquivResult verifyPair(const std::string &ScalarSrc,
                              const std::string &CandidateSrc,
                              const core::EquivConfig &Cfg =
                                  core::EquivConfig());
-
-/// FSM generation + verification for one function — the quickstart chain.
-Outcome vectorizeAndVerify(const std::string &Name,
-                           const std::string &ScalarSrc,
-                           uint64_t Seed,
-                           const agents::FsmConfig &Fsm = agents::FsmConfig(),
-                           const core::EquivConfig &Equiv =
-                               core::EquivConfig());
 
 } // namespace svc
 } // namespace lv

@@ -1,12 +1,13 @@
-//===- tests/test_interp_bytecode.cpp - bytecode VM + batch harness tests -----===//
+//===- tests/test_interp_bytecode.cpp - bytecode VM + checksum harness tests --===//
 //
 // The bytecode engine's contract is bit-identical execution: over the full
 // TSVC corpus, compiled programs must reproduce the tree-walk's outputs,
 // return values, modeled cycle counts (bitwise double equality), step
 // counts, work histograms, and trap behavior (div-by-zero, out-of-bounds,
-// hang budget). On top of that, the batched checksum harness and the
-// scalar-reference memo must be verdict-identical to the sequential seed
-// path — including through svc::VectorizerService at 1/2/8 workers.
+// hang budget). On top of that, the checksum harness with a shared
+// scalar-reference memo must be verdict-identical to memo-free calls and
+// to the sequential seed path — including through
+// svc::VectorizerService at 1/2/8 workers.
 //
 //===----------------------------------------------------------------------===//
 
@@ -330,7 +331,7 @@ TEST(Bytecode, WorkCountersAreExact) {
 }
 
 //===----------------------------------------------------------------------===//
-// Checksum harness: batch / memo / engine parity
+// Checksum harness: memo / engine parity
 //===----------------------------------------------------------------------===//
 
 /// Everything a checksum verdict consists of, serialized for equality.
@@ -415,47 +416,45 @@ static FixtureSet buildFixtures() {
   return F;
 }
 
-TEST(ChecksumBatch, MatchesSequentialOnBothEngines) {
+TEST(ChecksumMemo, MatchesMemoFreeOnBothEngines) {
   FixtureSet F = buildFixtures();
-  std::vector<const VFunction *> Cands;
-  for (const VFunctionPtr &C : F.Cands)
-    Cands.push_back(C.get());
   for (bool Bytecode : {false, true}) {
     ChecksumConfig Cfg = fastChecksum(Bytecode);
-    ChecksumBatchResult Batch = runChecksumBatch(*F.Scalar, Cands, Cfg);
-    ASSERT_EQ(Batch.Outcomes.size(), Cands.size());
-    for (size_t I = 0; I < Cands.size(); ++I) {
-      ChecksumOutcome Seq = runChecksumTest(*F.Scalar, *Cands[I], Cfg);
-      EXPECT_EQ(verdictString(Batch.Outcomes[I]), verdictString(Seq))
+    ScalarRefMemo Memo; // shared by all four fixtures
+    uint64_t ScalarRuns = 0;
+    for (size_t I = 0; I < F.Cands.size(); ++I) {
+      ChecksumOutcome Memoized =
+          runChecksumTest(*F.Scalar, *F.Cands[I], Cfg, &Memo);
+      ChecksumOutcome Fresh = runChecksumTest(*F.Scalar, *F.Cands[I], Cfg);
+      EXPECT_EQ(verdictString(Memoized), verdictString(Fresh))
           << "engine=" << Bytecode << " cand=" << I;
       // Candidate-side work is a pure function of the pair.
-      EXPECT_TRUE(Batch.Outcomes[I].Work.Cand == Seq.Work.Cand);
-      EXPECT_EQ(Batch.Outcomes[I].Work.CandRuns, Seq.Work.CandRuns);
+      EXPECT_TRUE(Memoized.Work.Cand == Fresh.Work.Cand);
+      EXPECT_EQ(Memoized.Work.CandRuns, Fresh.Work.CandRuns);
+      ScalarRuns += Memoized.Work.ScalarRuns;
     }
-    // The batch ran the scalar once per input set — not once per
-    // candidate per input set.
-    EXPECT_EQ(Batch.ScalarRuns, Batch.InputSets);
-    EXPECT_LE(Batch.ScalarRuns,
+    // Across the four calls the memo ran the scalar once per input set —
+    // not once per candidate per input set.
+    EXPECT_EQ(ScalarRuns, Memo.ScalarRuns);
+    EXPECT_GT(Memo.ScalarRuns, 0u);
+    EXPECT_LE(Memo.ScalarRuns,
               Cfg.NValues.size() * static_cast<size_t>(Cfg.RunsPerN));
   }
 }
 
-TEST(ChecksumBatch, VerdictShapesCovered) {
+TEST(ChecksumHarness, VerdictShapesCovered) {
   FixtureSet F = buildFixtures();
-  std::vector<const VFunction *> Cands;
+  std::vector<ChecksumOutcome> B;
   for (const VFunctionPtr &C : F.Cands)
-    Cands.push_back(C.get());
-  ChecksumBatchResult B =
-      runChecksumBatch(*F.Scalar, Cands, fastChecksum(true));
-  EXPECT_EQ(B.Outcomes[0].Verdict, TestVerdict::Plausible);
-  EXPECT_EQ(B.Outcomes[1].Verdict, TestVerdict::NotEquivalent);
-  EXPECT_EQ(B.Outcomes[2].Verdict, TestVerdict::NotEquivalent);
-  EXPECT_NE(B.Outcomes[2].FirstMismatch.TrapMsg.find("out-of-bounds"),
+    B.push_back(runChecksumTest(*F.Scalar, *C, fastChecksum(true)));
+  EXPECT_EQ(B[0].Verdict, TestVerdict::Plausible);
+  EXPECT_EQ(B[1].Verdict, TestVerdict::NotEquivalent);
+  EXPECT_EQ(B[2].Verdict, TestVerdict::NotEquivalent);
+  EXPECT_NE(B[2].FirstMismatch.TrapMsg.find("out-of-bounds"),
             std::string::npos);
-  EXPECT_EQ(B.Outcomes[2].Work.CandTrap, TrapKind::OutOfBounds);
-  EXPECT_EQ(B.Outcomes[3].Verdict, TestVerdict::NotEquivalent);
-  EXPECT_NE(B.Outcomes[3].Detail.find("signature mismatch"),
-            std::string::npos);
+  EXPECT_EQ(B[2].Work.CandTrap, TrapKind::OutOfBounds);
+  EXPECT_EQ(B[3].Verdict, TestVerdict::NotEquivalent);
+  EXPECT_NE(B[3].Detail.find("signature mismatch"), std::string::npos);
 }
 
 TEST(ChecksumMemo, ScalarReferenceReused) {
@@ -532,12 +531,12 @@ TEST(ChecksumEngines, VerdictParityOverTsvcSamples) {
 }
 
 //===----------------------------------------------------------------------===//
-// Service routing: batch-vs-sequential parity at 1/2/8 workers
+// Service routing: Sample-mode-vs-sequential parity at 1/2/8 workers
 //===----------------------------------------------------------------------===//
 
-TEST(ChecksumBatch, SvcSampleModeMatchesSequentialAtWorkerCounts) {
-  // Classify K completions per test through the service (which batches)
-  // at 1, 2, and 8 workers, and against the direct sequential tree-walk
+TEST(ChecksumHarness, SvcSampleModeMatchesSequentialAtWorkerCounts) {
+  // Classify K completions per test through the service (one memo per
+  // task, each distinct completion tested once) at 1, 2, and 8 workers, and against the direct sequential tree-walk
   // path; all four must agree on every (test, sample) verdict.
   const int K = 3;
   ChecksumConfig SeqCfg = fastChecksum(false);
@@ -577,7 +576,7 @@ TEST(ChecksumBatch, SvcSampleModeMatchesSequentialAtWorkerCounts) {
   EXPECT_EQ(One, Eight);
 
   // Direct sequential classification (seed engine, one candidate at a
-  // time, no batching, no cache) must agree sample by sample.
+  // time, no memo, no cache) must agree sample by sample.
   llm::ClientFactory Factory = llm::simulatedClientFactory();
   for (size_t TI = 0; TI < tsvc::suite().size(); ++TI) {
     const tsvc::TsvcTest &T = tsvc::suite()[TI];

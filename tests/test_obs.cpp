@@ -405,8 +405,8 @@ TEST(Metrics, InterpCountersReproduceStageInterpWorkTally) {
             Tally.ScalarRunsSaved);
   EXPECT_EQ(obs::counterValue("interp.traps"), Tally.Traps);
   EXPECT_EQ(obs::counterValue("interp.hangs"), Tally.Hangs);
-  // One instrumented checksum-batch invocation per Verify task (the
-  // runChecksumTest wrapper routes through runChecksumBatch).
+  // One instrumented checksum run (a checksum.batch span) per Verify
+  // task: stage 1 calls runChecksumTest once.
   EXPECT_EQ(obs::counterValue("interp.checksum_batches"), Tasks);
   EXPECT_EQ(obs::counterValue("svc.tasks"), Tasks);
   EXPECT_EQ(obs::counterValue("svc.tasks_failed"), 0u);

@@ -12,10 +12,12 @@
 
 #include "svc/Service.h"
 #include "tsvc/Suite.h"
+#include "vir/Compile.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <stdexcept>
 
 using namespace lv;
@@ -202,6 +204,64 @@ TEST(Service, ChecksumWorkAggregatesInterpCounters) {
   EXPECT_GT(O.ChecksumWork.Loads, 0u);
   EXPECT_GT(O.ChecksumWork.Stores, 0u);
   EXPECT_EQ(O.ChecksumWork.Traps, 0u);
+}
+
+TEST(Service, SampleModeTestsEachDistinctCompletionOnce) {
+  // K = 100 completions repeat. Each distinct checksum-eligible source is
+  // looked up, tested and counted once; its repeats copy its verdict.
+  Request R;
+  R.Mode = RunMode::Sample;
+  R.Name = "s000";
+  R.ScalarSource = tsvc::findTest(R.Name)->Source;
+  R.Seed = 7;
+  R.SampleCount = 100;
+  R.Fsm.Checksum = fastChecksum();
+
+  std::unique_ptr<llm::LLMClient> Client =
+      llm::simulatedClientFactory()(R.Seed);
+  llm::Prompt P;
+  P.ScalarSource = R.ScalarSource;
+  std::set<std::string> Distinct;
+  int EligibleSamples = 0;
+  for (int I = 0; I < R.SampleCount; ++I) {
+    std::string Src = Client->complete(P, static_cast<uint64_t>(I)).Source;
+    if (vir::compileFunction(Src).ok() &&
+        Src.find("_mm256_") != std::string::npos) {
+      Distinct.insert(Src);
+      ++EligibleSamples;
+    }
+  }
+  ASSERT_GT(Distinct.size(), 0u);
+  ASSERT_GT(EligibleSamples, static_cast<int>(Distinct.size()))
+      << "the completions must repeat for this test to mean anything";
+
+  VectorizerService S;
+  Request R2 = R;
+  const Outcome &First = S.wait(S.submit(std::move(R)));
+  ASSERT_FALSE(First.Failed) << First.Error;
+  CacheStats C1 = S.cacheStats();
+  EXPECT_EQ(C1.Hits, 0u);
+  EXPECT_EQ(C1.Misses, Distinct.size());
+  EXPECT_EQ(First.ChecksumWork.ChecksumCalls, Distinct.size());
+
+  // An identical request replays exactly those entries.
+  const Outcome &Second = S.wait(S.submit(std::move(R2)));
+  CacheStats C2 = S.cacheStats();
+  EXPECT_EQ(C2.Hits - C1.Hits, Distinct.size());
+  EXPECT_EQ(C2.Misses, C1.Misses);
+  EXPECT_EQ(debugString(First), debugString(Second));
+  const StageInterpWork &A = First.ChecksumWork, &B = Second.ChecksumWork;
+  EXPECT_EQ(A.ChecksumCalls, B.ChecksumCalls);
+  EXPECT_EQ(A.InputSets, B.InputSets);
+  EXPECT_EQ(A.CandRuns, B.CandRuns);
+  EXPECT_EQ(A.ScalarRuns, B.ScalarRuns);
+  EXPECT_EQ(A.ScalarRunsSaved, B.ScalarRunsSaved);
+  EXPECT_EQ(A.Instrs, B.Instrs);
+  EXPECT_EQ(A.Loads, B.Loads);
+  EXPECT_EQ(A.Stores, B.Stores);
+  EXPECT_EQ(A.Branches, B.Branches);
+  EXPECT_EQ(A.Traps, B.Traps);
+  EXPECT_EQ(A.Hangs, B.Hangs);
 }
 
 /// A verify request whose pair falls through to spatial splitting:

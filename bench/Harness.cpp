@@ -128,11 +128,8 @@ void lv::bench::noteServiceStats(const svc::VectorizerService &Service) {
   if (const store::ResultStore *S = Service.resultStore())
     T.Store.add(S->stats());
   svc::VectorizerService::ResilienceStats R = Service.resilienceStats();
-  T.Resilience.Retries += R.Retries;
   T.Resilience.Timeouts += R.Timeouts;
   T.Resilience.Degraded += R.Degraded;
-  T.Resilience.ClientTransient += R.ClientTransient;
-  T.Resilience.ClientPermanent += R.ClientPermanent;
   T.Resilience.Internal += R.Internal;
   T.Resilience.Shed += R.Shed;
   T.Resilience.JournalReplayed += R.JournalReplayed;
@@ -170,15 +167,11 @@ bool lv::bench::writeBenchJson(const std::string &BenchName,
             static_cast<unsigned long long>(T.Store.AppendFailed),
             static_cast<unsigned long long>(T.Store.ReadFailed));
     appendf(J,
-            "  \"resilience\": {\"retries\": %llu, \"timeouts\": %llu, "
-            "\"degraded\": %llu, \"client_transient\": %llu, "
-            "\"client_permanent\": %llu, \"internal\": %llu, "
-            "\"shed\": %llu, \"journal_replayed\": %llu},\n",
-            static_cast<unsigned long long>(T.Resilience.Retries),
+            "  \"resilience\": {\"timeouts\": %llu, \"degraded\": %llu, "
+            "\"internal\": %llu, \"shed\": %llu, "
+            "\"journal_replayed\": %llu},\n",
             static_cast<unsigned long long>(T.Resilience.Timeouts),
             static_cast<unsigned long long>(T.Resilience.Degraded),
-            static_cast<unsigned long long>(T.Resilience.ClientTransient),
-            static_cast<unsigned long long>(T.Resilience.ClientPermanent),
             static_cast<unsigned long long>(T.Resilience.Internal),
             static_cast<unsigned long long>(T.Resilience.Shed),
             static_cast<unsigned long long>(T.Resilience.JournalReplayed));

@@ -39,17 +39,6 @@ FsmResult MultiAgentFsm::run(const std::string &ScalarSource) {
   FsmResult R;
   try {
     runImpl(R, ScalarSource);
-  } catch (const llm::ClientError &E) {
-    // The endpoint failed mid-dialogue: keep the transcript made so far
-    // and report the abort instead of unwinding (the service retries
-    // transient aborts on the same client, whose completion stream is
-    // index-pure — a successful retry replays the fault-free dialogue).
-    R.Abort = E.Transient ? FsmAbort::ClientTransient
-                          : FsmAbort::ClientPermanent;
-    R.AbortMsg = E.what();
-    R.Transcript.push_back(
-        {"vectorizer", "user-proxy", std::string("client error: ") + E.what()});
-    R.Transitions.push_back(State::Failed);
   } catch (const support::CancelledError &E) {
     R.Abort = FsmAbort::Cancelled;
     R.AbortMsg = E.what();

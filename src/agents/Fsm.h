@@ -73,17 +73,15 @@ struct FsmConfig {
   uint64_t configHash() const;
 };
 
-/// Why a run stopped before the FSM itself concluded. The FSM absorbs
-/// infrastructure failures instead of letting them unwind through run():
-/// the partial transcript/transitions stay on the result, and the service
-/// layer decides whether to retry (transient), fail the task (permanent),
-/// or classify it timed-out (cancelled) — see src/svc/README.md
-/// "Failure model".
+/// Why a run stopped before the FSM itself concluded. The only abort is
+/// the task's deadline (or drain()) firing: run() catches the cancellation
+/// instead of letting it unwind, so the partial transcript/transitions
+/// stay on the result and the service classifies the task TimedOut (see
+/// src/svc/README.md "Failure model"). Anything else a client throws
+/// propagates to the service.
 enum class FsmAbort : uint8_t {
-  None,            ///< Ran to a normal Done/Failed conclusion.
-  ClientTransient, ///< llm::ClientError, Transient — retryable.
-  ClientPermanent, ///< llm::ClientError, permanent.
-  Cancelled,       ///< Task deadline expired (support::CancelledError).
+  None,      ///< Ran to a normal Done/Failed conclusion.
+  Cancelled, ///< Task deadline expired (support::CancelledError).
 };
 
 /// Result of a run.
@@ -94,8 +92,8 @@ struct FsmResult {
   interp::ChecksumOutcome LastChecksum;
   std::vector<Message> Transcript;
   std::vector<State> Transitions;
-  FsmAbort Abort = FsmAbort::None; ///< Infrastructure abort, if any.
-  std::string AbortMsg;            ///< The aborting error's message.
+  FsmAbort Abort = FsmAbort::None; ///< Cancellation abort, if any.
+  std::string AbortMsg;            ///< The cancellation's message.
 };
 
 /// The orchestrator.
@@ -104,9 +102,9 @@ public:
   MultiAgentFsm(llm::LLMClient &Client, FsmConfig Cfg)
       : Client(Client), Cfg(Cfg) {}
 
-  /// Runs the dialogue for one scalar function. Client errors and task
-  /// cancellation do not throw: they surface as FsmResult::Abort with the
-  /// progress made so far intact.
+  /// Runs the dialogue for one scalar function. Task cancellation does
+  /// not throw: it surfaces as FsmResult::Abort with the progress made so
+  /// far intact.
   FsmResult run(const std::string &ScalarSource);
 
 private:

@@ -20,6 +20,11 @@
 /// fault classes the feedback exposes — the mechanism behind the paper's
 /// multi-agent repair results (§4.4).
 ///
+/// Only semantic faults are modelled: wrong code from a healthy endpoint.
+/// There is no transport-failure type. A client whose complete() throws
+/// fails its task, and the vectorization service classifies the throw as
+/// StageDegraded or Internal (src/svc/README.md "Failure model").
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LV_LLM_CLIENT_H
@@ -30,7 +35,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -49,22 +53,6 @@ struct Prompt {
 struct Completion {
   std::string Source;    ///< The "model output": C code text.
   std::string Rationale; ///< Transcript note (strategy + injected faults).
-};
-
-/// Infrastructure failure of a client call — the endpoint equivalent of a
-/// 5xx / connection reset (Transient: worth retrying) or a 4xx / auth
-/// failure (permanent: retrying cannot help). Orthogonal to the *semantic*
-/// fault catalog in llm/Faults.h, which models wrong completions from a
-/// healthy endpoint. The vectorization service retries transient errors
-/// with deterministic backoff and classifies both kinds into the
-/// Outcome failure taxonomy (src/svc/README.md "Failure model");
-/// llm/Chaos.h injects them deterministically for the chaos harness.
-class ClientError : public std::runtime_error {
-public:
-  ClientError(const std::string &Msg, bool Transient)
-      : std::runtime_error(Msg), Transient(Transient) {}
-
-  bool Transient; ///< True when a retry may succeed.
 };
 
 /// Abstract LLM endpoint.

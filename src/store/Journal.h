@@ -64,8 +64,9 @@ public:
   /// membership record; version 3 the racer fields of svc::StageSatWork
   /// and tv::TVResult; version 4 marks stage 2's case split on the trip
   /// count; version 5 the multiplier abstraction; version 6 the mask-idiom
-  /// ite lifts in smt::TermTable.
-  static constexpr uint32_t SchemaVersion = 6;
+  /// ite lifts in smt::TermTable; version 7 drops Outcome::Retries and
+  /// renumbers svc::FailureKind (the client failure kinds are gone).
+  static constexpr uint32_t SchemaVersion = 7;
 
   /// Opens (or creates) `<Dir>/journal.log`, replaying completed-task
   /// records into the in-memory index. Same degradation ladder as

@@ -83,8 +83,8 @@ struct StoreStats {
   }
 };
 
-/// Fault-injection hooks for persistent-store I/O, the storage analogue of
-/// llm/Chaos.h's transport faults (see src/svc/README.md "Failure model").
+/// Fault-injection hooks for persistent-store I/O (see src/svc/README.md
+/// "Failure model").
 /// Process-global: set before opening/driving stores under test, clear by
 /// setting empty hooks. Each callback is polled once per candidate I/O and
 /// returns true to inject a failure:

@@ -124,9 +124,8 @@ inline void throwIfCancelled(const char *Where) {
 }
 
 /// Sleeps ~\p Nanos in short slices, aborting with CancelledError the
-/// moment the current token expires — so injected latency and retry
-/// backoff can never hold a worker past its task deadline by more than
-/// one slice.
+/// moment the current token expires — so a stalling client can never
+/// hold a worker past its task deadline by more than one slice.
 inline void cancellableSleepNanos(uint64_t Nanos, const char *Where) {
   constexpr uint64_t SliceNs = 2'000'000; // 2 ms granularity
   uint64_t End = steadyNowNanos() + Nanos;

@@ -33,18 +33,12 @@ const char *lv::svc::runModeName(RunMode M) {
 const char *lv::svc::failureKindName(FailureKind K) {
   switch (K) {
   case FailureKind::None: return "none";
-  case FailureKind::ClientTransient: return "client-transient";
-  case FailureKind::ClientPermanent: return "client-permanent";
   case FailureKind::TimedOut: return "timed-out";
   case FailureKind::StageDegraded: return "stage-degraded";
   case FailureKind::Internal: return "internal";
   case FailureKind::Shed: return "shed";
   }
   return "?";
-}
-
-uint64_t lv::svc::taskSeed(uint64_t Seed, const std::string &Name) {
-  return hashCombine(Seed, hashString(Name.c_str()));
 }
 
 //===----------------------------------------------------------------------===//
@@ -55,27 +49,6 @@ namespace {
 void publishOutcome(const Outcome &O); // defined with the worker loop below
 } // namespace
 
-/// Hashes the serving-policy knobs that can alter a *completed* outcome's
-/// bytes (retry budget, chaos schedule) so journal task keys never
-/// collide across configs whose outcomes could differ — a journal shared
-/// between a chaos run and a clean run must not replay one into the
-/// other. Retired tags, never to be reused: 1 (per-task seed derivation),
-/// 10-12 (circuit breaker), 13 (hedging).
-static uint64_t servingSalt(const ServiceConfig &C) {
-  uint64_t H = 0x5A17;
-  H = hashField(H, 2, static_cast<uint64_t>(C.ClientRetries));
-  H = hashField(H, 3, C.Chaos.ChaosSeed);
-  H = hashField(H, 4, bitsOfDouble(C.Chaos.TransientRate));
-  H = hashField(H, 5, bitsOfDouble(C.Chaos.PermanentRate));
-  H = hashField(H, 6, bitsOfDouble(C.Chaos.TruncateRate));
-  H = hashField(H, 7, bitsOfDouble(C.Chaos.GarbageRate));
-  H = hashField(H, 8, bitsOfDouble(C.Chaos.LatencyRate));
-  H = hashField(H, 9, C.Chaos.TransientCallScript.size());
-  for (uint64_t I : C.Chaos.TransientCallScript)
-    H = hashCombine(H, I);
-  return H;
-}
-
 VectorizerService::VectorizerService(ServiceConfig C)
     : Cfg(std::move(C)) {
   NumWorkers = Cfg.Workers < 1 ? 1 : Cfg.Workers;
@@ -84,10 +57,8 @@ VectorizerService::VectorizerService(ServiceConfig C)
   // work either).
   if (Cfg.EnableVerdictCache)
     Store.reset(new store::ResultStore(Cfg.StorePath));
-  if (!Cfg.JournalPath.empty()) {
+  if (!Cfg.JournalPath.empty())
     Journal.reset(new store::BatchJournal(Cfg.JournalPath));
-    JournalSalt = servingSalt(Cfg);
-  }
   if (!Cfg.MakeClient)
     Cfg.MakeClient = llm::simulatedClientFactory();
   Pool.reserve(static_cast<size_t>(NumWorkers));
@@ -103,10 +74,6 @@ VectorizerService::~VectorizerService() {
   WorkCv.notify_all();
   for (std::thread &T : Pool)
     T.join();
-}
-
-uint64_t VectorizerService::taskKey(const Request &R) const {
-  return hashCombine(requestKey(R), JournalSalt);
 }
 
 /// Marks \p T shed (M held). The outcome is complete immediately — a shed
@@ -157,7 +124,7 @@ Ticket VectorizerService::admitLocked(Request R, std::vector<Ticket> &ShedOut) {
   // semantically meaningful field), so the batch converges on the same
   // bytes an uninterrupted run would produce.
   if (Journal) {
-    Tk.JournalKey = taskKey(Tk.Req);
+    Tk.JournalKey = requestKey(Tk.Req);
     std::string Payload;
     if (Journal->lookupDone(Tk.JournalKey, requestIdentity(Tk.Req),
                             Payload) &&
@@ -427,11 +394,8 @@ void VectorizerService::workerLoop() {
     {
       std::lock_guard<std::mutex> L(M);
       const Outcome &O = T->Out;
-      RStats.Retries += static_cast<uint64_t>(O.Retries);
       switch (O.Failure) {
       case FailureKind::None: break;
-      case FailureKind::ClientTransient: ++RStats.ClientTransient; break;
-      case FailureKind::ClientPermanent: ++RStats.ClientPermanent; break;
       case FailureKind::TimedOut: ++RStats.Timeouts; break;
       case FailureKind::StageDegraded: ++RStats.Degraded; break;
       case FailureKind::Internal: ++RStats.Internal; break;
@@ -511,17 +475,6 @@ static const char *taskSpanName(RunMode M) {
   return "task";
 }
 
-void VectorizerService::backoffSleep(int Attempt) {
-  if (!Cfg.RetryBackoffNanos)
-    return;
-  // Deterministic exponential backoff: attempt k sleeps Base << k. The
-  // sleep is cancellable, so backoff never outlives the task deadline
-  // (expiry unwinds into the TimedOut classification like any stage).
-  int Shift = Attempt < 20 ? Attempt : 20;
-  support::cancellableSleepNanos(Cfg.RetryBackoffNanos << Shift,
-                                 "svc.retry_backoff");
-}
-
 void VectorizerService::runTask(Task &T) {
   const Request &R = T.Req;
   Outcome &O = T.Out;
@@ -536,29 +489,22 @@ void VectorizerService::runTask(Task &T) {
 
   // Arm the cooperative per-task deadline. The scope installs the token
   // thread-locally so every checkpoint below this frame — FSM attempt
-  // loop, interpreter fuel checks, SAT budget loops, chaos latency
-  // sleeps — polls it without any config plumbing (and therefore without
-  // perturbing the configHash-keyed caches). The token lives on the Task
-  // (not this stack frame) so drain() can cancel in-flight work.
+  // loop, interpreter fuel checks, SAT budget loops — polls it without
+  // any config plumbing (and therefore without perturbing the
+  // configHash-keyed caches). The token lives on the Task (not this stack
+  // frame) so drain() can cancel in-flight work.
   support::CancelToken &Token = T.Token;
   if (R.DeadlineNanos)
     Token.setDeadlineAfter(R.DeadlineNanos);
   support::CancelScope Scope(&Token);
 
   try {
-    runStages(T, Token);
+    runStages(T);
   } catch (const support::CancelledError &E) {
     // Deadline expiry in a stage without its own partial-result recovery.
     O.Failed = true;
     O.Failure = FailureKind::TimedOut;
     O.Error = std::string("timed out: ") + E.what();
-  } catch (const llm::ClientError &E) {
-    // Client error that escaped the retry loops (permanent, or thrown
-    // outside a retryable stage).
-    O.Failed = true;
-    O.Failure = E.Transient ? FailureKind::ClientTransient
-                            : FailureKind::ClientPermanent;
-    O.Error = E.what();
   } catch (const std::exception &E) {
     // Graceful degradation: if any stage already produced usable output,
     // the outcome keeps it and the failure is classified as degraded
@@ -571,22 +517,14 @@ void VectorizerService::runTask(Task &T) {
   }
 }
 
-std::unique_ptr<llm::LLMClient>
-VectorizerService::makeTaskClient(const Request &R) {
-  std::unique_ptr<llm::LLMClient> C = Cfg.MakeClient(R.Seed);
-  if (Cfg.Chaos.enabled())
-    C = llm::wrapChaos(std::move(C), Cfg.Chaos, taskSeed(R.Seed, R.Name));
-  return C;
-}
-
-void VectorizerService::runStages(Task &T, support::CancelToken &Token) {
+void VectorizerService::runStages(Task &T) {
   const Request &R = T.Req;
   Outcome &O = T.Out;
 
   switch (R.Mode) {
   case RunMode::Generate:
   case RunMode::Pipeline: {
-    std::unique_ptr<llm::LLMClient> Client = makeTaskClient(R);
+    std::unique_ptr<llm::LLMClient> Client = Cfg.MakeClient(R.Seed);
     agents::FsmConfig FC = R.Fsm;
     // The task-scoped reference memo: the scalar runs once per input set
     // across every repair attempt the FSM makes.
@@ -608,42 +546,12 @@ void VectorizerService::runStages(Task &T, support::CancelToken &Token) {
       };
     }
     agents::MultiAgentFsm Fsm(*Client, FC);
-    // Bounded retries for transient client aborts. The SAME client runs
-    // every attempt: the chaos decorator's call index has advanced past
-    // the consumed fault and the inner completion stream is index-pure,
-    // so a successful retry replays the fault-free dialogue exactly —
-    // per-attempt state (FSM result, checksum tallies) resets so the
-    // surviving outcome is bit-identical to a run that never faulted.
-    for (int Attempt = 0;; ++Attempt) {
-      O.Fsm = agents::FsmResult();
-      O.ChecksumWork = StageInterpWork();
-      O.Fsm = Fsm.run(R.ScalarSource);
-      if (O.Fsm.Abort != agents::FsmAbort::ClientTransient ||
-          Attempt >= Cfg.ClientRetries || Token.expired())
-        break;
-      ++O.Retries;
-      obs::counter("svc.retries").inc();
-      backoffSleep(Attempt);
-    }
+    O.Fsm = Fsm.run(R.ScalarSource);
     O.GenerateRan = true;
-    switch (O.Fsm.Abort) {
-    case agents::FsmAbort::None:
-      break;
-    case agents::FsmAbort::ClientTransient:
-      O.Failed = true;
-      O.Failure = FailureKind::ClientTransient;
-      O.Error = "client error (retries exhausted): " + O.Fsm.AbortMsg;
-      break;
-    case agents::FsmAbort::ClientPermanent:
-      O.Failed = true;
-      O.Failure = FailureKind::ClientPermanent;
-      O.Error = "client error: " + O.Fsm.AbortMsg;
-      break;
-    case agents::FsmAbort::Cancelled:
+    if (O.Fsm.Abort == agents::FsmAbort::Cancelled) {
       O.Failed = true;
       O.Failure = FailureKind::TimedOut;
       O.Error = "timed out: " + O.Fsm.AbortMsg;
-      break;
     }
     if (!O.Failed && R.Mode == RunMode::Pipeline && O.Fsm.Plausible) {
       O.Equiv = checkCached(R.ScalarSource, O.Fsm.FinalCandidate, R.Equiv,
@@ -665,61 +573,37 @@ void VectorizerService::runStages(Task &T, support::CancelToken &Token) {
     // repeat, so each distinct source is compiled and classified once —
     // through testCached with one reference memo, as the FSM tester does —
     // and its repeats copy that verdict.
-    std::unique_ptr<llm::LLMClient> Client = makeTaskClient(R);
+    std::unique_ptr<llm::LLMClient> Client = Cfg.MakeClient(R.Seed);
     vir::CompileResult SC = vir::compileFunction(R.ScalarSource);
-    // One attempt of the whole sampling pass; completions are drawn by
-    // explicit index, so a retry on the same client replays the exact
-    // fault-free sample stream (see the Generate-mode retry note). All
-    // completions are drawn before any is tested, so a client fault lands
-    // before the attempt has stored anything and a retry counts exactly
-    // the work of a fault-free run.
-    auto SampleAttempt = [&] {
-      llm::Prompt P;
-      P.ScalarSource = R.ScalarSource;
-      O.Samples.reserve(static_cast<size_t>(R.SampleCount));
-      for (int I = 0; I < R.SampleCount; ++I) {
-        llm::Completion C = Client->complete(P, static_cast<uint64_t>(I));
-        SampleVerdict V;
-        // Copied, not moved: the completion's buffer carries growth slack,
-        // and every outcome keeps all K sources.
-        V.Source = C.Source;
-        O.Samples.push_back(std::move(V));
+    llm::Prompt P;
+    P.ScalarSource = R.ScalarSource;
+    O.Samples.reserve(static_cast<size_t>(R.SampleCount));
+    for (int I = 0; I < R.SampleCount; ++I) {
+      llm::Completion C = Client->complete(P, static_cast<uint64_t>(I));
+      SampleVerdict V;
+      // Copied, not moved: the completion's buffer carries growth slack,
+      // and every outcome keeps all K sources.
+      V.Source = C.Source;
+      O.Samples.push_back(std::move(V));
+    }
+    interp::ScalarRefMemo Memo;
+    std::unordered_map<std::string_view, const SampleVerdict *> First;
+    for (SampleVerdict &V : O.Samples) {
+      auto [It, New] = First.emplace(V.Source, &V);
+      if (!New) {
+        V.Compiles = It->second->Compiles;
+        V.Plausible = It->second->Plausible;
+        continue;
       }
-      interp::ScalarRefMemo Memo;
-      std::unordered_map<std::string_view, const SampleVerdict *> First;
-      for (SampleVerdict &V : O.Samples) {
-        auto [It, New] = First.emplace(V.Source, &V);
-        if (!New) {
-          V.Compiles = It->second->Compiles;
-          V.Plausible = It->second->Plausible;
-          continue;
-        }
-        vir::CompileResult VC = vir::compileFunction(V.Source);
-        V.Compiles = VC.ok();
-        if (V.Compiles && SC.ok() &&
-            V.Source.find("_mm256_") != std::string::npos) {
-          interp::ChecksumOutcome CO =
-              testCached(R.ScalarSource, V.Source, *SC.Fn, *VC.Fn,
-                         R.Fsm.Checksum, &Memo);
-          V.Plausible = CO.plausible();
-          O.ChecksumWork.add(CO);
-        }
-      }
-    };
-    for (int Attempt = 0;; ++Attempt) {
-      try {
-        SampleAttempt();
-        break;
-      } catch (const llm::ClientError &E) {
-        if (!E.Transient || Attempt >= Cfg.ClientRetries || Token.expired())
-          throw; // runTask classifies it
-        // Drop the attempt's partial progress so the retry rebuilds the
-        // sample list from index 0.
-        O.Samples.clear();
-        O.ChecksumWork = StageInterpWork();
-        ++O.Retries;
-        obs::counter("svc.retries").inc();
-        backoffSleep(Attempt);
+      vir::CompileResult VC = vir::compileFunction(V.Source);
+      V.Compiles = VC.ok();
+      if (V.Compiles && SC.ok() &&
+          V.Source.find("_mm256_") != std::string::npos) {
+        interp::ChecksumOutcome CO =
+            testCached(R.ScalarSource, V.Source, *SC.Fn, *VC.Fn,
+                       R.Fsm.Checksum, &Memo);
+        V.Plausible = CO.plausible();
+        O.ChecksumWork.add(CO);
       }
     }
     break;
@@ -827,7 +711,6 @@ std::string lv::svc::serializeOutcome(const Outcome &O) {
   W.u8(O.Failed ? 1 : 0);
   W.str(O.Error);
   W.u8(static_cast<uint8_t>(O.Failure));
-  W.i32(O.Retries);
   W.u64(O.DeadlineNanos);
   return S;
 }
@@ -907,7 +790,6 @@ bool lv::svc::deserializeOutcome(const std::string &Bytes, Outcome &Out) {
   if (FK > static_cast<uint8_t>(FailureKind::Shed))
     return false;
   O.Failure = static_cast<FailureKind>(FK);
-  O.Retries = R.i32();
   O.DeadlineNanos = R.u64();
   if (R.Fail || !R.done())
     return false;
@@ -932,10 +814,7 @@ std::string lv::svc::debugString(const Outcome &O) {
   appendf(S, "outcome %s mode=%s\n", O.Name.c_str(), runModeName(O.Mode));
   if (O.Failed)
     appendf(S, " failed: %s\n", O.Error.c_str());
-  // Always printed: parity comparisons that expect retry tallies to
-  // differ (absorbed-fault vs fault-free runs) strip exactly this line.
-  appendf(S, " resilience: failure=%s retries=%d\n",
-          failureKindName(O.Failure), O.Retries);
+  appendf(S, " resilience: failure=%s\n", failureKindName(O.Failure));
   if (O.GenerateRan) {
     appendf(S, " fsm: plausible=%d attempts=%d\n", O.Fsm.Plausible ? 1 : 0,
             O.Fsm.Attempts);

@@ -37,7 +37,6 @@
 
 #include "agents/Fsm.h"
 #include "core/Equivalence.h"
-#include "llm/Chaos.h"
 #include "llm/Client.h"
 #include "support/Cancel.h"
 
@@ -71,11 +70,9 @@ const char *runModeName(RunMode M);
 
 /// Failure taxonomy: how a task failed, when it did. Every Failed outcome
 /// carries exactly one kind; see src/svc/README.md "Failure model" for
-/// the full semantics, counters, and retry policy per kind.
+/// the full semantics and counters per kind.
 enum class FailureKind : uint8_t {
   None,            ///< Not failed.
-  ClientTransient, ///< Retryable client error; retries were exhausted.
-  ClientPermanent, ///< Non-retryable client error.
   TimedOut,        ///< Request.DeadlineNanos expired (cooperative cancel).
   StageDegraded,   ///< A stage threw but earlier stages produced usable
                    ///< partial results (kept on the Outcome).
@@ -87,10 +84,6 @@ enum class FailureKind : uint8_t {
 };
 
 const char *failureKindName(FailureKind K);
-
-/// Derives a per-task RNG stream from the experiment seed and the task's
-/// stable name. Order- and thread-count-independent by construction.
-uint64_t taskSeed(uint64_t Seed, const std::string &Name);
 
 /// One unit of work: a scalar function plus everything needed to run the
 /// funnel on it. Subsumes the (source, FsmConfig, EquivConfig, seed)
@@ -236,12 +229,8 @@ struct Outcome {
   bool Failed = false;
   std::string Error;
 
-  /// Failure taxonomy + resilience tallies. Failure is None unless Failed;
-  /// Retries counts transient-error retries consumed (a retried task that
-  /// eventually succeeded has Failed=false, Retries>0, and — by the retry
-  /// determinism contract — results bit-identical to a fault-free run).
+  /// Failure taxonomy. Failure is None unless Failed.
   FailureKind Failure = FailureKind::None;
-  int Retries = 0;
   uint64_t DeadlineNanos = 0; ///< Echo of Request.DeadlineNanos.
 
   /// Convenience: the funnel's final word on this function.
@@ -278,24 +267,10 @@ struct ServiceConfig {
   /// process replays bit-identical results instead of recomputing them.
   /// Empty: the cache is memory-only.
   std::string StorePath;
-  /// Retry budget for transient client errors (llm::ClientError with
-  /// Transient set), per task. The whole failed stage re-runs on the SAME
-  /// client instance, so a deterministic chaos schedule advances past the
-  /// consumed fault and a successful retry is bit-identical to a
-  /// fault-free run (see llm/Chaos.h).
-  int ClientRetries = 2;
-  /// Base backoff before retry k: RetryBackoffNanos << k (cancellable
-  /// sleep, so backoff never outlives the task deadline). 0 disables.
-  uint64_t RetryBackoffNanos = 1'000'000;
-  /// Transport-fault injection (llm/Chaos.h). When enabled, every task's
-  /// client is wrapped in the chaos decorator keyed by
-  /// taskSeed(Request.Seed, Request.Name) — per-task deterministic
-  /// schedules.
-  llm::ChaosConfig Chaos;
 
   /// Directory of the crash-recovery batch journal (store/Journal.h).
   /// When set, completed (non-failed) task outcomes are journaled as they
-  /// finish, and submissions whose task key is already journaled replay
+  /// finish, and submissions whose requestKey is already journaled replay
   /// the stored outcome instead of running — so a process killed
   /// mid-batch re-runs only the remainder after restart (see
   /// svc/README.md "Drain & recovery"). Empty: off.
@@ -374,11 +349,8 @@ public:
 
   /// Resilience tallies aggregated over every finished task.
   struct ResilienceStats {
-    uint64_t Retries = 0;  ///< Transient retries consumed (incl. absorbed).
-    uint64_t Timeouts = 0; ///< Tasks failed TimedOut.
-    uint64_t Degraded = 0; ///< Tasks failed StageDegraded.
-    uint64_t ClientTransient = 0; ///< Tasks failed ClientTransient.
-    uint64_t ClientPermanent = 0; ///< Tasks failed ClientPermanent.
+    uint64_t Timeouts = 0;        ///< Tasks failed TimedOut.
+    uint64_t Degraded = 0;        ///< Tasks failed StageDegraded.
     uint64_t Internal = 0;        ///< Tasks failed Internal.
     uint64_t Shed = 0;            ///< Tasks shed by drain().
     uint64_t JournalReplayed = 0; ///< Tasks served from the batch journal.
@@ -413,16 +385,12 @@ private:
     bool Started = false;          ///< Dequeued by a worker (under M).
     support::CancelToken Token;    ///< Cancellation seam; drain() + the
                                    ///< per-task deadline both use it.
-    uint64_t JournalKey = 0;       ///< taskKey(Req); 0 when journaling off.
+    uint64_t JournalKey = 0;       ///< requestKey(Req); 0 when journaling off.
   };
 
   void workerLoop();
   void runTask(Task &T);
-  void runStages(Task &T, support::CancelToken &Token);
-  /// Builds a task's LLM client: the factory client, wrapped in the chaos
-  /// decorator when chaos is configured.
-  std::unique_ptr<llm::LLMClient> makeTaskClient(const Request &R);
-  void backoffSleep(int Attempt);
+  void runStages(Task &T);
   core::EquivResult checkCached(const std::string &ScalarSrc,
                                 const std::string &CandidateSrc,
                                 const core::EquivConfig &Cfg, bool &Hit);
@@ -441,15 +409,12 @@ private:
   void shedLocked(Task &T, const char *Why);
   /// Publishes counters/flight records for tasks shed while M was held.
   void publishShed(const std::vector<Ticket> &Shed);
-  /// The journal identity of a request under this service's config.
-  uint64_t taskKey(const Request &R) const;
 
   ServiceConfig Cfg;
   int NumWorkers = 1;
   /// The verdict cache; null when EnableVerdictCache is off.
   std::unique_ptr<store::ResultStore> Store;
   std::unique_ptr<store::BatchJournal> Journal; ///< From JournalPath.
-  uint64_t JournalSalt = 0; ///< Serving-config hash mixed into task keys.
 
   mutable std::mutex M;
   std::condition_variable WorkCv;  ///< Signals workers: queue or shutdown.
@@ -471,9 +436,8 @@ private:
 /// determines its outcome (name, mode, sources, seed, sample count,
 /// config hashes) and nothing that doesn't (the deadline: only completed
 /// outcomes are journaled, and completed outcomes are pure functions of
-/// the identity fields). Serving-policy knobs that can alter outcomes
-/// (retry budget, chaos schedule) are mixed in by the service on top of
-/// this (see ServiceConfig::JournalPath).
+/// the identity fields). The journal keys each task by exactly this
+/// hash, so any change to these fields re-runs instead of replaying.
 uint64_t requestKey(const Request &R);
 
 /// Exactness string compared on journal hits, so a 64-bit key collision

@@ -1,18 +1,14 @@
-//===- tests/test_chaos.cpp - fault injection & resilience tests --------------===//
+//===- tests/test_chaos.cpp - deadline & timed-wait tests ---------------------===//
 //
 // The failure-model contract (src/svc/README.md "Failure model"):
-// (1) chaos schedules are pure functions of (ChaosSeed, TaskSeed,
-// CallIndex); (2) a task that succeeds after absorbing transient faults
-// is bit-identical — modulo the resilience tally line — to the fault-free
-// run of the same schedule, at any worker count; (3) every failure is
-// classified with the right FailureKind and partial progress is kept;
-// (4) deadline expiry degrades to a classified TimedOut outcome whose
-// partial equivalence evidence is never cached; (5) waitFor returns the
-// timed-out sentinel without abandoning the task.
+// (1) deadline expiry degrades to a classified TimedOut outcome with its
+// partial progress kept, in Verify and in the FSM; (2) partial
+// equivalence evidence cut short by a deadline is never cached; (3)
+// waitFor returns the timed-out sentinel without abandoning the task.
 //
 //===----------------------------------------------------------------------===//
 
-#include "llm/Chaos.h"
+#include "support/Cancel.h"
 #include "svc/Service.h"
 #include "tsvc/Suite.h"
 
@@ -62,149 +58,22 @@ std::vector<Request> sampleBatch() {
   return Out;
 }
 
-/// debugString minus the ` resilience:` line — the only line allowed to
-/// differ between an absorbed-retry run and a fault-free run.
-std::string stripResilience(const std::string &S) {
-  std::string Out;
-  size_t Pos = 0;
-  while (Pos < S.size()) {
-    size_t Eol = S.find('\n', Pos);
-    if (Eol == std::string::npos)
-      Eol = S.size() - 1;
-    if (S.compare(Pos, 13, " resilience: ") != 0)
-      Out.append(S, Pos, Eol - Pos + 1);
-    Pos = Eol + 1;
+/// SimulatedLLM that stalls every call in a cancellable sleep, so a
+/// deadline or drain() cuts it short.
+struct SlowLLM : llm::SimulatedLLM {
+  SlowLLM(uint64_t Seed, uint64_t StallNanos)
+      : SimulatedLLM(Seed), StallNanos(StallNanos) {}
+  llm::Completion complete(const llm::Prompt &P, uint64_t K) override {
+    support::cancellableSleepNanos(StallNanos, "test.slow_llm");
+    return SimulatedLLM::complete(P, K);
   }
-  return Out;
-}
+  uint64_t StallNanos;
+};
 
-std::vector<std::string> runBatchAt(int Workers, const llm::ChaosConfig &Chaos,
-                                    std::vector<Outcome> *RawOut = nullptr) {
-  ServiceConfig SC;
-  SC.Workers = Workers;
-  SC.Chaos = Chaos;
-  SC.RetryBackoffNanos = 0; // keep the suite fast; backoff is wall-only
-  VectorizerService S(SC);
-  std::vector<Ticket> Tickets = S.submitBatch(sampleBatch());
-  std::vector<std::string> Out;
-  for (Ticket T : Tickets) {
-    const Outcome &O = S.wait(T);
-    if (RawOut)
-      RawOut->push_back(O);
-    Out.push_back(debugString(O));
-  }
-  return Out;
-}
-
-/// Records which call indices of a chaos-wrapped client faulted.
-std::vector<bool> faultPattern(const llm::ChaosConfig &Cfg, uint64_t TaskSeed,
-                               int Calls) {
-  std::unique_ptr<llm::LLMClient> C =
-      llm::wrapChaos(llm::simulatedClientFactory()(0xC60), Cfg, TaskSeed);
-  llm::Prompt P;
-  P.ScalarSource = "void f(int n, int *a) { for (int i = 0; i < n; i++) "
-                   "a[i] = 1; }";
-  std::vector<bool> Out;
-  for (int I = 0; I < Calls; ++I) {
-    try {
-      C->complete(P, static_cast<uint64_t>(I));
-      Out.push_back(false);
-    } catch (const llm::ClientError &) {
-      Out.push_back(true);
-    }
-  }
-  return Out;
-}
-
-TEST(Chaos, ScheduleIsDeterministicPerTaskSeed) {
-  llm::ChaosConfig Cfg;
-  Cfg.TransientRate = 0.5;
-  std::vector<bool> A = faultPattern(Cfg, 1, 32);
-  std::vector<bool> B = faultPattern(Cfg, 1, 32);
-  EXPECT_EQ(A, B) << "same (chaos seed, task seed) must replay identically";
-  std::vector<bool> C = faultPattern(Cfg, 2, 32);
-  EXPECT_NE(A, C) << "different task seeds must draw independent schedules";
-  size_t Faults = 0;
-  for (bool F : A)
-    Faults += F ? 1 : 0;
-  EXPECT_GT(Faults, 0u);
-  EXPECT_LT(Faults, 32u);
-}
-
-TEST(Chaos, ScriptPlacesFaultsExactly) {
-  llm::ChaosConfig Cfg;
-  Cfg.TransientCallScript = {0, 3};
-  std::vector<bool> P = faultPattern(Cfg, 7, 6);
-  std::vector<bool> Want = {true, false, false, true, false, false};
-  EXPECT_EQ(P, Want);
-}
-
-TEST(Chaos, FactoryDecoratorWraps) {
-  llm::ChaosConfig Cfg;
-  Cfg.TransientCallScript = {0};
-  llm::ClientFactory F =
-      llm::chaosClientFactory(llm::simulatedClientFactory(), Cfg);
-  std::unique_ptr<llm::LLMClient> C = F(0xC60);
-  llm::Prompt P;
-  P.ScalarSource = "void f(int n, int *a) { for (int i = 0; i < n; i++) "
-                   "a[i] = 1; }";
-  EXPECT_THROW(C->complete(P, 0), llm::ClientError);
-  EXPECT_NO_THROW(C->complete(P, 0)); // index 1 of the schedule: clean
-}
-
-// The retry determinism contract: every task's first client call faults
-// transiently, the retry re-runs the FSM on the same client (schedule
-// consumed), and the surviving outcome must be byte-identical to the
-// fault-free run except for the resilience tally — at 1, 2, and 8
-// workers.
-TEST(Chaos, AbsorbedRetryIsBitIdenticalToFaultFreeRun) {
-  std::vector<std::string> Baseline = runBatchAt(1, llm::ChaosConfig());
-
-  llm::ChaosConfig Chaos;
-  Chaos.TransientCallScript = {0};
-  for (int Workers : {1, 2, 8}) {
-    std::vector<Outcome> Raw;
-    std::vector<std::string> Got = runBatchAt(Workers, Chaos, &Raw);
-    ASSERT_EQ(Got.size(), Baseline.size());
-    for (size_t I = 0; I < Got.size(); ++I) {
-      EXPECT_FALSE(Raw[I].Failed);
-      EXPECT_EQ(Raw[I].Failure, FailureKind::None);
-      EXPECT_EQ(Raw[I].Retries, 1) << Raw[I].Name;
-      EXPECT_NE(Got[I], Baseline[I])
-          << "the resilience line must record the retry";
-      EXPECT_EQ(stripResilience(Got[I]), stripResilience(Baseline[I]))
-          << "workers=" << Workers << " task=" << Raw[I].Name;
-    }
-  }
-}
-
-TEST(Chaos, PermanentClientErrorFailsWithoutRetry) {
-  llm::ChaosConfig Chaos;
-  Chaos.PermanentRate = 1.0;
-  std::vector<Outcome> Raw;
-  runBatchAt(1, Chaos, &Raw);
-  for (const Outcome &O : Raw) {
-    EXPECT_TRUE(O.Failed);
-    EXPECT_EQ(O.Failure, FailureKind::ClientPermanent);
-    EXPECT_EQ(O.Retries, 0);
-    // Graceful degradation: the partial transcript survives the abort.
-    EXPECT_TRUE(O.GenerateRan);
-    ASSERT_FALSE(O.Fsm.Transcript.empty());
-    EXPECT_NE(O.Fsm.Transcript.back().Content.find("client error"),
-              std::string::npos);
-  }
-}
-
-TEST(Chaos, TransientRetriesExhaustClassified) {
-  llm::ChaosConfig Chaos;
-  Chaos.TransientRate = 1.0;
-  std::vector<Outcome> Raw;
-  runBatchAt(1, Chaos, &Raw);
-  for (const Outcome &O : Raw) {
-    EXPECT_TRUE(O.Failed);
-    EXPECT_EQ(O.Failure, FailureKind::ClientTransient);
-    EXPECT_EQ(O.Retries, 2); // ServiceConfig::ClientRetries default
-  }
+llm::ClientFactory slowClients(uint64_t StallNanos) {
+  return [StallNanos](uint64_t Seed) {
+    return std::make_unique<SlowLLM>(Seed, StallNanos);
+  };
 }
 
 TEST(Chaos, DeadlineExpiryClassifiedTimedOutWithPartialEvidence) {
@@ -276,11 +145,9 @@ TEST(Chaos, CancelledVerdictIsNeverCached) {
 TEST(Chaos, WaitForReturnsSentinelThenOutcome) {
   ServiceConfig SC;
   SC.Workers = 1;
-  // A guaranteed-slow task: every client call pays 200ms of injected
-  // latency (no deadline, so it completes fine).
-  SC.Chaos.LatencyRate = 1.0;
-  SC.Chaos.LatencyNanos = 200'000'000;
-  SC.RetryBackoffNanos = 0;
+  // A guaranteed-slow task: every client call stalls 200ms (no
+  // deadline, so it completes fine).
+  SC.MakeClient = slowClients(200'000'000);
   VectorizerService S(SC);
   Ticket T = S.submit(sampleBatch()[0]);
   const Outcome *Peek = S.waitFor(T, 1'000'000); // 1ms: still running

@@ -11,8 +11,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "llm/Chaos.h"
 #include "store/Journal.h"
+#include "support/Cancel.h"
 #include "svc/Service.h"
 #include "tsvc/Suite.h"
 
@@ -68,6 +68,24 @@ std::vector<Request> pipelineBatch(int N) {
   return Out;
 }
 
+/// SimulatedLLM that stalls every call in a cancellable sleep, so drain()
+/// cuts it short.
+struct SlowLLM : llm::SimulatedLLM {
+  SlowLLM(uint64_t Seed, uint64_t StallNanos)
+      : SimulatedLLM(Seed), StallNanos(StallNanos) {}
+  llm::Completion complete(const llm::Prompt &P, uint64_t K) override {
+    support::cancellableSleepNanos(StallNanos, "test.slow_llm");
+    return SimulatedLLM::complete(P, K);
+  }
+  uint64_t StallNanos;
+};
+
+llm::ClientFactory slowClients(uint64_t StallNanos) {
+  return [StallNanos](uint64_t Seed) {
+    return std::make_unique<SlowLLM>(Seed, StallNanos);
+  };
+}
+
 std::filesystem::path tempDir(const char *Leaf) {
   std::filesystem::path P = std::filesystem::temp_directory_path() / Leaf;
   std::error_code EC;
@@ -83,11 +101,10 @@ TEST(Admission, WaitBatchForReportsPerTaskStatus) {
   // The Shed state is covered by Drain.SettlesEveryTaskAndShedsLateAdmissions.
   ServiceConfig SC;
   SC.Workers = 1;
-  SC.Chaos.LatencyRate = 1.0;
-  SC.Chaos.LatencyNanos = 300'000'000;
+  SC.MakeClient = slowClients(300'000'000);
   VectorizerService S(SC);
   std::vector<Ticket> Tickets = S.submitBatch(pipelineBatch(1));
-  // The task is still sleeping on injected latency.
+  // The task is still sleeping in its client's stall.
   std::vector<VectorizerService::TaskStatus> St =
       S.waitBatchFor(Tickets, 1'000'000);
   ASSERT_EQ(St.size(), 1u);
@@ -151,7 +168,7 @@ TEST(Journal, OutcomeSerializationRoundTrips) {
   EXPECT_EQ(Back.ChecksumWork.InputSets, Original.ChecksumWork.InputSets);
   EXPECT_EQ(Back.ChecksumWork.Instrs, Original.ChecksumWork.Instrs);
   EXPECT_EQ(Back.Alive2Work.Conflicts, Original.Alive2Work.Conflicts);
-  EXPECT_EQ(Back.Retries, Original.Retries);
+  EXPECT_EQ(Back.DeadlineNanos, Original.DeadlineNanos);
 
   // Truncation at any prefix must fail the decode, not mis-parse.
   for (size_t Cut : {size_t(0), Bytes.size() / 2, Bytes.size() - 1}) {
@@ -198,11 +215,11 @@ TEST(Journal, ReplaysAcrossProcessBoundary) {
   std::filesystem::remove_all(Dir, EC);
 }
 
-TEST(Journal, ServingConfigChangeInvalidatesReplay) {
-  // The journal task key folds in the serving-policy salt: a run with a
-  // different chaos schedule must not replay outcomes recorded without
-  // one (they could legitimately differ in retries/failures).
-  std::filesystem::path Dir = tempDir("lv_test_journal_salt");
+TEST(Journal, RequestConfigChangeInvalidatesReplay) {
+  // The journal key is requestKey, which folds in the request's config
+  // hashes: a batch whose equivalence budget differs must not replay
+  // outcomes recorded under the old one (its verdicts could differ).
+  std::filesystem::path Dir = tempDir("lv_test_journal_config");
   {
     ServiceConfig SC;
     SC.Workers = 1;
@@ -215,12 +232,14 @@ TEST(Journal, ServingConfigChangeInvalidatesReplay) {
     ServiceConfig SC;
     SC.Workers = 1;
     SC.JournalPath = Dir.string();
-    SC.Chaos.TransientCallScript = {0}; // different serving policy
     VectorizerService S(SC);
-    for (Ticket T : S.submitBatch(pipelineBatch(2))) {
+    std::vector<Request> Batch = pipelineBatch(2);
+    for (Request &R : Batch)
+      R.Equiv.Alive2Budget += 1; // a different request config
+    for (Ticket T : S.submitBatch(std::move(Batch))) {
       const Outcome &O = S.wait(T);
       EXPECT_FALSE(O.JournalReplayed)
-          << "different serving salt must miss the journal";
+          << "a different request config must miss the journal";
     }
     EXPECT_EQ(S.resilienceStats().JournalReplayed, 0u);
   }
@@ -270,11 +289,10 @@ TEST(Journal, TornTailIsTruncatedAndReplaySurvives) {
 TEST(Drain, SettlesEveryTaskAndShedsLateAdmissions) {
   ServiceConfig SC;
   SC.Workers = 1;
-  SC.Chaos.LatencyRate = 1.0;
-  SC.Chaos.LatencyNanos = 10'000'000'000ULL; // parks every task 10s
+  SC.MakeClient = slowClients(10'000'000'000ULL); // parks every task 10s
   VectorizerService S(SC);
   std::vector<Ticket> Tickets = S.submitBatch(pipelineBatch(3));
-  // Let the worker park on task 0's cancellable latency sleep.
+  // Let the worker park on task 0's cancellable stall.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   VectorizerService::DrainResult DR = S.drain(/*DeadlineNanos=*/0);
   EXPECT_EQ(DR.Cancelled, 1u) << "the in-flight task was cancelled";

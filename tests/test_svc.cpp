@@ -384,12 +384,6 @@ TEST(ConfigHash, PinnedGoldenValues) {
   EXPECT_EQ(agents::FsmConfig().configHash(), 0x5052f9edddaa4b60ULL);
 }
 
-TEST(Service, TaskSeedDerivation) {
-  EXPECT_NE(taskSeed(1, "s000"), taskSeed(1, "s111"));
-  EXPECT_NE(taskSeed(1, "s000"), taskSeed(2, "s000"));
-  EXPECT_EQ(taskSeed(7, "s241"), taskSeed(7, "s241"));
-}
-
 TEST(Service, TaskFailureIsCapturedNotFatal) {
   ServiceConfig SC;
   SC.MakeClient = [](uint64_t) -> std::unique_ptr<llm::LLMClient> {
